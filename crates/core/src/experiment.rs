@@ -163,9 +163,9 @@ pub struct ExperimentConfig {
     /// Coverage-aware synthesis (§VI-B extension).
     pub fedguard_coverage_aware: bool,
     /// Audit scorer implementation: the batched fast path (default) or the
-    /// sequential per-model oracle — bitwise identical either way;
-    /// `FG_BATCHED_AUDIT` overrides at run time. `#[serde(default)]` keeps
-    /// config blobs from older deployments parseable.
+    /// sequential per-model oracle — bitwise identical either way.
+    /// `#[serde(default)]` keeps config blobs from older deployments
+    /// parseable.
     #[serde(default)]
     pub fedguard_audit: crate::strategy::AuditMode,
     /// When set, the run writes one JSONL telemetry trail (one

@@ -55,22 +55,6 @@ pub enum AuditMode {
     Sequential,
 }
 
-impl AuditMode {
-    /// Apply the `FG_BATCHED_AUDIT` environment override: `0`/`false`/`off`
-    /// force the sequential oracle, `1`/`true`/`on` force the batched path,
-    /// anything else (or unset) keeps the configured mode.
-    pub fn resolved(self) -> AuditMode {
-        match std::env::var("FG_BATCHED_AUDIT") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "0" | "false" | "off" => AuditMode::Sequential,
-                "1" | "true" | "on" => AuditMode::Batched,
-                _ => self,
-            },
-            Err(_) => self,
-        }
-    }
-}
-
 /// FedGuard's knobs.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FedGuardConfig {
@@ -90,8 +74,8 @@ pub struct FedGuardConfig {
     /// Condition each decoder only on classes it was trained on (§VI-B
     /// extension for heterogeneous clients). Off = the paper's protocol.
     pub coverage_aware: bool,
-    /// Audit scorer implementation; `FG_BATCHED_AUDIT` overrides at run
-    /// time. Defaults to [`AuditMode::Batched`] (bitwise-equal fast path).
+    /// Audit scorer implementation. Defaults to [`AuditMode::Batched`]
+    /// (bitwise-equal fast path).
     #[serde(default)]
     pub audit: AuditMode,
 }
@@ -212,11 +196,11 @@ impl AggregationStrategy for FedGuardStrategy {
         // batched scorer (default) drives one grouped kernel launch per
         // layer across all models, sharing the validation batch's im2col;
         // the sequential path reconstructs and scores one model at a time
-        // and is kept as the bitwise oracle (`FG_BATCHED_AUDIT=0`).
+        // and is kept as the bitwise oracle.
         let stage = timed_span("round.audit");
         let eval_batch = self.config.eval_batch;
         let classifier = self.config.classifier;
-        let accuracies: Vec<(usize, f32)> = match self.config.audit.resolved() {
+        let accuracies: Vec<(usize, f32)> = match self.config.audit {
             AuditMode::Batched => {
                 let params: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
                 let scores =

@@ -56,9 +56,9 @@ impl CommStats {
     }
 
     /// Account only the server → clients broadcast of a round — the
-    /// starting point the streaming aggregation path then extends one
-    /// [`push_update`](CommStats::push_update) at a time, so no update list
-    /// ever needs to be materialized for accounting.
+    /// starting point the round loop then extends one arrival at a time
+    /// ([`push_bytes`](CommStats::push_bytes)), so no update list ever
+    /// needs to be materialized for accounting.
     pub fn for_broadcast(global_params: usize, m: usize) -> CommStats {
         let stats =
             CommStats { upload_bytes: 0, download_bytes: (global_params as u64 * 4) * m as u64 };
@@ -72,7 +72,7 @@ impl CommStats {
     }
 
     /// Account one client upload by its logical model byte size — the form
-    /// the sparse streamed path uses, which never materializes a
+    /// the round loop uses, since a sparse arrival never materializes a
     /// [`ModelUpdate`]. Logical bytes (4 per f32 parameter) keep this
     /// ledger mode-invariant under wire compression; actual on-wire sizes
     /// live in the `fl.comm.wire_bytes` counter and

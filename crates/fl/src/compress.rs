@@ -275,6 +275,26 @@ impl SparseUpdate {
         }
         bad
     }
+
+    /// The dense update this stands for: `base` (the round's reference
+    /// model) with every selected coordinate moved by its delta —
+    /// bit-identical to [`decompress_update`] of the same submission. A
+    /// length mismatch cannot be re-based; the bare deltas then keep
+    /// `raw_len`, so the sanitizer still reports a wrong-length submission.
+    pub fn into_dense(self, base: &[f32]) -> ModelUpdate {
+        let mut params =
+            if self.raw_len == base.len() { base.to_vec() } else { vec![0.0; self.raw_len] };
+        for (&i, &v) in self.idx.iter().zip(&self.val) {
+            params[i as usize] += v;
+        }
+        ModelUpdate {
+            client_id: self.client_id,
+            params,
+            num_samples: self.num_samples,
+            decoder: self.decoder,
+            class_coverage: self.class_coverage,
+        }
+    }
 }
 
 /// Compress one f32 vector under `mode` (which must not be
@@ -579,14 +599,16 @@ mod tests {
         assert_eq!(sparse.raw_len, reference.len());
         assert_eq!(sparse.validate(reference.len()), Ok(()));
         assert_eq!(sparse.wire_bytes(), dense.wire_bytes());
-        let mut rebuilt = reference.clone();
-        for (&i, &v) in sparse.idx.iter().zip(&sparse.val) {
-            rebuilt[i as usize] = reference[i as usize] + v;
-        }
-        let dense_bits: Vec<u32> = dense.params.iter().map(|x| x.to_bits()).collect();
-        let sparse_bits: Vec<u32> = rebuilt.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(dense_bits, sparse_bits);
         assert_eq!(sparse.decoder.as_ref().map(|d| d.len()), Some(64));
+        let rebuilt = sparse.clone().into_dense(&reference);
+        let dense_bits: Vec<u32> = dense.params.iter().map(|x| x.to_bits()).collect();
+        let sparse_bits: Vec<u32> = rebuilt.params.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(dense_bits, sparse_bits);
+        assert_eq!((rebuilt.client_id, rebuilt.num_samples), (dense.client_id, dense.num_samples));
+        assert_eq!(rebuilt.decoder, dense.decoder);
+        // A base of the wrong length cannot be re-based onto; the result
+        // keeps the submission's own length for the sanitizer to reject.
+        assert_eq!(sparse.into_dense(&reference[..10]).params.len(), reference.len());
     }
 
     #[test]

@@ -95,11 +95,14 @@ impl ResiliencePolicy {
 
 /// Server-side memory model for the aggregation stage.
 ///
-/// `Batch` materializes all m surviving updates before the strategy runs —
-/// O(m·d) server RAM, kept as the oracle every other mode must match
-/// bit-for-bit. `Streaming` folds each update into a single O(d)
-/// accumulator as it arrives off the transport (strategies that cannot
-/// stream — Krum, FedGuard's audit — fall back to `Batch` silently).
+/// The round loop is the same in every mode; the mode only decides what
+/// happens to a sanitized arrival. `Batch` buffers all m surviving updates
+/// and hands them to the strategy — O(m·d) server RAM, kept as the oracle
+/// every other mode must match bit-for-bit. `Streaming` folds each update
+/// into a single O(d) accumulator as it arrives off the transport
+/// (strategies that cannot fold — Krum, FedGuard's audit — buffer as in
+/// `Batch`, as does a round that may need the survivor vectors for the
+/// damped below-quorum step).
 /// `Hierarchical` aggregates fixed client shards first and then the shard
 /// results: deterministic at any thread count and arrival order, but *not*
 /// bit-identical to `Batch` (a different, two-level fold tree), with peak
@@ -117,22 +120,6 @@ pub enum AggregationMemory {
         /// Clients per leaf shard (floored to 1).
         shard: usize,
     },
-}
-
-impl AggregationMemory {
-    /// Apply the `FG_STREAM_AGG` environment override: `0`/`false`/`off`
-    /// force the batch oracle, `1`/`true`/`on` force streaming, anything
-    /// else (or unset) keeps the configured mode.
-    pub fn resolved(self) -> AggregationMemory {
-        match std::env::var("FG_STREAM_AGG") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "0" | "false" | "off" => AggregationMemory::Batch,
-                "1" | "true" | "on" => AggregationMemory::Streaming,
-                _ => self,
-            },
-            Err(_) => self,
-        }
-    }
 }
 
 /// Top-level federation parameters (the `Federation` procedure of Alg. 1).
@@ -156,8 +143,8 @@ pub struct FederationConfig {
     pub eval_batch: usize,
     /// Master seed; every stochastic component derives from it.
     pub seed: u64,
-    /// Server-side aggregation memory model (`FG_STREAM_AGG` overrides at
-    /// run time). Defaults to the O(m·d) batch oracle.
+    /// Server-side aggregation memory model. Defaults to the O(m·d) batch
+    /// oracle.
     #[serde(default)]
     pub agg_memory: AggregationMemory,
 }

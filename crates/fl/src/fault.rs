@@ -10,17 +10,20 @@
 //!   of injected faults. The draw for `(round, client)` depends only on the
 //!   plan seed, never on execution order, so a replay with the same seed
 //!   reproduces the exact same fault sequence (the chaos suite asserts
-//!   bit-identical round records).
-//! * [`sanitize_round`] — the server-side guard applied to every round's
-//!   submissions, fault plan or not: non-finite and wrong-length parameter
-//!   vectors are rejected before they can reach an aggregation strategy,
-//!   non-finite decoders are stripped, and duplicate submissions are
-//!   deduplicated by client id (**last write wins**, so a re-sent update can
-//!   never double-weight FedAvg).
+//!   bit-identical round records). [`FaultPlan::inject`] applies one
+//!   arrival's scheduled transit faults as it leaves the transport.
+//! * [`sanitize_one`] — the server-side guard applied to every arrival,
+//!   fault plan or not: non-finite and wrong-length parameter vectors are
+//!   rejected before they can reach an aggregation strategy, non-finite
+//!   decoders are stripped, and duplicate submissions are discarded by
+//!   client id (**first valid arrival wins**, so a re-sent update can
+//!   neither double-weight FedAvg nor displace the fresh one).
+//!   [`sanitize_round`] runs it over a whole round in hand.
 //!
 //! Every incident — injected or observed — is recorded as a [`FaultEvent`]
 //! and lands in the round's [`RoundTelemetry`](crate::telemetry::RoundTelemetry).
 
+use crate::transport::IncomingUpdate;
 use crate::update::{ModelUpdate, UpdateRejection};
 use fg_tensor::rng::{derive_seed, SeededRng};
 use serde::{Deserialize, Serialize};
@@ -184,6 +187,57 @@ impl FaultPlan {
             i += stride;
         }
     }
+
+    /// Apply `arrival`'s scheduled transit faults for `round`: corrupt /
+    /// truncate the vector, queue a stale duplicate, and apply the straggler
+    /// deadline. Returns what reaches the server — the (possibly mangled)
+    /// original unless it timed out, and the stale duplicate if one was
+    /// scheduled, which the caller delivers after every original. `global`
+    /// is the round-start model: the duplicate's frozen payload, and the
+    /// base a faulted sparse arrival is densified against first.
+    pub fn inject(
+        &self,
+        round: usize,
+        arrival: IncomingUpdate,
+        global: &[f32],
+        events: &mut Vec<FaultEvent>,
+    ) -> (Option<IncomingUpdate>, Option<ModelUpdate>) {
+        let f = self.draw(round, arrival.client_id());
+        if f.is_clean() {
+            return (Some(arrival), None);
+        }
+        let mut update = arrival.into_dense(global);
+        let id = update.client_id;
+        if let Some(mode) = f.corrupt {
+            FaultPlan::corrupt_params(&mut update, mode);
+            events.push(FaultEvent::new(id, FaultKind::Corrupted { mode }));
+        }
+        if let Some(frac) = f.truncate_fraction {
+            let kept = ((update.params.len() as f64 * frac) as usize).max(1);
+            update.params.truncate(kept);
+            events.push(FaultEvent::new(id, FaultKind::Truncated { kept }));
+        }
+        // A retransmission frozen at the round-start global model; it goes
+        // over the wire even if the original times out.
+        let stale = f.duplicate.then(|| {
+            events.push(FaultEvent::new(id, FaultKind::DuplicateSubmission));
+            ModelUpdate {
+                client_id: id,
+                params: global.to_vec(),
+                num_samples: update.num_samples,
+                decoder: update.decoder.clone(),
+                class_coverage: update.class_coverage.clone(),
+            }
+        });
+        if let Some(delay_secs) = f.straggler_delay_secs {
+            if delay_secs > self.config.round_deadline_secs {
+                events.push(FaultEvent::new(id, FaultKind::StragglerTimeout { delay_secs }));
+                return (None, stale);
+            }
+            events.push(FaultEvent::new(id, FaultKind::StragglerLate { delay_secs }));
+        }
+        (Some(IncomingUpdate::Dense(update)), stale)
+    }
 }
 
 /// One fault incident in one round — either injected by the [`FaultPlan`]
@@ -227,8 +281,8 @@ pub enum FaultKind {
     /// Sanitizer rejected a submission whose parameter vector has the wrong
     /// length.
     RejectedWrongLength { got: usize, expected: usize },
-    /// Sanitizer discarded an earlier copy of a duplicated client id
-    /// (last write wins).
+    /// Sanitizer discarded a later copy of an already admitted client id
+    /// (first valid arrival wins).
     DuplicateDiscarded,
     /// Sanitizer stripped a non-finite CVAE decoder but kept the update.
     DecoderStripped,
@@ -242,8 +296,8 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// True for incidents that remove a submission from the round (the
-    /// client cannot appear in the survivor roster afterwards... unless a
-    /// later duplicate of the same client survives).
+    /// client cannot appear in the survivor roster afterwards... unless
+    /// another copy of the same client's submission survives).
     pub fn discards_submission(&self) -> bool {
         matches!(
             self,
@@ -258,44 +312,59 @@ impl FaultKind {
     }
 }
 
-/// Server-side sanitization of one round's arrived submissions.
+/// Server-side sanitization of one arrival, dense or sparse.
 ///
-/// In arrival order: validates every update against the expected parameter
-/// length and finiteness (rejects emit [`FaultKind::RejectedNonFinite`] /
-/// [`FaultKind::RejectedWrongLength`]), strips non-finite decoders
-/// ([`FaultKind::DecoderStripped`]), then deduplicates by client id keeping
-/// the **last** valid arrival ([`FaultKind::DuplicateDiscarded`] for each
-/// displaced copy). Survivors are returned sorted by client id.
+/// Validates the update against the expected parameter length and
+/// finiteness (rejects emit [`FaultKind::RejectedNonFinite`] /
+/// [`FaultKind::RejectedWrongLength`]), strips a non-finite decoder
+/// ([`FaultKind::DecoderStripped`]), then discards it if `admitted` already
+/// holds its client id ([`FaultKind::DuplicateDiscarded`]) — the **first**
+/// valid arrival per client wins, so a rejected original never blocks a
+/// valid retransmission. Returns the arrival if it survives, having
+/// appended its id to `admitted`.
+pub fn sanitize_one(
+    mut arrival: IncomingUpdate,
+    expected_len: usize,
+    admitted: &mut Vec<usize>,
+    events: &mut Vec<FaultEvent>,
+) -> Option<IncomingUpdate> {
+    let id = arrival.client_id();
+    match arrival.validate(expected_len) {
+        Err(UpdateRejection::NonFinite) => {
+            events.push(FaultEvent::new(id, FaultKind::RejectedNonFinite));
+            return None;
+        }
+        Err(UpdateRejection::WrongLength { got, expected }) => {
+            events.push(FaultEvent::new(id, FaultKind::RejectedWrongLength { got, expected }));
+            return None;
+        }
+        Ok(()) => {}
+    }
+    if arrival.strip_non_finite_decoder() {
+        events.push(FaultEvent::new(id, FaultKind::DecoderStripped));
+    }
+    if admitted.contains(&id) {
+        events.push(FaultEvent::new(id, FaultKind::DuplicateDiscarded));
+        return None;
+    }
+    admitted.push(id);
+    Some(arrival)
+}
+
+/// [`sanitize_one`] over one round's arrived submissions, in arrival order;
+/// survivors are returned sorted by client id.
 pub fn sanitize_round(
     arrived: Vec<ModelUpdate>,
     expected_len: usize,
     events: &mut Vec<FaultEvent>,
 ) -> Vec<ModelUpdate> {
-    let mut survivors: Vec<ModelUpdate> = Vec::with_capacity(arrived.len());
-    for mut update in arrived {
-        match update.validate(expected_len) {
-            Err(UpdateRejection::NonFinite) => {
-                events.push(FaultEvent::new(update.client_id, FaultKind::RejectedNonFinite));
-                continue;
-            }
-            Err(UpdateRejection::WrongLength { got, expected }) => {
-                events.push(FaultEvent::new(
-                    update.client_id,
-                    FaultKind::RejectedWrongLength { got, expected },
-                ));
-                continue;
-            }
-            Ok(()) => {}
-        }
-        if update.strip_non_finite_decoder() {
-            events.push(FaultEvent::new(update.client_id, FaultKind::DecoderStripped));
-        }
-        // Last write wins: a later arrival for the same client displaces the
-        // earlier one, so no client id is ever aggregated twice.
-        if let Some(prev) = survivors.iter().position(|u| u.client_id == update.client_id) {
-            events.push(FaultEvent::new(update.client_id, FaultKind::DuplicateDiscarded));
-            survivors[prev] = update;
-        } else {
+    let mut admitted = Vec::with_capacity(arrived.len());
+    let mut survivors = Vec::with_capacity(arrived.len());
+    for update in arrived {
+        // A dense arrival stays dense through the sanitizer.
+        if let Some(IncomingUpdate::Dense(update)) =
+            sanitize_one(IncomingUpdate::Dense(update), expected_len, &mut admitted, events)
+        {
             survivors.push(update);
         }
     }
@@ -363,6 +432,63 @@ mod tests {
     }
 
     #[test]
+    fn inject_mangles_the_original_and_queues_a_stale_duplicate() {
+        let global = vec![1.0, 2.0, 3.0, 4.0];
+        let sparse = || {
+            IncomingUpdate::Sparse(crate::compress::SparseUpdate {
+                client_id: 3,
+                num_samples: 1,
+                raw_len: 4,
+                idx: vec![1],
+                val: vec![0.5],
+                decoder: None,
+                class_coverage: None,
+            })
+        };
+        // Nothing scheduled: the arrival passes through as it came, sparse.
+        let mut events = Vec::new();
+        let quiet = FaultPlan::new(FaultConfig::default(), 1);
+        assert_eq!(quiet.inject(0, sparse(), &global, &mut events), (Some(sparse()), None));
+        assert!(events.is_empty());
+
+        // A late straggler is kept, densified against the round-start model.
+        let late = FaultConfig {
+            straggler_prob: 1.0,
+            round_deadline_secs: f64::INFINITY,
+            ..FaultConfig::default()
+        };
+        let (original, stale) = FaultPlan::new(late, 1).inject(0, sparse(), &global, &mut events);
+        assert_eq!(original, Some(IncomingUpdate::Dense(update(3, vec![1.0, 2.5, 3.0, 4.0]))));
+        assert_eq!(stale, None);
+        assert!(matches!(events[..], [FaultEvent { kind: FaultKind::StragglerLate { .. }, .. }]));
+
+        // Everything at once, past the deadline: the mangled original is
+        // lost, its stale retransmission still goes over the wire.
+        let all = FaultConfig {
+            straggler_prob: 1.0,
+            round_deadline_secs: -1.0,
+            corrupt_prob: 1.0,
+            truncate_prob: 1.0,
+            duplicate_prob: 1.0,
+            ..FaultConfig::default()
+        };
+        events.clear();
+        let (original, stale) = FaultPlan::new(all, 1).inject(0, sparse(), &global, &mut events);
+        assert_eq!(original, None);
+        let stale = stale.expect("duplicate scheduled");
+        assert_eq!(stale, update(3, global.clone()));
+        assert!(matches!(
+            events.iter().map(|e| &e.kind).collect::<Vec<_>>()[..],
+            [
+                FaultKind::Corrupted { .. },
+                FaultKind::Truncated { .. },
+                FaultKind::DuplicateSubmission,
+                FaultKind::StragglerTimeout { .. },
+            ]
+        ));
+    }
+
+    #[test]
     fn sanitizer_rejects_non_finite_and_wrong_length() {
         let mut events = Vec::new();
         let arrived = vec![
@@ -386,19 +512,29 @@ mod tests {
     }
 
     #[test]
-    fn dedup_keeps_last_valid_arrival() {
+    fn dedup_keeps_first_valid_arrival() {
         let mut events = Vec::new();
         let arrived = vec![
             update(5, vec![1.0, 1.0]),
             update(4, vec![2.0, 2.0]),
-            update(5, vec![9.0, 9.0]), // later duplicate wins
+            update(5, vec![9.0, 9.0]), // later duplicate loses
         ];
         let survivors = sanitize_round(arrived, 2, &mut events);
         assert_eq!(survivors.len(), 2);
         assert_eq!(survivors[0].client_id, 4);
         assert_eq!(survivors[1].client_id, 5);
-        assert_eq!(survivors[1].params, vec![9.0, 9.0]);
+        assert_eq!(survivors[1].params, vec![1.0, 1.0]);
         assert_eq!(events, vec![FaultEvent::new(5, FaultKind::DuplicateDiscarded)]);
+    }
+
+    #[test]
+    fn valid_duplicate_survives_a_rejected_original() {
+        let mut events = Vec::new();
+        let arrived = vec![update(7, vec![f32::NAN, 0.0]), update(7, vec![1.0, 1.0])];
+        let survivors = sanitize_round(arrived, 2, &mut events);
+        assert_eq!(survivors.len(), 1);
+        assert_eq!(survivors[0].params, vec![1.0, 1.0]);
+        assert_eq!(events, vec![FaultEvent::new(7, FaultKind::RejectedNonFinite)]);
     }
 
     #[test]

@@ -3,51 +3,32 @@
 use crate::client::{Client, NoAttack, UpdateInterceptor};
 use crate::comm::CommStats;
 use crate::compress::Compression;
-use crate::config::{AggregationMemory, CvaeTrainConfig, FederationConfig, ResiliencePolicy};
-use crate::fault::{sanitize_round, FaultEvent, FaultKind, FaultPlan, SubmissionFaults};
+use crate::config::{CvaeTrainConfig, FederationConfig, ResiliencePolicy};
+use crate::fault::{sanitize_one, FaultEvent, FaultKind, FaultPlan};
 use crate::metrics::RoundRecord;
-use crate::strategy::{
-    AggregationContext, AggregationStrategy, StrategyTimings, StreamingAggregator,
-};
+use crate::strategy::{AggregationContext, AggregationStrategy, StrategyTimings};
 use crate::telemetry::{RoundObserver, RoundTelemetry, StageTimings, SCHEMA_VERSION};
-use crate::transport::{IncomingUpdate, LocalTransport, RoundOffer, SessionEvent, Transport};
-use crate::update::{ModelUpdate, UpdateRejection};
+use crate::transport::{IncomingUpdate, LocalTransport, RoundOffer, Transport};
+use crate::update::ModelUpdate;
 use fg_data::Dataset;
 use fg_nn::models::Classifier;
 use fg_obs::metrics::{Counter, Gauge};
-use fg_obs::span::timed_span;
+use fg_obs::span::{record_interleaved, timed_span};
 use fg_tensor::rng::SeededRng;
 use fg_tensor::vecops;
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Completed federated rounds, across all `Federation` instances.
 static ROUNDS: Counter = Counter::new("fl.rounds");
 
 /// Peak transient server residency of the last aggregation stage, in bytes.
-/// Streaming rounds report the aggregator's own high-water mark; batch
-/// rounds report the materialized-survivors proxy `(m + 1)·d·4` (the m
-/// survivor vectors plus the aggregate), so the two memory models are
-/// directly comparable on one gauge.
+/// A folding round reports the aggregator's own high-water mark; a
+/// buffering round reports the materialized-survivors proxy `(m + 1)·d·4`
+/// (the m survivor vectors plus the aggregate), so the two memory models
+/// are directly comparable on one gauge.
 static AGG_PEAK_BYTES: Gauge = Gauge::new("fl.agg.peak_bytes");
-
-/// What stages (2)–(5) of a round distill to — the exchange, sanitization,
-/// and aggregation results. Produced by either [`Federation::batch_body`]
-/// (the O(m·d) oracle) or [`Federation::streamed_body`] (the O(d) fold);
-/// the evaluation/telemetry tail of `run_round` consumes both identically.
-struct RoundBody {
-    local_training_secs: f64,
-    sanitize_secs: f64,
-    sessions: Vec<SessionEvent>,
-    comm: CommStats,
-    survivor_ids: Vec<usize>,
-    quorum_met: bool,
-    selected: Vec<usize>,
-    scores: Vec<(usize, f32)>,
-    threshold: Option<f32>,
-    strategy_timings: StrategyTimings,
-    aggregate_total_secs: f64,
-}
 
 /// A complete federated-learning simulation: `N` clients, a server-side test
 /// set, an aggregation strategy, and an optional attack interceptor.
@@ -68,24 +49,31 @@ struct RoundBody {
 /// Each round (cf. Alg. 1 lines 16-20):
 /// 1. uniformly sample `m` of the `N` clients,
 /// 2. run the exchange through the [`Transport`]: deliver the global
-///    parameters to the sampled clients and collect their trained updates.
-///    The default [`LocalTransport`] trains in-process, in parallel across
-///    the rayon-shim worker pool (`FG_THREADS` threads; each client trains
-///    from its own forked RNG stream, so the round is bit-identical at any
+///    parameters to the sampled clients and receive their trained (and
+///    attack-intercepted) updates one arrival at a time. The default
+///    [`LocalTransport`] trains in-process, in parallel across the
+///    rayon-shim worker pool (`FG_THREADS` threads; each client trains from
+///    its own forked RNG stream, so the round is bit-identical at any
 ///    thread count); [`crate::net::TcpTransport`] drives remote client
 ///    processes over the wire instead. Clients scheduled to drop out by the
 ///    [fault plan](FederationBuilder::faults) never train,
-/// 3. let the attack interceptor corrupt the malicious clients' updates,
-///    then inject any scheduled transit faults (straggler delay/timeout,
-///    NaN/Inf corruption, truncation, stale duplicates),
-/// 4. sanitize the arrived submissions ([`sanitize_round`]: reject
-///    non-finite / wrong-length vectors, strip bad decoders, dedup by
-///    client id) — this guard runs on every round, fault plan or not,
-/// 5. if the survivors meet the [`ResiliencePolicy`] quorum, hand them to
-///    the aggregation strategy and move the global model by the server
-///    learning rate toward the aggregate; otherwise skip aggregation and
-///    carry the global model forward (optionally taking a damped partial
-///    step toward the survivors' mean), and
+/// 3. per arrival, inject any scheduled transit faults
+///    ([`FaultPlan::inject`]: straggler delay/timeout, NaN/Inf corruption,
+///    truncation, a stale duplicate delivered after every original) and
+///    account what crossed the wire,
+/// 4. per arrival, sanitize ([`sanitize_one`]: reject non-finite /
+///    wrong-length vectors, strip bad decoders, first valid arrival per
+///    client wins) — this guard runs on every round, fault plan or not —
+///    and push the survivor: into the strategy's
+///    [`StreamingAggregator`](crate::strategy::StreamingAggregator) when
+///    [`begin_streaming`](AggregationStrategy::begin_streaming) opened one,
+///    into a survivor buffer otherwise,
+/// 5. if the survivors meet the [`ResiliencePolicy`] quorum, finalize the
+///    fold (or hand the buffer to
+///    [`aggregate`](AggregationStrategy::aggregate)) and move the global
+///    model by the server learning rate toward the aggregate; otherwise
+///    skip aggregation and carry the global model forward (optionally
+///    taking a damped partial step toward the survivors' mean), and
 /// 6. evaluate on the held-out test set, record metrics, and emit one
 ///    [`RoundTelemetry`] event — including the survivor roster and every
 ///    [`FaultEvent`] — to every registered observer.
@@ -356,7 +344,9 @@ impl Federation {
     /// Stage timing comes from `fg-obs` timed spans: each stage's seconds in
     /// [`StageTimings`] are derived from the same clock readings that land
     /// in the exported trace, so the round telemetry and a profile of the
-    /// run can never disagree about where time went.
+    /// run can never disagree about where time went. Sanitization runs in
+    /// slices between arrivals; its summed seconds are recorded as the one
+    /// `round.sanitize` span and taken out of the exchange's.
     pub fn run_round(&mut self) -> RoundRecord {
         let round = self.history.len();
         let round_span = timed_span("round");
@@ -368,58 +358,138 @@ impl Federation {
         sampled.sort_unstable();
         let sampling_secs = stage.close();
 
-        // (1b) Draw the round's fault schedule; dropouts never train. Draws
-        // are pure functions of (plan seed, round, client), so the schedule
-        // is identical across replays regardless of execution order.
+        // (1b) Scheduled dropouts never train. Fault draws are pure
+        // functions of (plan seed, round, client), so the schedule is
+        // identical across replays regardless of execution order.
         let mut fault_events: Vec<FaultEvent> = Vec::new();
-        let schedule: Vec<(usize, SubmissionFaults)> = match &self.faults {
-            Some(plan) => sampled.iter().map(|&id| (id, plan.draw(round, id))).collect(),
-            None => sampled.iter().map(|&id| (id, SubmissionFaults::default())).collect(),
-        };
-        let active: Vec<usize> = schedule
+        let active: Vec<usize> = sampled
             .iter()
-            .filter_map(|&(id, f)| {
-                if f.dropout {
+            .copied()
+            .filter(|&id| {
+                let dropout = self.faults.as_ref().is_some_and(|p| p.draw(round, id).dropout);
+                if dropout {
                     fault_events.push(FaultEvent::new(id, FaultKind::Dropout));
-                    None
-                } else {
-                    Some(id)
                 }
+                !dropout
             })
             .collect();
 
-        // (2)–(5) Exchange, sanitize, aggregate. When the aggregation-memory
-        // knob resolves away from the batch oracle and the strategy can
-        // stream, every update folds into an O(d) accumulator as it leaves
-        // the transport and the round never materializes; the batch path
-        // stays the bitwise oracle and keeps handling everything that needs
-        // the survivor vectors in hand (fault injection, the damped
-        // below-quorum partial step).
-        let memory = self.config.agg_memory.resolved();
-        let streaming = if self.faults.is_none() && !self.resilience.damped_partial_step {
-            match memory {
-                AggregationMemory::Batch => None,
-                mode => self.strategy.begin_streaming(self.global.len(), &active, mode),
-            }
-        } else {
+        // (2)–(4) Exchange: every arrival is fault-injected, accounted,
+        // sanitized and pushed as it leaves the transport. The push folds
+        // into the strategy's O(d) aggregator when it opened one for this
+        // round's memory mode; otherwise — and whenever the damped
+        // below-quorum step may need the survivor vectors — it buffers.
+        let dim = self.global.len();
+        let mut fold = if self.resilience.damped_partial_step {
             None
+        } else {
+            self.strategy.begin_streaming(dim, &active, self.config.agg_memory)
         };
-        let RoundBody {
-            local_training_secs,
-            sanitize_secs,
-            sessions,
-            comm,
-            survivor_ids,
-            quorum_met,
-            selected,
-            scores,
-            threshold,
-            strategy_timings,
-            aggregate_total_secs,
-        } = match streaming {
-            Some(agg) => self.streamed_body(round, &sampled, &active, &mut fault_events, agg),
-            None => self.batch_body(round, &sampled, &active, &schedule, &mut fault_events),
+        let mut buffered: Vec<ModelUpdate> = Vec::new();
+        // Upload accounting covers what actually crossed the wire this
+        // round: corrupted/truncated/duplicate submissions included,
+        // dropouts and timeouts not.
+        let mut comm = CommStats::for_broadcast(dim, sampled.len());
+        let mut survivor_ids: Vec<usize> = Vec::new();
+        let mut injected: Vec<FaultEvent> = Vec::new();
+        let mut observed: Vec<FaultEvent> = Vec::new();
+        let mut stale: Vec<ModelUpdate> = Vec::new();
+        let mut sanitize_ns = 0u64;
+
+        let stage = timed_span("round.local_training");
+        let offer = RoundOffer { round, global: &self.global, sampled: &sampled, active: &active };
+        // The round-start model: a stale duplicate's payload and the base a
+        // sparse (top-k) arrival's deltas are coded against.
+        let global = offer.global;
+        let mut admit = |arrival: IncomingUpdate| {
+            comm.push_bytes(arrival.wire_bytes());
+            let started = Instant::now();
+            let survivor = sanitize_one(arrival, dim, &mut survivor_ids, &mut observed);
+            sanitize_ns += started.elapsed().as_nanos() as u64;
+            match (survivor, &mut fold) {
+                (None, _) => {}
+                (Some(IncomingUpdate::Dense(update)), Some(agg)) => agg.push(&update),
+                (Some(IncomingUpdate::Sparse(update)), Some(agg)) => {
+                    agg.push_sparse(&update, global)
+                }
+                (Some(update), None) => buffered.push(update.into_dense(global)),
+            }
         };
+        let faults = self.faults.as_ref();
+        let tail = self.transport.exchange_round_streamed(&offer, &mut |arrival| {
+            let (original, duplicate) = match faults {
+                Some(plan) => plan.inject(round, arrival, global, &mut injected),
+                None => (Some(arrival), None),
+            };
+            stale.extend(duplicate);
+            if let Some(arrival) = original {
+                admit(arrival);
+            }
+        });
+        // Stale duplicates arrive after every original.
+        for duplicate in stale {
+            admit(IncomingUpdate::Dense(duplicate));
+        }
+        record_interleaved("round.sanitize", sanitize_ns);
+        let sanitize_secs = sanitize_ns as f64 / 1e9;
+        let local_training_secs = (stage.close() - sanitize_secs).max(0.0);
+        // Transport-observed losses (TCP disconnects, malformed frames)
+        // degrade exactly like scheduled faults.
+        fault_events.extend(tail.faults);
+        fault_events.extend(injected);
+        fault_events.extend(observed);
+        // A duplicate that outlived its rejected original arrived last.
+        survivor_ids.sort_unstable();
+        buffered.sort_by_key(|u| u.client_id);
+
+        // (5) Aggregate if the survivors meet quorum; otherwise degrade per
+        // the resilience policy. The strategy reports its own synthesis /
+        // audit time; the remainder of the stage is inner aggregation.
+        let quorum = self.resilience.effective_quorum();
+        let quorum_met = survivor_ids.len() >= quorum;
+        let stage = timed_span("round.aggregation");
+        let (selected, scores, threshold, strategy_timings) = if quorum_met {
+            let outcome = match fold {
+                Some(agg) => {
+                    AGG_PEAK_BYTES.set(agg.peak_bytes() as i64);
+                    agg.finalize().expect("quorum met implies at least one folded update")
+                }
+                None => {
+                    AGG_PEAK_BYTES.set(((buffered.len() + 1) * dim * 4) as i64);
+                    let mut ctx = AggregationContext {
+                        round,
+                        global: &self.global,
+                        rng: self.rng.fork(0xA66 ^ round as u64),
+                    };
+                    self.strategy.aggregate(&buffered, &mut ctx)
+                }
+            };
+            assert_eq!(
+                outcome.params.len(),
+                dim,
+                "strategy {} returned wrong-size parameters",
+                self.strategy.name()
+            );
+            // Server learning rate (§V-A): ψ₀ ← (1-η)ψ₀ + η·aggregate.
+            self.global = vecops::lerp(&self.global, &outcome.params, self.config.server_lr);
+            (outcome.selected, outcome.scores, outcome.threshold, outcome.timings)
+        } else if self.resilience.damped_partial_step && !buffered.is_empty() {
+            // Below quorum but not empty: a confidence-weighted step toward
+            // the survivors' unweighted mean, damped by survivors/quorum on
+            // top of the server learning rate.
+            let refs: Vec<&[f32]> = buffered.iter().map(|u| u.params.as_slice()).collect();
+            let mean = vecops::mean_vector(&refs);
+            let scale = buffered.len() as f32 / quorum as f32;
+            self.global = vecops::lerp(&self.global, &mean, self.config.server_lr * scale);
+            (survivor_ids.clone(), Vec::new(), None, StrategyTimings::default())
+        } else {
+            // Carry the global model forward unchanged (a fold in progress
+            // is discarded).
+            (Vec::new(), Vec::new(), None, StrategyTimings::default())
+        };
+        let aggregate_total_secs = stage.close();
+        // Release the m·d survivor floats before evaluation allocates.
+        drop(buffered);
 
         // (6) Evaluate, record, and emit telemetry.
         let stage = timed_span("round.evaluation");
@@ -476,7 +546,7 @@ impl Federation {
             malicious_sampled: record.malicious_sampled.clone(),
             comm,
             transport: self.transport.kind(),
-            sessions,
+            sessions: tail.sessions,
             // Cumulative process-wide metrics, folded in only while tracing
             // is on: profiled runs get the numbers, deterministic test runs
             // keep bit-comparable events.
@@ -492,280 +562,6 @@ impl Federation {
 
         self.history.push(record.clone());
         record
-    }
-
-    /// Stages (2)–(5), batch flavor — the O(m·d) oracle: run the exchange to
-    /// a materialized update list, inject scheduled transit faults, sanitize
-    /// the arrivals, and hand the surviving batch to the strategy.
-    fn batch_body(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        active: &[usize],
-        schedule: &[(usize, SubmissionFaults)],
-        fault_events: &mut Vec<FaultEvent>,
-    ) -> RoundBody {
-        // (2) + (3) The transport runs the exchange: deliver the global
-        // model, collect the trained (and attack-intercepted) submissions of
-        // the active clients, sorted by client id. In-process this is the
-        // parallel training pass; over TCP it is RoundStart/Upload framing —
-        // either way the same offers must yield the same updates.
-        let stage = timed_span("round.local_training");
-        let offer = RoundOffer { round, global: &self.global, sampled, active };
-        let exchange = self.transport.exchange_round(&offer);
-        let updates = exchange.updates;
-        let sessions = exchange.sessions;
-        // Transport-observed losses (TCP disconnects, malformed frames)
-        // degrade exactly like scheduled faults.
-        fault_events.extend(exchange.faults);
-        let local_training_secs = stage.close();
-
-        // (3b) Inject transit faults into the trained submissions: corrupt /
-        // truncate the vector, queue a stale duplicate, and apply the
-        // straggler deadline. Duplicates arrive after every original.
-        let deadline =
-            self.faults.as_ref().map_or(f64::INFINITY, |p| p.config().round_deadline_secs);
-        let faults_of: std::collections::HashMap<usize, SubmissionFaults> =
-            schedule.iter().copied().collect();
-        let mut arrived: Vec<ModelUpdate> = Vec::with_capacity(updates.len());
-        let mut duplicates: Vec<ModelUpdate> = Vec::new();
-        for mut update in updates {
-            let f = faults_of[&update.client_id];
-            if let Some(mode) = f.corrupt {
-                FaultPlan::corrupt_params(&mut update, mode);
-                fault_events.push(FaultEvent::new(update.client_id, FaultKind::Corrupted { mode }));
-            }
-            if let Some(frac) = f.truncate_fraction {
-                let kept = ((update.params.len() as f64 * frac) as usize).max(1);
-                update.params.truncate(kept);
-                fault_events.push(FaultEvent::new(update.client_id, FaultKind::Truncated { kept }));
-            }
-            if f.duplicate {
-                // A retransmission frozen at the round-start global model; it
-                // goes over the wire even if the original times out.
-                let mut dup = update.clone();
-                dup.params = self.global.clone();
-                duplicates.push(dup);
-                fault_events
-                    .push(FaultEvent::new(update.client_id, FaultKind::DuplicateSubmission));
-            }
-            if let Some(delay) = f.straggler_delay_secs {
-                if delay > deadline {
-                    fault_events.push(FaultEvent::new(
-                        update.client_id,
-                        FaultKind::StragglerTimeout { delay_secs: delay },
-                    ));
-                    continue;
-                }
-                fault_events.push(FaultEvent::new(
-                    update.client_id,
-                    FaultKind::StragglerLate { delay_secs: delay },
-                ));
-            }
-            arrived.push(update);
-        }
-        arrived.extend(duplicates);
-        // Download accounting covers what actually crossed the wire this
-        // round: corrupted/truncated/duplicate submissions included,
-        // dropouts and timeouts not.
-        let comm = CommStats::for_round(self.global.len(), sampled.len(), &arrived);
-
-        // (4) Sanitize: reject malformed vectors, strip bad decoders, dedup
-        // by client id. Runs on every round, fault plan or not.
-        let stage = timed_span("round.sanitize");
-        let survivors = sanitize_round(arrived, self.global.len(), fault_events);
-        let survivor_ids: Vec<usize> = survivors.iter().map(|u| u.client_id).collect();
-        let sanitize_secs = stage.close();
-
-        // (5) Aggregate if the survivors meet quorum; otherwise degrade per
-        // the resilience policy. The strategy reports its own synthesis /
-        // audit time; the remainder of aggregate() is inner aggregation.
-        let quorum = self.resilience.effective_quorum();
-        let quorum_met = survivors.len() >= quorum;
-        let stage = timed_span("round.aggregation");
-        let (selected, scores, threshold, strategy_timings) = if quorum_met {
-            // Materialized-survivors residency proxy: the m survivor vectors
-            // plus the aggregate the strategy is about to produce.
-            AGG_PEAK_BYTES.set(((survivors.len() + 1) * self.global.len() * 4) as i64);
-            let mut ctx = AggregationContext {
-                round,
-                global: &self.global,
-                rng: self.rng.fork(0xA66 ^ round as u64),
-            };
-            let outcome = self.strategy.aggregate(&survivors, &mut ctx);
-            assert_eq!(
-                outcome.params.len(),
-                self.global.len(),
-                "strategy {} returned wrong-size parameters",
-                self.strategy.name()
-            );
-            // Server learning rate (§V-A): ψ₀ ← (1-η)ψ₀ + η·aggregate.
-            self.global = vecops::lerp(&self.global, &outcome.params, self.config.server_lr);
-            (outcome.selected, outcome.scores, outcome.threshold, outcome.timings)
-        } else if self.resilience.damped_partial_step && !survivors.is_empty() {
-            // Below quorum but not empty: a confidence-weighted step toward
-            // the survivors' unweighted mean, damped by survivors/quorum on
-            // top of the server learning rate.
-            let refs: Vec<&[f32]> = survivors.iter().map(|u| u.params.as_slice()).collect();
-            let mean = vecops::mean_vector(&refs);
-            let scale = survivors.len() as f32 / quorum as f32;
-            self.global = vecops::lerp(&self.global, &mean, self.config.server_lr * scale);
-            (survivor_ids.clone(), Vec::new(), None, StrategyTimings::default())
-        } else {
-            // Carry the global model forward unchanged.
-            (Vec::new(), Vec::new(), None, StrategyTimings::default())
-        };
-        let aggregate_total_secs = stage.close();
-
-        RoundBody {
-            local_training_secs,
-            sanitize_secs,
-            sessions,
-            comm,
-            survivor_ids,
-            quorum_met,
-            selected,
-            scores,
-            threshold,
-            strategy_timings,
-            aggregate_total_secs,
-        }
-    }
-
-    /// Stages (2)–(5), streaming flavor: the transport hands each update to
-    /// a sink that accounts it, sanitizes it inline (same checks and
-    /// [`FaultEvent`]s as [`sanitize_round`], minus its last-duplicate-wins
-    /// rule — a fold is irrevocable, so the *first* valid arrival per client
-    /// wins; unreachable through the in-tree transports, which deliver each
-    /// active client at most once), and folds it into the strategy's O(d)
-    /// accumulator. No update list is ever materialized.
-    fn streamed_body(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        active: &[usize],
-        fault_events: &mut Vec<FaultEvent>,
-        mut agg: Box<dyn StreamingAggregator>,
-    ) -> RoundBody {
-        let stage = timed_span("round.local_training");
-        let mut comm = CommStats::for_broadcast(self.global.len(), sampled.len());
-        let expected_len = self.global.len();
-        let mut survivor_ids: Vec<usize> = Vec::new();
-        let offer = RoundOffer { round, global: &self.global, sampled, active };
-        // A sparse (top-k) submission's deltas are coded against the round's
-        // reference model, which for top-k is the exact global the offer
-        // broadcast (its downlink stays dense).
-        let base: &[f32] = offer.global;
-        let mut sink = |incoming: IncomingUpdate| {
-            let mut push_fault = |id: usize, kind: FaultKind| {
-                fault_events.push(FaultEvent::new(id, kind));
-            };
-            match incoming {
-                IncomingUpdate::Dense(mut update) => {
-                    // Upload accounting covers everything that crossed the
-                    // wire, valid or not — the same policy as the batch path.
-                    comm.push_update(&update);
-                    match update.validate(expected_len) {
-                        Err(UpdateRejection::NonFinite) => {
-                            push_fault(update.client_id, FaultKind::RejectedNonFinite);
-                            return;
-                        }
-                        Err(UpdateRejection::WrongLength { got, expected }) => {
-                            push_fault(
-                                update.client_id,
-                                FaultKind::RejectedWrongLength { got, expected },
-                            );
-                            return;
-                        }
-                        Ok(()) => {}
-                    }
-                    if update.strip_non_finite_decoder() {
-                        push_fault(update.client_id, FaultKind::DecoderStripped);
-                    }
-                    if survivor_ids.contains(&update.client_id) {
-                        push_fault(update.client_id, FaultKind::DuplicateDiscarded);
-                        return;
-                    }
-                    survivor_ids.push(update.client_id);
-                    agg.push(&update);
-                }
-                IncomingUpdate::Sparse(mut update) => {
-                    // Same pipeline, sparse flavor: the submission folds as
-                    // (idx, val) deltas against `base` without ever being
-                    // materialized densely.
-                    comm.push_bytes(update.wire_bytes());
-                    match update.validate(expected_len) {
-                        Err(UpdateRejection::NonFinite) => {
-                            push_fault(update.client_id, FaultKind::RejectedNonFinite);
-                            return;
-                        }
-                        Err(UpdateRejection::WrongLength { got, expected }) => {
-                            push_fault(
-                                update.client_id,
-                                FaultKind::RejectedWrongLength { got, expected },
-                            );
-                            return;
-                        }
-                        Ok(()) => {}
-                    }
-                    if update.strip_non_finite_decoder() {
-                        push_fault(update.client_id, FaultKind::DecoderStripped);
-                    }
-                    if survivor_ids.contains(&update.client_id) {
-                        push_fault(update.client_id, FaultKind::DuplicateDiscarded);
-                        return;
-                    }
-                    survivor_ids.push(update.client_id);
-                    agg.push_sparse(&update, base);
-                }
-            }
-        };
-        let tail = self.transport.exchange_round_streamed(&offer, &mut sink);
-        fault_events.extend(tail.faults);
-        let sessions = tail.sessions;
-        let local_training_secs = stage.close();
-        // Sanitization ran inline, interleaved with the exchange above; it
-        // has no separately measurable span in streaming mode.
-        let sanitize_secs = 0.0;
-        // The batch sanitizer returns survivors sorted by client id; match.
-        survivor_ids.sort_unstable();
-
-        let quorum = self.resilience.effective_quorum();
-        let quorum_met = survivor_ids.len() >= quorum;
-        let stage = timed_span("round.aggregation");
-        let (selected, scores, threshold, strategy_timings) = if quorum_met {
-            AGG_PEAK_BYTES.set(agg.peak_bytes() as i64);
-            let outcome = agg.finalize().expect("quorum met implies at least one folded update");
-            assert_eq!(
-                outcome.params.len(),
-                self.global.len(),
-                "strategy {} streamed wrong-size parameters",
-                self.strategy.name()
-            );
-            // Server learning rate (§V-A): ψ₀ ← (1-η)ψ₀ + η·aggregate.
-            self.global = vecops::lerp(&self.global, &outcome.params, self.config.server_lr);
-            (outcome.selected, outcome.scores, outcome.threshold, outcome.timings)
-        } else {
-            // Below quorum: discard the accumulator and carry the model
-            // forward (the damped partial step needs survivor vectors and
-            // therefore forces the batch path).
-            (Vec::new(), Vec::new(), None, StrategyTimings::default())
-        };
-        let aggregate_total_secs = stage.close();
-
-        RoundBody {
-            local_training_secs,
-            sanitize_secs,
-            sessions,
-            comm,
-            survivor_ids,
-            quorum_met,
-            selected,
-            scores,
-            threshold,
-            strategy_timings,
-            aggregate_total_secs,
-        }
     }
 
     /// Run all configured rounds; returns the full history and notifies
@@ -787,7 +583,7 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LocalTrainConfig;
+    use crate::config::{AggregationMemory, LocalTrainConfig};
     use crate::strategy::AggregationOutcome;
     use crate::telemetry::MemoryCollector;
     use fg_data::partition::{dirichlet_partition, partition_datasets};
@@ -1072,8 +868,8 @@ mod tests {
         let mut fed = smoke_builder(2, 19).faults(plan).observer(collector.clone()).build();
         fed.run();
         for e in &collector.events() {
-            // Every client re-sent a stale duplicate; the sanitizer's
-            // last-write-wins dedup keeps exactly one submission per id.
+            // Every client re-sent a stale duplicate; the sanitizer keeps
+            // exactly one submission per id.
             assert_eq!(e.survivors, e.sampled);
             let dups = e.faults.iter().filter(|f| f.kind == FaultKind::DuplicateSubmission).count();
             let discarded =
@@ -1081,6 +877,41 @@ mod tests {
             assert_eq!(dups, e.sampled.len());
             assert_eq!(discarded, e.sampled.len());
             assert!(e.quorum_met);
+        }
+    }
+
+    #[test]
+    fn stale_duplicates_never_displace_fresh_updates() {
+        use crate::fault::{FaultConfig, FaultPlan};
+        // Every client's update is followed by a retransmission frozen at
+        // the round-start model. Under first-valid-wins they change nothing
+        // but the upload bill and the duplicate events.
+        let run = |plan: Option<FaultPlan>| {
+            let collector = MemoryCollector::new();
+            let mut fed = smoke_builder(3, 23).faults(plan).observer(collector.clone()).build();
+            let start = fed.global_params().to_vec();
+            fed.run();
+            let moved = fg_tensor::vecops::l2_distance(&start, fed.global_params());
+            (fed.global_params().to_vec(), moved, collector.events())
+        };
+        let dup = FaultConfig { duplicate_prob: 1.0, ..FaultConfig::default() };
+        let (clean_global, clean_moved, clean) = run(None);
+        let (dup_global, dup_moved, duplicated) = run(Some(FaultPlan::new(dup, 5)));
+        assert!(clean_moved > 0.5, "clean run barely moved: {clean_moved}");
+        assert_eq!(dup_moved, clean_moved);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&dup_global), bits(&clean_global));
+        for (d, c) in duplicated.iter().zip(&clean) {
+            assert_eq!(d.selected, c.selected);
+            assert_eq!(d.survivors, c.survivors);
+            assert_eq!(d.accuracy, c.accuracy);
+            assert_eq!(d.comm.download_bytes, c.comm.download_bytes);
+            assert_eq!(d.comm.upload_bytes, 2 * c.comm.upload_bytes);
+            assert!(c.faults.is_empty());
+            let count = |kind: FaultKind| d.faults.iter().filter(|f| f.kind == kind).count();
+            assert_eq!(count(FaultKind::DuplicateSubmission), d.sampled.len());
+            assert_eq!(count(FaultKind::DuplicateDiscarded), d.sampled.len());
+            assert_eq!(d.faults.len(), 2 * d.sampled.len());
         }
     }
 

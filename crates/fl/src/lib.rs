@@ -42,7 +42,8 @@ pub use config::{
     AggregationMemory, CvaeTrainConfig, FederationConfig, LocalTrainConfig, ResiliencePolicy,
 };
 pub use fault::{
-    sanitize_round, CorruptionMode, FaultConfig, FaultEvent, FaultKind, FaultPlan, SubmissionFaults,
+    sanitize_one, sanitize_round, CorruptionMode, FaultConfig, FaultEvent, FaultKind, FaultPlan,
+    SubmissionFaults,
 };
 pub use federation::{Federation, FederationBuilder};
 pub use forensics::{

@@ -20,7 +20,7 @@
 //! a disconnect or read timeout is a [`FaultKind::Dropout`], a frame that
 //! fails to decode is a [`FaultKind::FrameMalformed`], and a frame whose
 //! declared length exceeds the cap is a [`FaultKind::FrameOversized`] —
-//! all reported through [`RoundExchange::faults`].
+//! all reported through [`ExchangeTail::faults`].
 //!
 //! ## Determinism and byte accounting
 //!
@@ -39,8 +39,8 @@ use crate::compress::{
 };
 use crate::fault::{FaultEvent, FaultKind};
 use crate::transport::{
-    ClientChannel, Directive, RoundExchange, RoundOffer, SessionEvent, SessionEventKind, Transport,
-    TransportKind,
+    ClientChannel, Directive, ExchangeTail, IncomingUpdate, RoundOffer, SessionEvent,
+    SessionEventKind, Transport, TransportKind,
 };
 use crate::update::ModelUpdate;
 use crate::wire::{
@@ -355,6 +355,26 @@ impl TcpTransport {
         }
     }
 
+    /// An upload is accepted only from the session's own client, and only
+    /// if it participates: a scheduled dropout that trained anyway would
+    /// break oracle parity. A refusal is recorded as a malformed frame.
+    fn upload_admissible(
+        claimed: usize,
+        id: usize,
+        active: bool,
+        faults: &mut Vec<FaultEvent>,
+    ) -> bool {
+        let detail = if claimed != id {
+            format!("upload claims client {claimed} on session {id}")
+        } else if !active {
+            "upload from non-participating client".to_string()
+        } else {
+            return true;
+        };
+        faults.push(FaultEvent::new(id, FaultKind::FrameMalformed { detail }));
+        false
+    }
+
     /// Read one session's round response, skipping heartbeats. Returns the
     /// accepted update (if any); pushes faults/session events as they arise.
     /// `reference` is the round's reference model: a compressed upload's
@@ -379,54 +399,12 @@ impl TcpTransport {
                     sessions.push(SessionEvent::new(id, SessionEventKind::Heartbeat));
                 }
                 Ok(Message::Upload { round: r, update }) if r as usize == round => {
-                    if update.client_id != id {
-                        faults.push(FaultEvent::new(
-                            id,
-                            FaultKind::FrameMalformed {
-                                detail: format!(
-                                    "upload claims client {} on session {id}",
-                                    update.client_id
-                                ),
-                            },
-                        ));
-                        return (None, true);
-                    }
-                    if !active {
-                        // A scheduled dropout that trained anyway would break
-                        // oracle parity; refuse the submission.
-                        faults.push(FaultEvent::new(
-                            id,
-                            FaultKind::FrameMalformed {
-                                detail: "upload from non-participating client".to_string(),
-                            },
-                        ));
-                        return (None, true);
-                    }
-                    return (Some(update), true);
+                    let ok = Self::upload_admissible(update.client_id, id, active, faults);
+                    return (ok.then_some(update), true);
                 }
                 Ok(Message::UploadCompressed { round: r, update }) if r as usize == round => {
-                    if update.client_id != id {
-                        faults.push(FaultEvent::new(
-                            id,
-                            FaultKind::FrameMalformed {
-                                detail: format!(
-                                    "upload claims client {} on session {id}",
-                                    update.client_id
-                                ),
-                            },
-                        ));
-                        return (None, true);
-                    }
-                    if !active {
-                        faults.push(FaultEvent::new(
-                            id,
-                            FaultKind::FrameMalformed {
-                                detail: "upload from non-participating client".to_string(),
-                            },
-                        ));
-                        return (None, true);
-                    }
-                    return (Some(decompress_update(&update, reference)), true);
+                    let ok = Self::upload_admissible(update.client_id, id, active, faults);
+                    return (ok.then(|| decompress_update(&update, reference)), true);
                 }
                 Ok(Message::Decline { round: r }) if r as usize == round => {
                     if active {
@@ -469,11 +447,15 @@ impl Transport for TcpTransport {
         TransportKind::Tcp
     }
 
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
+    fn exchange_round_streamed(
+        &mut self,
+        offer: &RoundOffer<'_>,
+        sink: &mut dyn FnMut(IncomingUpdate),
+    ) -> ExchangeTail {
         let _span = span("net.exchange_round");
         self.poll_joins();
         let mut stats = WireStats { round: offer.round, ..WireStats::default() };
-        let mut exchange = RoundExchange::default();
+        let mut exchange = ExchangeTail::default();
         exchange.sessions.append(&mut self.pending_events);
         let active: HashSet<usize> = offer.active.iter().copied().collect();
 
@@ -523,8 +505,9 @@ impl Transport for TcpTransport {
         }
 
         // Collect responses in client-id order — the canonical arrival order
-        // the oracle produces. Uploads from other sessions simply wait in
-        // their kernel buffers until their turn.
+        // the oracle produces — handing each upload to the sink as it is
+        // read, so the server holds one update at a time. Uploads from other
+        // sessions simply wait in their kernel buffers until their turn.
         for id in notified {
             let Some(stream) = self.sessions.get_mut(&id) else { continue };
             let (update, alive) = Self::collect_response(
@@ -539,13 +522,12 @@ impl Transport for TcpTransport {
                 &mut exchange.sessions,
             );
             if let Some(update) = update {
-                exchange.updates.push(update);
+                sink(IncomingUpdate::Dense(update));
             }
             if !alive {
                 self.sessions.remove(&id);
             }
         }
-        exchange.updates.sort_by_key(|u| u.client_id);
         self.wire_log.lock().push(stats);
         exchange
     }
@@ -895,6 +877,72 @@ mod tests {
         assert_eq!(r0.model_bytes_rx, psi as u64 * 4);
         let r1 = log.iter().find(|s| s.round == 1).expect("round 1 stats");
         assert_eq!(r1.model_bytes_rx, psi as u64 * 4 * 2);
+    }
+
+    #[test]
+    fn uploads_reach_the_sink_one_at_a_time_in_id_order() {
+        let (mut server, addr) = bind_server(2);
+        // Client 2 holds its first upload back until the sink has seen
+        // client 0's: a transport that read every upload before sinking any
+        // would stall here until the read deadline.
+        let (sink_saw_first, gate) = std::sync::mpsc::channel::<()>();
+        let mut gate = Some(gate);
+        let workers: Vec<_> = [0usize, 2]
+            .into_iter()
+            .map(|id| {
+                let gate = if id == 2 { gate.take() } else { None };
+                std::thread::spawn(move || {
+                    let mut ch = TcpClientChannel::connect(addr, id, fast_cfg()).expect("connect");
+                    loop {
+                        match ch.request_round().expect("directive") {
+                            Directive::Round { round, global, .. } => {
+                                if let (0, Some(gate)) = (round, &gate) {
+                                    gate.recv().expect("sink saw client 0");
+                                }
+                                let update = ModelUpdate {
+                                    client_id: id,
+                                    params: global,
+                                    num_samples: 1 + id,
+                                    decoder: None,
+                                    class_coverage: None,
+                                };
+                                ch.upload_update(round, &update).expect("upload");
+                            }
+                            Directive::Shutdown => return ch.leave().expect("leave"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        server.wait_for_clients().expect("both clients join");
+
+        let global = vec![0.5f32; 6];
+        let sampled = vec![0usize, 1, 2]; // 1 never joined: a transport-observed dropout
+        let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
+        let mut seen = Vec::new();
+        let tail = server.exchange_round_streamed(&offer, &mut |arrival| {
+            let IncomingUpdate::Dense(update) = arrival else { panic!("tcp delivers dense") };
+            assert_eq!(update.params, global);
+            if update.client_id == 0 {
+                sink_saw_first.send(()).expect("client 2 is waiting");
+            }
+            seen.push(update.client_id);
+        });
+        assert_eq!(seen, vec![0, 2]);
+        assert_eq!(tail.faults, vec![FaultEvent::new(1, FaultKind::Dropout)]);
+        let joins = tail.sessions.iter().filter(|e| e.kind == SessionEventKind::Join).count();
+        assert_eq!((joins, tail.sessions.len()), (2, 2));
+
+        // The provided collector reports the same round shape.
+        let offer = RoundOffer { round: 1, ..offer };
+        let exchange = server.exchange_round(&offer);
+        let ids: Vec<usize> = exchange.updates.iter().map(|u| u.client_id).collect();
+        assert_eq!(ids, seen);
+        assert_eq!(exchange.faults, tail.faults);
+        assert!(exchange.sessions.is_empty(), "{:?}", exchange.sessions);
+
+        server.finish();
+        workers.into_iter().for_each(|w| w.join().expect("client thread"));
     }
 
     #[test]

@@ -106,13 +106,17 @@ pub trait AggregationStrategy: Send {
 
     /// Open a streaming accumulator for a round, or `None` if this strategy
     /// can only aggregate a materialized batch (Krum's pairwise distances,
-    /// FedGuard's audit). `roster` is the round's active client ids in
-    /// ascending order — the canonical slot order every transport delivers
-    /// and the order the streaming fold is keyed to, so results are
-    /// independent of arrival order. The federation only consults this when
-    /// [`AggregationMemory`] resolves away from `Batch`; a `Some` aggregator
-    /// must produce the same `AggregationOutcome` the batch `aggregate`
-    /// would (bit-identical params for `Streaming` mode).
+    /// FedGuard's audit) or `memory` is [`AggregationMemory::Batch`]. The
+    /// round loop asks once per round: with `Some` it folds every sanitized
+    /// arrival into the aggregator, with `None` it buffers the survivors and
+    /// calls [`aggregate`](AggregationStrategy::aggregate). `roster` is the
+    /// round's active client ids in ascending order — the canonical slot
+    /// order every transport delivers and the order the streaming fold is
+    /// keyed to, so results are independent of arrival order (a faulted
+    /// round may deliver only a subset of the roster, and a stale duplicate
+    /// out of order). A `Some` aggregator must produce the same
+    /// `AggregationOutcome` `aggregate` would (bit-identical params for
+    /// `Streaming` mode).
     fn begin_streaming(
         &mut self,
         dim: usize,
@@ -127,11 +131,12 @@ pub trait AggregationStrategy: Send {
 /// An in-flight O(d)-memory aggregation: updates fold in one at a time as
 /// the transport delivers them, instead of being materialized as a batch.
 ///
-/// Contract: the caller sanitizes first (length/finiteness validation,
-/// duplicate discard) and pushes each surviving update exactly once; every
-/// pushed `client_id` must be on the roster `begin_streaming` was given.
-/// `finalize` returns `None` when nothing was pushed (the quorum-skip path
-/// discards the accumulator without finalizing).
+/// Contract: the caller sanitizes first ([`crate::fault::sanitize_one`]:
+/// length/finiteness validation, duplicate discard) and pushes each
+/// surviving update exactly once; every pushed `client_id` must be on the
+/// roster `begin_streaming` was given. `finalize` returns `None` when
+/// nothing was pushed (a below-quorum round discards the accumulator
+/// without finalizing).
 pub trait StreamingAggregator: Send {
     /// Fold one sanitized update into the accumulator.
     fn push(&mut self, update: &ModelUpdate);
@@ -147,17 +152,7 @@ pub trait StreamingAggregator: Send {
     /// (idx, val) pairs directly without a dense intermediate.
     fn push_sparse(&mut self, update: &SparseUpdate, base: &[f32]) {
         assert_eq!(update.raw_len, base.len(), "sparse update/base length mismatch");
-        let mut params = base.to_vec();
-        for (&i, &v) in update.idx.iter().zip(&update.val) {
-            params[i as usize] = base[i as usize] + v;
-        }
-        self.push(&ModelUpdate {
-            client_id: update.client_id,
-            params,
-            num_samples: update.num_samples,
-            decoder: update.decoder.clone(),
-            class_coverage: update.class_coverage.clone(),
-        });
+        self.push(&update.clone().into_dense(base));
     }
 
     /// High-water mark of the aggregator's transient residency in bytes

@@ -1,14 +1,15 @@
 //! The server↔client exchange as a pluggable `Transport`.
 //!
 //! [`Federation::run_round`](crate::Federation::run_round) no longer touches
-//! clients directly: it hands the round's work order (a [`RoundOffer`]) to a
-//! [`Transport`] and gets back the trained submissions (a [`RoundExchange`]).
+//! clients directly: it hands the round's work order (a [`RoundOffer`]) and
+//! a sink to a [`Transport`], which pushes each trained submission (an
+//! [`IncomingUpdate`]) into the sink as it arrives.
 //! Everything else — sampling, the seeded fault schedule, transit-fault
 //! injection, sanitization, aggregation — stays on the server side of the
 //! trait, identical across deployments. That split is what makes the
 //! in-process path the *oracle*: [`LocalTransport`] and
 //! [`TcpTransport`](crate::net::TcpTransport) receive the same offers and
-//! must return the same updates, so a seeded loopback run is bit-identical
+//! must deliver the same updates, so a seeded loopback run is bit-identical
 //! to the single-process run (asserted in `tests/net_equivalence.rs`).
 //!
 //! Two implementations ship:
@@ -27,7 +28,7 @@ use crate::compress::{
     CompressedUpdate, Compression, SparseUpdate,
 };
 use crate::fault::FaultEvent;
-use crate::update::ModelUpdate;
+use crate::update::{ModelUpdate, UpdateRejection};
 use crate::wire::{
     self, encode_round_start, encode_round_start_compressed, encode_upload_compressed, Message,
     WireConfig, WireError,
@@ -103,15 +104,13 @@ pub struct RoundOffer<'a> {
     pub active: &'a [usize],
 }
 
-/// What came back from the clients.
+/// A whole round's exchange collected into one value — what the provided
+/// [`Transport::exchange_round`] returns.
 ///
 /// `updates` holds one trained (and possibly attack-intercepted) submission
 /// per active client that actually delivered, **sorted by client id** — the
-/// canonical arrival order both transports produce, so downstream fault
-/// injection and sanitization see identical sequences. `faults` carries
-/// transport-observed losses (e.g. a TCP disconnect mid-round → `Dropout`,
-/// a malformed frame → `FrameMalformed`); the local transport never loses a
-/// submission. `sessions` carries the round's session-lifecycle events.
+/// order the sink saw them. `faults` and `sessions` are the
+/// [`ExchangeTail`].
 #[derive(Debug, Default)]
 pub struct RoundExchange {
     pub updates: Vec<ModelUpdate>,
@@ -119,22 +118,25 @@ pub struct RoundExchange {
     pub sessions: Vec<SessionEvent>,
 }
 
-/// The non-update remainder of a streamed exchange: everything a
-/// [`RoundExchange`] carries besides the updates themselves, returned by
+/// What an exchange reports besides the updates themselves, returned by
 /// [`Transport::exchange_round_streamed`] after the last submission has been
-/// pushed into the sink.
+/// pushed into the sink. `faults` carries transport-observed losses (e.g. a
+/// TCP disconnect mid-round → `Dropout`, a malformed frame →
+/// `FrameMalformed`); the local transport never loses a submission.
+/// `sessions` carries the round's session-lifecycle events.
 #[derive(Debug, Default)]
 pub struct ExchangeTail {
     pub faults: Vec<FaultEvent>,
     pub sessions: Vec<SessionEvent>,
 }
 
-/// One submission leaving a streamed exchange. Most arrive dense; a top-k
-/// compressed submission on the in-process path stays sparse all the way to
-/// the aggregation fold (the decoded deltas against the round's reference
-/// model), so no full f32 vector is materialized for it. A transport that
-/// reconstructs densely (TCP today) simply never emits `Sparse` — the fold
-/// result is bit-identical either way (see
+/// One submission leaving an exchange. Most arrive dense; a top-k
+/// compressed submission on the in-process path stays sparse (the decoded
+/// deltas against the round's reference model, which for top-k is the
+/// offer's global — its downlink stays dense) so a folding aggregator never
+/// materializes a full f32 vector for it. A transport that reconstructs
+/// densely (TCP today) simply never emits `Sparse` — the fold result is
+/// bit-identical either way (see
 /// [`StreamingAggregator::push_sparse`](crate::strategy::StreamingAggregator::push_sparse)).
 #[derive(Clone, Debug, PartialEq)]
 pub enum IncomingUpdate {
@@ -150,40 +152,66 @@ impl IncomingUpdate {
             IncomingUpdate::Sparse(s) => s.client_id,
         }
     }
+
+    /// Logical model bytes the submission occupies on the wire.
+    pub fn wire_bytes(&self) -> u64 {
+        match self {
+            IncomingUpdate::Dense(u) => u.wire_bytes(),
+            IncomingUpdate::Sparse(s) => s.wire_bytes(),
+        }
+    }
+
+    /// The server's admission check (see [`ModelUpdate::validate`]).
+    pub fn validate(&self, expected_len: usize) -> Result<(), UpdateRejection> {
+        match self {
+            IncomingUpdate::Dense(u) => u.validate(expected_len),
+            IncomingUpdate::Sparse(s) => s.validate(expected_len),
+        }
+    }
+
+    /// See [`ModelUpdate::strip_non_finite_decoder`].
+    pub fn strip_non_finite_decoder(&mut self) -> bool {
+        match self {
+            IncomingUpdate::Dense(u) => u.strip_non_finite_decoder(),
+            IncomingUpdate::Sparse(s) => s.strip_non_finite_decoder(),
+        }
+    }
+
+    /// The dense update, reconstructing a sparse one against `base`.
+    pub fn into_dense(self, base: &[f32]) -> ModelUpdate {
+        match self {
+            IncomingUpdate::Dense(u) => u,
+            IncomingUpdate::Sparse(s) => s.into_dense(base),
+        }
+    }
 }
 
 /// Server-side transport: delivers the global model to the round's clients
-/// and collects their submissions. Implementations must return updates
-/// sorted by client id and must not reorder, drop, or synthesize
-/// submissions beyond what they report as faults.
+/// and collects their submissions. Implementations must deliver updates in
+/// ascending client id, each active client at most once, and must not
+/// reorder, drop, or synthesize submissions beyond what they report as
+/// faults.
 pub trait Transport: Send {
     /// Which deployment this is (stamped into telemetry).
     fn kind(&self) -> TransportKind;
 
-    /// Run one round's exchange.
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange;
-
-    /// Streaming variant of [`exchange_round`](Transport::exchange_round):
-    /// hand each submission to `sink` as it becomes available — in ascending
-    /// client-id order for implementations that control arrival order — so
-    /// the server can fold updates into an O(d) accumulator instead of
-    /// holding all m in memory. Same delivery contract as `exchange_round`
-    /// (each active client at most once, losses reported as faults).
-    ///
-    /// The default implementation adapts `exchange_round` by replaying its
-    /// batch through the sink: correct for any transport, but it still
-    /// materializes O(m·d) inside the exchange. [`LocalTransport`] overrides
-    /// it to train-and-sink one client at a time.
+    /// Run one round's exchange, handing each submission to `sink` in
+    /// ascending client id as it becomes available, so the server
+    /// sanitizes and folds (or buffers) one arrival at a time.
     fn exchange_round_streamed(
         &mut self,
         offer: &RoundOffer<'_>,
         sink: &mut dyn FnMut(IncomingUpdate),
-    ) -> ExchangeTail {
-        let RoundExchange { updates, faults, sessions } = self.exchange_round(offer);
-        for update in updates {
-            sink(IncomingUpdate::Dense(update));
-        }
-        ExchangeTail { faults, sessions }
+    ) -> ExchangeTail;
+
+    /// [`exchange_round_streamed`](Transport::exchange_round_streamed)
+    /// collected into a [`RoundExchange`] of dense updates — for callers
+    /// that want the whole round in hand (tests, benches).
+    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
+        let mut updates = Vec::with_capacity(offer.active.len());
+        let ExchangeTail { faults, sessions } =
+            self.exchange_round_streamed(offer, &mut |u| updates.push(u.into_dense(offer.global)));
+        RoundExchange { updates, faults, sessions }
     }
 
     /// The run is over: release clients (a TCP transport sends `Shutdown`
@@ -200,10 +228,6 @@ pub trait Transport: Send {
 impl Transport for Box<dyn Transport> {
     fn kind(&self) -> TransportKind {
         (**self).kind()
-    }
-
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
-        (**self).exchange_round(offer)
     }
 
     fn exchange_round_streamed(
@@ -330,18 +354,23 @@ impl Transport for LocalTransport {
         TransportKind::Local
     }
 
-    fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
+    fn exchange_round_streamed(
+        &mut self,
+        offer: &RoundOffer<'_>,
+        sink: &mut dyn FnMut(IncomingUpdate),
+    ) -> ExchangeTail {
         // Parallel local training + attack interception. Each client trains
         // from its own forked RNG stream, so the result is bit-identical at
-        // any thread count; the sort restores the canonical order. When a
-        // compression mode is active, clients train on the wire-decoded
-        // reference and every submission round-trips the real uplink frame.
+        // any thread count; the sort restores the canonical order the sink
+        // is owed. When a compression mode is active, clients train on the
+        // wire-decoded reference and every submission round-trips the real
+        // uplink frame; a top-k submission stays sparse.
         let mode = self.compression;
         let reference = self.wire_reference(offer);
         let trained_on: &[f32] = reference.as_deref().unwrap_or(offer.global);
         let clients = &self.clients;
         let interceptor = &self.interceptor;
-        let mut updates: Vec<ModelUpdate> = offer
+        let mut arrivals: Vec<IncomingUpdate> = offer
             .active
             .par_iter()
             .map(|&id| {
@@ -352,49 +381,17 @@ impl Transport for LocalTransport {
                 match &reference {
                     Some(reference) => {
                         let cu = Self::wire_roundtrip_update(mode, offer.round, &update, reference);
-                        decompress_update(&cu, reference)
+                        match sparse_update(&cu) {
+                            Some(s) => IncomingUpdate::Sparse(s),
+                            None => IncomingUpdate::Dense(decompress_update(&cu, reference)),
+                        }
                     }
-                    None => update,
+                    None => IncomingUpdate::Dense(update),
                 }
             })
             .collect();
-        updates.sort_by_key(|u| u.client_id);
-        RoundExchange { updates, faults: Vec::new(), sessions: Vec::new() }
-    }
-
-    fn exchange_round_streamed(
-        &mut self,
-        offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
-    ) -> ExchangeTail {
-        // Train-and-sink one client at a time, in ascending id order (the
-        // canonical order the batch path's sort produces), so only a single
-        // update is ever materialized — O(d) residency. The cross-client
-        // fan-out is given up for that; each client's training still runs
-        // its kernels on the worker pool, and every update is bit-identical
-        // to the batch path's (per-client forked RNG streams). A top-k
-        // submission stays sparse through the sink, preserving O(d) — the
-        // decoded (idx, val) deltas go straight to the aggregation fold.
-        let mode = self.compression;
-        let reference = self.wire_reference(offer);
-        let trained_on: &[f32] = reference.as_deref().unwrap_or(offer.global);
-        let mut ids = offer.active.to_vec();
-        ids.sort_unstable();
-        for id in ids {
-            let _span = fg_obs::span::span("client.train");
-            let mut update = self.clients[id].lock().train_round(trained_on, offer.round);
-            self.interceptor.intercept(&mut update, offer.round);
-            match &reference {
-                Some(reference) => {
-                    let cu = Self::wire_roundtrip_update(mode, offer.round, &update, reference);
-                    match sparse_update(&cu) {
-                        Some(s) => sink(IncomingUpdate::Sparse(s)),
-                        None => sink(IncomingUpdate::Dense(decompress_update(&cu, reference))),
-                    }
-                }
-                None => sink(IncomingUpdate::Dense(update)),
-            }
-        }
+        arrivals.sort_by_key(IncomingUpdate::client_id);
+        arrivals.into_iter().for_each(sink);
         ExchangeTail::default()
     }
 
@@ -491,49 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_exchange_matches_batch_exchange_bitwise() {
-        let global = toy_global();
-        let sampled = vec![0, 1, 3, 4];
-        let active = vec![4, 0, 3]; // unsorted on purpose
-        let offer = RoundOffer { round: 2, global: &global, sampled: &sampled, active: &active };
-        let batch = LocalTransport::honest(toy_clients(5)).exchange_round(&offer);
-        let mut streamed = Vec::new();
-        let tail = LocalTransport::honest(toy_clients(5))
-            .exchange_round_streamed(&offer, &mut |u| streamed.push(dense(u)));
-        assert_eq!(batch.updates, streamed, "streamed updates diverged from batch");
-        assert!(tail.faults.is_empty() && tail.sessions.is_empty());
-        // The default (adapter) implementation replays the batch through the
-        // sink — same contract for transports without a native override.
-        struct Replay(LocalTransport);
-        impl Transport for Replay {
-            fn kind(&self) -> TransportKind {
-                TransportKind::Local
-            }
-            fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
-                self.0.exchange_round(offer)
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut replayed = Vec::new();
-        let tail = Replay(LocalTransport::honest(toy_clients(5)))
-            .exchange_round_streamed(&offer, &mut |u| replayed.push(dense(u)));
-        assert_eq!(batch.updates, replayed, "default adapter diverged from batch");
-        assert!(tail.faults.is_empty());
-    }
-
-    /// Unwrap a streamed submission that is expected to be dense.
-    fn dense(u: IncomingUpdate) -> ModelUpdate {
-        match u {
-            IncomingUpdate::Dense(u) => u,
-            IncomingUpdate::Sparse(s) => {
-                panic!("unexpected sparse submission from client {}", s.client_id)
-            }
-        }
-    }
-
-    #[test]
     fn compressed_exchange_round_trips_the_real_wire_frames() {
         let global = toy_global();
         let sampled = vec![0, 1, 2];
@@ -564,23 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_streamed_exchange_matches_compressed_batch_bitwise() {
-        let global = toy_global();
-        let sampled = vec![0, 1, 2, 3];
-        let offer = RoundOffer { round: 1, global: &global, sampled: &sampled, active: &sampled };
-        for mode in [Compression::Bf16, Compression::Int8 { block: 4096 }] {
-            let batch = LocalTransport::honest(toy_clients(4))
-                .with_compression(mode)
-                .exchange_round(&offer);
-            let mut streamed = Vec::new();
-            LocalTransport::honest(toy_clients(4))
-                .with_compression(mode)
-                .exchange_round_streamed(&offer, &mut |u| streamed.push(dense(u)));
-            assert_eq!(batch.updates, streamed, "{}: streamed vs batch", mode.name());
-        }
-    }
-
-    #[test]
     fn topk_streamed_exchange_stays_sparse_and_reconstructs_bitwise() {
         let mode = Compression::TopK { frac: 0.2 };
         let global = toy_global();
@@ -588,9 +525,9 @@ mod tests {
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
         let batch =
             LocalTransport::honest(toy_clients(3)).with_compression(mode).exchange_round(&offer);
-        // The streamed path must deliver every top-k submission sparse; its
-        // dense reconstruction (reference + deltas at idx) must match the
-        // batch path's decompressed update bit-for-bit.
+        // The sink must see every top-k submission sparse; its dense
+        // reconstruction (reference + deltas at idx) must match the update
+        // the collected exchange reports bit-for-bit.
         let mut sparse = Vec::new();
         LocalTransport::honest(toy_clients(3)).with_compression(mode).exchange_round_streamed(
             &offer,

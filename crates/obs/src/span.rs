@@ -186,6 +186,26 @@ impl TimedSpan {
     }
 }
 
+/// Record `dur_ns` of work that ran in slices interleaved with other work —
+/// so no single open/close pair brackets it — as one closed span ending now
+/// under the thread's current span. The caller sums the slices itself and
+/// reports the same figure, which keeps its stage timing and the trace in
+/// agreement. Nothing is recorded while tracing is disabled.
+pub fn record_interleaved(name: &'static str, dur_ns: u64) {
+    if !crate::enabled() {
+        return;
+    }
+    let end_ns = now_ns();
+    push_record(SpanRecord {
+        id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        parent: current_span_id(),
+        name,
+        tid: 0,
+        start_ns: end_ns.saturating_sub(dur_ns),
+        end_ns,
+    });
+}
+
 /// The id of this thread's innermost open span (0 if none) — what the pool
 /// captures at job-mint time.
 #[inline]
@@ -281,6 +301,30 @@ mod tests {
         assert!(inner.start_ns >= outer.start_ns);
         assert!(inner.end_ns <= outer.end_ns);
         assert_eq!(inner.tid, outer.tid);
+    }
+
+    #[test]
+    fn interleaved_work_records_one_child_of_the_given_length() {
+        let _g = test_lock().lock().unwrap_or_else(|e| e.into_inner());
+        crate::set_enabled(false);
+        let _ = take_spans();
+        record_interleaved("slices", 1_000);
+        assert!(take_spans().is_empty(), "disabled tracing must record nothing");
+
+        crate::set_enabled(true);
+        {
+            let _outer = span("outer");
+            // The slices happened inside `outer`, so it is at least as long.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            record_interleaved("slices", 1_000);
+        }
+        crate::set_enabled(false);
+        let spans = take_spans();
+        let outer = spans.iter().find(|s| s.name == "outer").expect("outer recorded");
+        let slices = spans.iter().find(|s| s.name == "slices").expect("slices recorded");
+        assert_eq!(slices.parent, outer.id);
+        assert_eq!(slices.dur_ns(), 1_000);
+        assert!(slices.start_ns >= outer.start_ns && slices.end_ns <= outer.end_ns);
     }
 
     #[test]

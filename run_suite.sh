@@ -2,7 +2,7 @@
 # Lint gate + regeneration of every table/figure of the paper at the fast
 # preset. Telemetry trails land under results/telemetry/ (one JSONL per run).
 # Each stage prints a "[suite] stage <name>: <N>s" wall-clock line so
-# runtime regressions are visible across the (now ten) stages.
+# runtime regressions are visible across the stages.
 set -x
 cd /root/repo
 
@@ -19,6 +19,13 @@ stage_done() {
 cargo fmt --check || exit 1
 cargo clippy --workspace --all-targets -- -D warnings || exit 1
 stage_done lint
+
+# Benchmark-contract stage: bench_e2e is a package of its own (not a
+# workspace member), so nothing above compiles it. Its tests build the
+# frozen benchmark against this tree's public API, so an API break fails
+# here rather than in the benchmark run.
+cargo test --offline --manifest-path bench_e2e/Cargo.toml || exit 1
+stage_done bench_e2e_contract
 
 # Chaos stage: deterministic fault-replay + sanitizer property suites. Seeds
 # are fixed inside the tests, so failures here are reproducible verbatim.

@@ -27,6 +27,18 @@ fn chaos_federation(
     policy: ResiliencePolicy,
     collector: MemoryCollector,
 ) -> Federation {
+    chaos_federation_in(AggregationMemory::Batch, rounds, seed, plan, policy, collector)
+}
+
+/// [`chaos_federation`] under the given aggregation-memory mode.
+fn chaos_federation_in(
+    agg_memory: AggregationMemory,
+    rounds: usize,
+    seed: u64,
+    plan: Option<FaultPlan>,
+    policy: ResiliencePolicy,
+    collector: MemoryCollector,
+) -> Federation {
     let data = generate_dataset(30, seed); // 300 samples
     let (test, train) = data.split_at(60);
     let mut rng = SeededRng::new(seed ^ 1);
@@ -41,7 +53,7 @@ fn chaos_federation(
         server_lr: 1.0,
         eval_batch: 64,
         seed,
-        agg_memory: AggregationMemory::Batch,
+        agg_memory,
     };
     Federation::builder(config)
         .datasets(datasets)
@@ -90,6 +102,51 @@ fn seeded_fault_schedule_replays_bit_identical() {
         e1.iter().zip(&e3).any(|(a, b)| a.faults != b.faults),
         "distinct plan seeds produced identical fault streams"
     );
+}
+
+#[test]
+fn streaming_fold_matches_batch_under_a_chaotic_plan() {
+    // Fault plans and the O(d) fold compose: the same seeded chaotic run
+    // must come out bit-identical whether survivors are folded on arrival
+    // or buffered for the batch oracle, at any thread count.
+    let run = |agg_memory: AggregationMemory, threads: usize| {
+        let collector = MemoryCollector::new();
+        let plan = FaultPlan::new(FaultConfig::chaotic(), 0xC4A05);
+        let mut fed = chaos_federation_in(
+            agg_memory,
+            6,
+            101,
+            Some(plan),
+            ResiliencePolicy::quorum(2),
+            collector.clone(),
+        );
+        rayon::with_threads(threads, || fed.run());
+        let bits: Vec<u32> = fed.global_params().iter().map(|x| x.to_bits()).collect();
+        (bits, collector.events())
+    };
+    let (oracle_global, oracle) = run(AggregationMemory::Batch, 1);
+    assert!(
+        oracle.iter().any(|e| e.faults.iter().any(|f| f.kind == FaultKind::DuplicateSubmission)),
+        "the plan never scheduled a duplicate"
+    );
+    assert!(oracle.iter().any(|e| !e.quorum_met) && oracle.iter().any(|e| e.quorum_met));
+    for (agg_memory, threads) in [
+        (AggregationMemory::Batch, 4),
+        (AggregationMemory::Streaming, 1),
+        (AggregationMemory::Streaming, 4),
+    ] {
+        let (global, events) = run(agg_memory, threads);
+        assert_eq!(global, oracle_global, "{agg_memory:?} at {threads} threads: final global");
+        assert_eq!(events.len(), oracle.len());
+        for (e, o) in events.iter().zip(&oracle) {
+            let at = format!("{agg_memory:?} at {threads} threads, round {}", e.round);
+            assert_eq!(e.survivors, o.survivors, "{at}");
+            assert_eq!(e.selected, o.selected, "{at}");
+            assert_eq!(e.comm, o.comm, "{at}");
+            assert_eq!(e.quorum_met, o.quorum_met, "{at}");
+            assert_eq!(e.faults, o.faults, "{at}");
+        }
+    }
 }
 
 #[test]

@@ -143,13 +143,13 @@ proptest! {
     }
 
     #[test]
-    fn sanitizer_last_write_wins_on_duplicates(x in -5.0f32..5.0, y in -5.0f32..5.0, m in 2usize..5) {
+    fn sanitizer_first_valid_wins_on_duplicates(x in -5.0f32..5.0, y in -5.0f32..5.0, m in 2usize..5) {
         // m copies of the same client id: exactly one survives, and it is
-        // the last arrival.
+        // the first arrival.
         let arrived: Vec<ModelUpdate> = (0..m)
             .map(|i| ModelUpdate {
                 client_id: 3,
-                params: vec![if i == m - 1 { y } else { x }; 4],
+                params: vec![if i == 0 { y } else { x }; 4],
                 num_samples: 1,
                 decoder: None,
                 class_coverage: None,
