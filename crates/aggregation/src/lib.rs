@@ -23,6 +23,4 @@ pub use strategies::{
     FedAvgStrategy, GeoMedStrategy, KrumStrategy, MedianStrategy, MultiKrumStrategy,
     TrimmedMeanStrategy,
 };
-pub use streaming::{
-    fedavg_streaming, BufferedRobust, HierarchicalFedAvg, RobustOp, StreamingFedAvg,
-};
+pub use streaming::StreamingFedAvg;

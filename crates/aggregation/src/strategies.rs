@@ -1,10 +1,9 @@
 //! [`AggregationStrategy`] adapters for the pure operators in [`crate::ops`].
 
 use crate::ops;
-use crate::streaming::{fedavg_streaming, BufferedRobust, RobustOp};
+use crate::streaming::StreamingFedAvg;
 use fg_fl::{
-    AggregationContext, AggregationMemory, AggregationOutcome, AggregationStrategy, ModelUpdate,
-    StreamingAggregator,
+    AggregationContext, AggregationOutcome, AggregationStrategy, ModelUpdate, StreamingAggregator,
 };
 
 fn param_refs(updates: &[ModelUpdate]) -> Vec<&[f32]> {
@@ -16,6 +15,11 @@ fn all_ids(updates: &[ModelUpdate]) -> Vec<usize> {
 }
 
 /// FedAvg (the paper's undefended baseline): sample-count-weighted averaging.
+///
+/// Rounds fold through [`StreamingFedAvg`]; `aggregate` is the buffered
+/// reference the fold is pinned to bit-for-bit (`streaming_equivalence`),
+/// reached by a run only when the round loop must keep the survivor vectors
+/// (`ResiliencePolicy::damped_partial_step`).
 #[derive(Default)]
 pub struct FedAvgStrategy;
 
@@ -38,9 +42,8 @@ impl AggregationStrategy for FedAvgStrategy {
         &mut self,
         dim: usize,
         roster: &[usize],
-        memory: AggregationMemory,
     ) -> Option<Box<dyn StreamingAggregator>> {
-        fedavg_streaming(dim, roster, memory)
+        Some(Box::new(StreamingFedAvg::new(dim, roster)))
     }
 }
 
@@ -73,23 +76,6 @@ impl AggregationStrategy for GeoMedStrategy {
             ops::geometric_median(&refs, self.max_iters, self.tol),
             all_ids(updates),
         )
-    }
-
-    fn begin_streaming(
-        &mut self,
-        dim: usize,
-        _roster: &[usize],
-        memory: AggregationMemory,
-    ) -> Option<Box<dyn StreamingAggregator>> {
-        match memory {
-            AggregationMemory::Batch => None,
-            // Weiszfeld re-weights against every update each iteration, so
-            // the cohort must be in hand: buffer bare parameter vectors.
-            _ => Some(Box::new(BufferedRobust::new(
-                RobustOp::GeoMed { max_iters: self.max_iters, tol: self.tol },
-                dim,
-            ))),
-        }
     }
 }
 
@@ -172,19 +158,6 @@ impl AggregationStrategy for MedianStrategy {
         let refs = param_refs(updates);
         AggregationOutcome::new(ops::coordinate_median(&refs), all_ids(updates))
     }
-
-    fn begin_streaming(
-        &mut self,
-        dim: usize,
-        _roster: &[usize],
-        memory: AggregationMemory,
-    ) -> Option<Box<dyn StreamingAggregator>> {
-        match memory {
-            AggregationMemory::Batch => None,
-            // Order statistics need the whole column; buffer bare vectors.
-            _ => Some(Box::new(BufferedRobust::new(RobustOp::Median, dim))),
-        }
-    }
 }
 
 /// Coordinate-wise trimmed mean (robust-aggregation ablation).
@@ -213,22 +186,6 @@ impl AggregationStrategy for TrimmedMeanStrategy {
         let refs = param_refs(updates);
         let trim = self.trim.min((updates.len().saturating_sub(1)) / 2);
         AggregationOutcome::new(ops::trimmed_mean_vectors(&refs, trim), all_ids(updates))
-    }
-
-    fn begin_streaming(
-        &mut self,
-        dim: usize,
-        _roster: &[usize],
-        memory: AggregationMemory,
-    ) -> Option<Box<dyn StreamingAggregator>> {
-        match memory {
-            AggregationMemory::Batch => None,
-            // The same clamp `aggregate` applies is re-applied at finalize
-            // against the count that actually arrived.
-            _ => {
-                Some(Box::new(BufferedRobust::new(RobustOp::TrimmedMean { trim: self.trim }, dim)))
-            }
-        }
     }
 }
 

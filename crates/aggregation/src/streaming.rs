@@ -1,17 +1,17 @@
 //! O(d)-memory streaming aggregation.
 //!
-//! The batch path materializes all `m` surviving updates — O(m·d) server
-//! RAM — before an operator in [`crate::ops`] runs. The aggregators here
-//! implement [`fg_fl::StreamingAggregator`] instead: each update folds into
-//! a fixed accumulator as it leaves the transport, so a round's peak
-//! residency no longer scales with the cohort.
+//! A strategy that cannot fold has the round loop buffer all `m` surviving
+//! updates — O(m·d) server RAM — before an operator in [`crate::ops`] runs.
+//! [`StreamingFedAvg`] implements [`fg_fl::StreamingAggregator`] instead:
+//! each update folds into a fixed accumulator as it leaves the transport, so
+//! a round's peak residency no longer scales with the cohort.
 //!
 //! ## Determinism
 //!
-//! The contract ([`AggregationStrategy::begin_streaming`]) is that
-//! `Streaming` mode reproduces the batch oracle **bit-for-bit** at any
-//! arrival order and any `FG_THREADS`. The batch oracle folds survivors in
-//! ascending-client-id order (the sanitizer sorts), so the streaming fold is
+//! The contract ([`fg_fl::AggregationStrategy::begin_streaming`]) is that
+//! the fold reproduces [`crate::ops::fedavg`] over the buffered survivors
+//! **bit-for-bit** at any arrival order and any `FG_THREADS`. The round loop
+//! sorts its survivor buffer by client id, so the streaming fold is
 //! keyed to the round roster: each arrival resolves to its roster *slot*,
 //! and folds are issued strictly in slot order. In-order arrivals (both
 //! in-tree transports deliver ascending ids) fold eagerly in O(d); an
@@ -23,22 +23,20 @@
 //! involved is [`vecops::fold_weighted_mean`], which is element-wise over
 //! disjoint blocks.
 
-use crate::ops;
-use fg_fl::{
-    AggregationMemory, AggregationOutcome, ModelUpdate, SparseUpdate, StreamingAggregator,
-};
+use fg_fl::{AggregationOutcome, ModelUpdate, SparseUpdate, StreamingAggregator};
 use fg_tensor::vecops;
 use std::collections::BTreeMap;
 
-/// The slot-ordered weighted-mean fold shared by [`StreamingFedAvg`] (one
-/// core over the whole roster) and [`HierarchicalFedAvg`] (one core per
-/// shard). Replays [`ops::fedavg`]'s exact arithmetic: skip zero-weight
+/// Streaming FedAvg: a slot-ordered weighted-mean fold into an O(d)
+/// accumulator, bit-identical to [`ops::fedavg`](crate::ops::fedavg) over
+/// the id-sorted batch. Replays its exact arithmetic: skip zero-weight
 /// updates, copy the first positive-weight update verbatim, then
-/// `acc += (n/cum)·(x − acc)` — with [`ops::fedavg`]'s unweighted
+/// `acc += (n/cum)·(x − acc)` — with `ops::fedavg`'s unweighted
 /// `mean_vector` fallback tracked in parallel until a positive weight
 /// retires it.
-struct FedAvgCore {
-    /// This core's client ids, ascending — the slot order of the fold.
+pub struct StreamingFedAvg {
+    dim: usize,
+    /// The round's client ids, ascending — the slot order of the fold.
     roster: Vec<usize>,
     /// Length of the contiguously folded roster prefix.
     next_slot: usize,
@@ -59,11 +57,12 @@ struct FedAvgCore {
     peak_bytes: u64,
 }
 
-impl FedAvgCore {
-    fn new(roster: Vec<usize>) -> FedAvgCore {
+impl StreamingFedAvg {
+    pub fn new(dim: usize, roster: &[usize]) -> StreamingFedAvg {
         debug_assert!(roster.windows(2).all(|w| w[0] < w[1]), "roster must be ascending");
-        FedAvgCore {
-            roster,
+        StreamingFedAvg {
+            dim,
+            roster: roster.to_vec(),
             next_slot: 0,
             pending: BTreeMap::new(),
             pending_bytes: 0,
@@ -78,7 +77,7 @@ impl FedAvgCore {
 
     /// Fold a sparse update — `base[i] + val` at the selected coordinates,
     /// `base` unchanged elsewhere — without materializing the dense vector,
-    /// bit-identically to [`fold`](FedAvgCore::fold) of that vector.
+    /// bit-identically to [`fold`](StreamingFedAvg::fold) of that vector.
     ///
     /// Bit-equality argument: the dense fold computes
     /// `a[j] += frac·(x[j] − a[j])` with `x[j] = base[j]` off the selected
@@ -162,34 +161,6 @@ impl FedAvgCore {
         self.peak_bytes = self.peak_bytes.max(live);
     }
 
-    fn push(&mut self, update: &ModelUpdate) {
-        let slot = self.claim_slot(update.client_id);
-        if slot == self.next_slot {
-            self.fold(&update.params, update.num_samples);
-            self.advance_and_drain();
-        } else {
-            self.park(slot, update.params.clone(), update.num_samples);
-        }
-        self.note_peak();
-    }
-
-    /// Sparse counterpart of [`push`](FedAvgCore::push): an in-order arrival
-    /// folds its (idx, val) pairs straight into the accumulator — no dense
-    /// vector is ever built for it. Only an out-of-order arrival (which the
-    /// in-tree transports never produce) materializes densely, because the
-    /// reorder buffer outlives the caller's borrow of `base`.
-    fn push_sparse(&mut self, update: &SparseUpdate, base: &[f32]) {
-        let slot = self.claim_slot(update.client_id);
-        if slot == self.next_slot {
-            self.fold_sparse(base, &update.idx, &update.val, update.num_samples);
-            self.advance_and_drain();
-        } else {
-            let dense = sparse_to_dense(base, &update.idx, &update.val);
-            self.park(slot, dense, update.num_samples);
-        }
-        self.note_peak();
-    }
-
     /// Resolve an arrival to its roster slot, recording the id and rejecting
     /// duplicates.
     fn claim_slot(&mut self, client_id: usize) -> usize {
@@ -220,21 +191,6 @@ impl FedAvgCore {
         self.pending_bytes += (params.len() * 4) as u64;
         self.pending.insert(slot, (params, n));
     }
-
-    /// Drain whatever is still parked (slots whose predecessors never
-    /// arrived — e.g. a rejected submission left a gap) in slot order, then
-    /// return `(params, total_samples, ids)`; `None` if nothing was pushed.
-    fn finish(mut self) -> Option<(Vec<f32>, usize, Vec<usize>)> {
-        let parked = std::mem::take(&mut self.pending);
-        for (_, (p, n)) in parked {
-            self.pending_bytes -= (p.len() * 4) as u64;
-            self.fold(&p, n);
-            self.note_peak();
-        }
-        let params = self.acc.or(self.fallback)?;
-        self.ids.sort_unstable();
-        Some((params, self.cum, self.ids))
-    }
 }
 
 /// The dense vector a [`SparseUpdate`] stands for: `base` with the decoded
@@ -248,185 +204,55 @@ fn sparse_to_dense(base: &[f32], idx: &[u32], val: &[f32]) -> Vec<f32> {
     x
 }
 
-/// Streaming FedAvg over the whole roster: O(d) accumulator, bit-identical
-/// to `ops::fedavg` over the id-sorted batch.
-pub struct StreamingFedAvg {
-    core: FedAvgCore,
-    dim: usize,
-}
-
-impl StreamingFedAvg {
-    pub fn new(dim: usize, roster: &[usize]) -> StreamingFedAvg {
-        StreamingFedAvg { core: FedAvgCore::new(roster.to_vec()), dim }
-    }
-}
-
 impl StreamingAggregator for StreamingFedAvg {
     fn push(&mut self, update: &ModelUpdate) {
         assert_eq!(update.params.len(), self.dim, "streamed update has wrong dimension");
-        self.core.push(update);
+        let slot = self.claim_slot(update.client_id);
+        if slot == self.next_slot {
+            self.fold(&update.params, update.num_samples);
+            self.advance_and_drain();
+        } else {
+            self.park(slot, update.params.clone(), update.num_samples);
+        }
+        self.note_peak();
     }
 
+    /// An in-order arrival folds its (idx, val) pairs straight into the
+    /// accumulator — no dense vector is ever built for it. Only an
+    /// out-of-order arrival (which the in-tree transports never produce)
+    /// materializes densely, because the reorder buffer outlives the
+    /// caller's borrow of `base`.
     fn push_sparse(&mut self, update: &SparseUpdate, base: &[f32]) {
         assert_eq!(update.raw_len, self.dim, "streamed update has wrong dimension");
         assert_eq!(base.len(), self.dim, "sparse base has wrong dimension");
-        self.core.push_sparse(update, base);
-    }
-
-    fn peak_bytes(&self) -> u64 {
-        self.core.peak_bytes
-    }
-
-    fn finalize(self: Box<Self>) -> Option<AggregationOutcome> {
-        let (params, _total, ids) = self.core.finish()?;
-        Some(AggregationOutcome::new(params, ids))
-    }
-}
-
-/// Two-level tree FedAvg: the roster splits into fixed `shard`-sized slot
-/// groups, each folded by its own [`FedAvgCore`]; `finalize` then folds the
-/// shard means, weighted by shard sample totals, in shard order.
-///
-/// Deterministic at any arrival order and thread count (both fold levels are
-/// slot/shard-ordered), but **not** bit-identical to the batch oracle — the
-/// fold tree differs, so rounding differs. Peak residency is
-/// O(d·⌈m/shard⌉): one accumulator per shard that has seen an update.
-pub struct HierarchicalFedAvg {
-    shards: Vec<FedAvgCore>,
-    /// Slot → shard routing: shard `i` owns roster slots
-    /// `[i·shard_size, (i+1)·shard_size)`.
-    roster: Vec<usize>,
-    shard_size: usize,
-    dim: usize,
-}
-
-impl HierarchicalFedAvg {
-    pub fn new(dim: usize, roster: &[usize], shard: usize) -> HierarchicalFedAvg {
-        let shard_size = shard.max(1);
-        let shards = roster.chunks(shard_size).map(|c| FedAvgCore::new(c.to_vec())).collect();
-        HierarchicalFedAvg { shards, roster: roster.to_vec(), shard_size, dim }
-    }
-}
-
-impl StreamingAggregator for HierarchicalFedAvg {
-    fn push(&mut self, update: &ModelUpdate) {
-        assert_eq!(update.params.len(), self.dim, "streamed update has wrong dimension");
-        let slot = self
-            .roster
-            .binary_search(&update.client_id)
-            .expect("streamed update's client id is not on the round roster");
-        self.shards[slot / self.shard_size].push(update);
-    }
-
-    fn push_sparse(&mut self, update: &SparseUpdate, base: &[f32]) {
-        assert_eq!(update.raw_len, self.dim, "streamed update has wrong dimension");
-        let slot = self
-            .roster
-            .binary_search(&update.client_id)
-            .expect("streamed update's client id is not on the round roster");
-        self.shards[slot / self.shard_size].push_sparse(update, base);
-    }
-
-    fn peak_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.peak_bytes).sum()
-    }
-
-    fn finalize(self: Box<Self>) -> Option<AggregationOutcome> {
-        // Second level: the shard means are themselves sample-count-weighted
-        // FedAvg inputs, folded in shard order. A shard whose updates all
-        // weighed zero contributes its unweighted mean with weight zero, so
-        // an all-zero-weight round degrades to the unweighted mean of the
-        // non-empty shard means — mirroring `ops::fedavg`'s fallback one
-        // level up.
-        let mut top = FedAvgCore::new((0..self.shards.len()).collect());
-        let mut ids: Vec<usize> = Vec::new();
-        for shard in self.shards {
-            if let Some((params, total, mut shard_ids)) = shard.finish() {
-                ids.append(&mut shard_ids);
-                top.fold(&params, total);
-            }
+        let slot = self.claim_slot(update.client_id);
+        if slot == self.next_slot {
+            self.fold_sparse(base, &update.idx, &update.val, update.num_samples);
+            self.advance_and_drain();
+        } else {
+            let dense = sparse_to_dense(base, &update.idx, &update.val);
+            self.park(slot, dense, update.num_samples);
         }
-        let params = top.acc.or(top.fallback)?;
-        ids.sort_unstable();
-        Some(AggregationOutcome::new(params, ids))
-    }
-}
-
-/// Which batch operator a [`BufferedRobust`] aggregator runs at finalize.
-pub enum RobustOp {
-    /// [`ops::coordinate_median`].
-    Median,
-    /// [`ops::trimmed_mean_vectors`] with this many values trimmed per end
-    /// (clamped at finalize so at least one value survives per coordinate).
-    TrimmedMean { trim: usize },
-    /// [`ops::geometric_median`] (Weiszfeld).
-    GeoMed { max_iters: usize, tol: f32 },
-}
-
-/// Streaming adapter for operators that need the whole cohort in hand
-/// (order statistics, Weiszfeld re-weighting): parameter vectors are
-/// buffered as they arrive — without the rest of the [`ModelUpdate`]
-/// (decoders, coverage), so residency is exactly m·d·4 bytes — then sorted
-/// by client id and handed to the batch operator, which processes them in
-/// fixed 64K-element slabs. Bit-identical to the batch path at any arrival
-/// order because the operator sees the same id-sorted input either way.
-pub struct BufferedRobust {
-    op: RobustOp,
-    dim: usize,
-    buffered: Vec<(usize, Vec<f32>)>,
-    peak_bytes: u64,
-}
-
-impl BufferedRobust {
-    pub fn new(op: RobustOp, dim: usize) -> BufferedRobust {
-        BufferedRobust { op, dim, buffered: Vec::new(), peak_bytes: 0 }
-    }
-}
-
-impl StreamingAggregator for BufferedRobust {
-    fn push(&mut self, update: &ModelUpdate) {
-        assert_eq!(update.params.len(), self.dim, "streamed update has wrong dimension");
-        self.buffered.push((update.client_id, update.params.clone()));
-        self.peak_bytes += (update.params.len() * 4) as u64;
+        self.note_peak();
     }
 
     fn peak_bytes(&self) -> u64 {
         self.peak_bytes
     }
 
-    fn finalize(self: Box<Self>) -> Option<AggregationOutcome> {
-        let mut buffered = self.buffered;
-        if buffered.is_empty() {
-            return None;
+    /// Drain whatever is still parked (slots whose predecessors never
+    /// arrived — e.g. a rejected submission left a gap) in slot order.
+    fn finalize(mut self: Box<Self>) -> Option<AggregationOutcome> {
+        let parked = std::mem::take(&mut self.pending);
+        for (_, (p, n)) in parked {
+            self.pending_bytes -= (p.len() * 4) as u64;
+            self.fold(&p, n);
+            self.note_peak();
         }
-        buffered.sort_unstable_by_key(|(id, _)| *id);
-        let refs: Vec<&[f32]> = buffered.iter().map(|(_, p)| p.as_slice()).collect();
-        let params = match self.op {
-            RobustOp::Median => ops::coordinate_median(&refs),
-            RobustOp::TrimmedMean { trim } => {
-                let trim = trim.min(refs.len().saturating_sub(1) / 2);
-                ops::trimmed_mean_vectors(&refs, trim)
-            }
-            RobustOp::GeoMed { max_iters, tol } => ops::geometric_median(&refs, max_iters, tol),
-        };
-        let ids = buffered.into_iter().map(|(id, _)| id).collect();
+        let StreamingFedAvg { acc, fallback, mut ids, .. } = *self;
+        let params = acc.or(fallback)?;
+        ids.sort_unstable();
         Some(AggregationOutcome::new(params, ids))
-    }
-}
-
-/// The streaming aggregator [`crate::FedAvgStrategy`] opens for a given
-/// memory mode (also used directly by `bench_aggregation`).
-pub fn fedavg_streaming(
-    dim: usize,
-    roster: &[usize],
-    memory: AggregationMemory,
-) -> Option<Box<dyn StreamingAggregator>> {
-    match memory {
-        AggregationMemory::Batch => None,
-        AggregationMemory::Streaming => Some(Box::new(StreamingFedAvg::new(dim, roster))),
-        AggregationMemory::Hierarchical { shard } => {
-            Some(Box::new(HierarchicalFedAvg::new(dim, roster, shard)))
-        }
     }
 }
 
@@ -512,35 +338,5 @@ mod tests {
         let a = Box::new(in_order).finalize().unwrap();
         let b = Box::new(reversed).finalize().unwrap();
         assert_eq!(bits(&a.params), bits(&b.params));
-    }
-
-    #[test]
-    fn sparse_fold_matches_on_hierarchical_and_buffered() {
-        let base = base_vec();
-        let roster = vec![1, 3, 4, 7, 9];
-        let updates: Vec<SparseUpdate> = roster.iter().map(|&id| sparse(id, id + 1, id)).collect();
-
-        // Hierarchical: native sparse override, shard size 2.
-        let mut s = HierarchicalFedAvg::new(DIM, &roster, 2);
-        let mut d = HierarchicalFedAvg::new(DIM, &roster, 2);
-        for u in &updates {
-            s.push_sparse(u, &base);
-            d.push(&dense_of(u, &base));
-        }
-        let s_out = Box::new(s).finalize().unwrap();
-        let d_out = Box::new(d).finalize().unwrap();
-        assert_eq!(bits(&s_out.params), bits(&d_out.params));
-
-        // BufferedRobust exercises the trait's default (materializing)
-        // push_sparse.
-        let mut s = BufferedRobust::new(RobustOp::Median, DIM);
-        let mut d = BufferedRobust::new(RobustOp::Median, DIM);
-        for u in &updates {
-            s.push_sparse(u, &base);
-            d.push(&dense_of(u, &base));
-        }
-        let s_out = Box::new(s).finalize().unwrap();
-        let d_out = Box::new(d).finalize().unwrap();
-        assert_eq!(bits(&s_out.params), bits(&d_out.params));
     }
 }

@@ -1,14 +1,11 @@
-//! Streaming-vs-batch equivalence: every streamable aggregator must
-//! reproduce its batch oracle **bit-for-bit** — at every cohort size, every
-//! arrival order, and every thread count — and the hierarchical tree mode
-//! must be exactly as deterministic (against itself) even though its fold
-//! tree legitimately differs from the batch oracle's.
+//! Streaming-vs-batch equivalence: the FedAvg fold must reproduce its
+//! buffered reference (`FedAvgStrategy::aggregate` → `ops::fedavg`)
+//! **bit-for-bit** — at every cohort size, every arrival order, and every
+//! thread count.
 
-use fg_agg::streaming::{fedavg_streaming, HierarchicalFedAvg, StreamingFedAvg};
-use fg_agg::{FedAvgStrategy, GeoMedStrategy, MedianStrategy, TrimmedMeanStrategy};
+use fg_agg::{FedAvgStrategy, StreamingFedAvg};
 use fg_fl::{
-    AggregationContext, AggregationMemory, AggregationOutcome, AggregationStrategy, ModelUpdate,
-    StreamingAggregator,
+    AggregationContext, AggregationOutcome, AggregationStrategy, ModelUpdate, StreamingAggregator,
 };
 use fg_tensor::rng::SeededRng;
 use rayon::with_threads;
@@ -50,18 +47,11 @@ fn permutations(m: usize) -> Vec<Vec<usize>> {
     orders
 }
 
-/// Run `strategy`'s streaming aggregator over `updates` delivered in
-/// `order`, returning the finalized outcome.
-fn stream<S: AggregationStrategy>(
-    strategy: &mut S,
-    updates: &[ModelUpdate],
-    order: &[usize],
-    memory: AggregationMemory,
-) -> Option<AggregationOutcome> {
+/// Run FedAvg's streaming aggregator over `updates` delivered in `order`,
+/// returning the finalized outcome.
+fn stream(updates: &[ModelUpdate], order: &[usize]) -> Option<AggregationOutcome> {
     let roster: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
-    let mut agg = strategy
-        .begin_streaming(DIM, &roster, memory)
-        .expect("strategy should stream in this mode");
+    let mut agg = FedAvgStrategy.begin_streaming(DIM, &roster).expect("FedAvg folds");
     for &i in order {
         agg.push(&updates[i]);
     }
@@ -75,48 +65,27 @@ fn assert_bitwise(a: &[f32], b: &[f32], what: &str) {
     }
 }
 
-/// The full matrix for one strategy: batch oracle at 1 thread vs streaming
-/// at 1 and 4 threads, across cohort sizes and arrival permutations.
-fn check_strategy<S: AggregationStrategy, F: Fn() -> S>(make: F, name: &str) {
+/// The full matrix: buffered reference at 1 thread vs the fold at 1 and 4
+/// threads, across cohort sizes and arrival permutations.
+#[test]
+fn streaming_fedavg_matches_batch_bitwise() {
     for m in [1usize, 2, 5, 8] {
         let updates = cohort(m, 0xC0FFEE ^ m as u64);
         let global = vec![0.0f32; DIM];
-        let batch = with_threads(1, || make().aggregate(&updates, &mut ctx(&global)));
+        let batch = with_threads(1, || FedAvgStrategy.aggregate(&updates, &mut ctx(&global)));
         for order in permutations(m) {
             for threads in [1usize, 4] {
-                let out = with_threads(threads, || {
-                    stream(&mut make(), &updates, &order, AggregationMemory::Streaming)
-                })
-                .unwrap_or_else(|| panic!("{name}: streaming returned None at m={m}"));
+                let out = with_threads(threads, || stream(&updates, &order))
+                    .unwrap_or_else(|| panic!("streaming returned None at m={m}"));
                 assert_bitwise(
                     &batch.params,
                     &out.params,
-                    &format!("{name} m={m} threads={threads} order={order:?}"),
+                    &format!("m={m} threads={threads} order={order:?}"),
                 );
-                assert_eq!(batch.selected, out.selected, "{name}: selected roster differs");
+                assert_eq!(batch.selected, out.selected, "selected roster differs");
             }
         }
     }
-}
-
-#[test]
-fn streaming_fedavg_matches_batch_bitwise() {
-    check_strategy(|| FedAvgStrategy, "FedAvg");
-}
-
-#[test]
-fn streaming_median_matches_batch_bitwise() {
-    check_strategy(|| MedianStrategy, "Median");
-}
-
-#[test]
-fn streaming_trimmed_mean_matches_batch_bitwise() {
-    check_strategy(|| TrimmedMeanStrategy::new(2), "TrimmedMean");
-}
-
-#[test]
-fn streaming_geomed_matches_batch_bitwise() {
-    check_strategy(GeoMedStrategy::default, "GeoMed");
 }
 
 #[test]
@@ -130,8 +99,7 @@ fn fedavg_zero_weight_rounds_fall_back_like_the_batch_oracle() {
     let global = vec![0.0f32; DIM];
     let batch = FedAvgStrategy.aggregate(&updates, &mut ctx(&global));
     for order in permutations(updates.len()) {
-        let out = stream(&mut FedAvgStrategy, &updates, &order, AggregationMemory::Streaming)
-            .expect("non-empty round finalizes");
+        let out = stream(&updates, &order).expect("non-empty round finalizes");
         assert_bitwise(&batch.params, &out.params, &format!("zero-weight order={order:?}"));
     }
 }
@@ -140,9 +108,6 @@ fn fedavg_zero_weight_rounds_fall_back_like_the_batch_oracle() {
 fn empty_round_finalizes_to_none() {
     let agg: Box<dyn StreamingAggregator> = Box::new(StreamingFedAvg::new(DIM, &[]));
     assert!(agg.finalize().is_none());
-    let agg: Box<dyn StreamingAggregator> = Box::new(HierarchicalFedAvg::new(DIM, &[], 4));
-    assert!(agg.finalize().is_none());
-    assert!(fedavg_streaming(DIM, &[], AggregationMemory::Batch).is_none(), "Batch never streams");
 }
 
 #[test]
@@ -192,66 +157,4 @@ fn gapped_roster_drains_parked_successors_at_finalize() {
     let out = Box::new(agg).finalize().unwrap();
     assert_bitwise(&batch, &out.params, "gapped roster");
     assert_eq!(out.selected, vec![roster[0], roster[2], roster[3]]);
-}
-
-#[test]
-fn hierarchical_is_arrival_order_and_thread_invariant_with_ragged_last_shard() {
-    // m = 8 with shard = 3 → shards of 3, 3, 2 (ragged tail).
-    let updates = cohort(8, 42);
-    let memory = AggregationMemory::Hierarchical { shard: 3 };
-    let reference = with_threads(1, || {
-        stream(&mut FedAvgStrategy, &updates, &(0..8).collect::<Vec<_>>(), memory).unwrap()
-    });
-    for order in permutations(8) {
-        for threads in [1usize, 4] {
-            let out =
-                with_threads(threads, || stream(&mut FedAvgStrategy, &updates, &order, memory))
-                    .unwrap();
-            assert_bitwise(
-                &reference.params,
-                &out.params,
-                &format!("hierarchical order={order:?} threads={threads}"),
-            );
-            assert_eq!(reference.selected, out.selected);
-        }
-    }
-    // The tree fold is a different arithmetic from the flat batch fold; it
-    // should approximate it closely but is not bit-pinned to it.
-    let global = vec![0.0f32; DIM];
-    let batch = FedAvgStrategy.aggregate(&updates, &mut ctx(&global));
-    let err = fg_tensor::vecops::l2_distance(&batch.params, &reference.params);
-    assert!(err < 1e-3 * (DIM as f32).sqrt(), "tree mean far from flat mean: {err}");
-
-    // Degenerate shard sizes clamp/collapse sanely: shard=1 (one core per
-    // client) and shard=100 (single shard) stay deterministic too.
-    for shard in [1usize, 100] {
-        let m = AggregationMemory::Hierarchical { shard };
-        let a = stream(&mut FedAvgStrategy, &updates, &(0..8).collect::<Vec<_>>(), m).unwrap();
-        let b =
-            stream(&mut FedAvgStrategy, &updates, &(0..8).rev().collect::<Vec<_>>(), m).unwrap();
-        assert_bitwise(&a.params, &b.params, &format!("hierarchical shard={shard}"));
-    }
-}
-
-#[test]
-fn hierarchical_single_shard_matches_flat_streaming_bitwise() {
-    // With every client in one shard the tree collapses to the flat fold
-    // followed by a weight-total self-fold; the top level sees exactly one
-    // input, which `FedAvgCore` copies verbatim — so this *is* bit-equal.
-    let updates = cohort(6, 17);
-    let flat = stream(
-        &mut FedAvgStrategy,
-        &updates,
-        &(0..6).collect::<Vec<_>>(),
-        AggregationMemory::Streaming,
-    )
-    .unwrap();
-    let tree = stream(
-        &mut FedAvgStrategy,
-        &updates,
-        &(0..6).collect::<Vec<_>>(),
-        AggregationMemory::Hierarchical { shard: 64 },
-    )
-    .unwrap();
-    assert_bitwise(&flat.params, &tree.params, "single-shard tree");
 }

@@ -13,10 +13,10 @@ use fg_data::LabelFlip;
 use fg_defenses::{SpectralConfig, SpectralDefense};
 use fg_fl::client::NoAttack;
 use fg_fl::{
-    AggregationMemory, AggregationStrategy, Client, CommStats, Compression, CvaeTrainConfig,
-    FaultConfig, FaultPlan, Federation, FederationConfig, ForensicsCollector, JsonlSink,
-    LocalTrainConfig, MemoryCollector, ResiliencePolicy, RoundForensics, RoundObserver,
-    RoundRecord, RoundTelemetry, Transport, UpdateInterceptor,
+    AggregationStrategy, Client, CommStats, Compression, CvaeTrainConfig, FaultConfig, FaultPlan,
+    Federation, FederationConfig, ForensicsCollector, JsonlSink, LocalTrainConfig, MemoryCollector,
+    ResiliencePolicy, RoundForensics, RoundObserver, RoundRecord, RoundTelemetry, Transport,
+    UpdateInterceptor,
 };
 use fg_nn::models::{ClassifierSpec, CvaeSpec};
 use fg_tensor::rng::{derive_seed, SeededRng};
@@ -250,7 +250,6 @@ impl ExperimentConfig {
                     server_lr: 1.0,
                     eval_batch: 128,
                     seed,
-                    agg_memory: AggregationMemory::Batch,
                 };
                 ExperimentConfig {
                     fed,
@@ -302,7 +301,6 @@ impl ExperimentConfig {
                     server_lr: 1.0,
                     eval_batch: 64,
                     seed,
-                    agg_memory: AggregationMemory::Batch,
                 };
                 ExperimentConfig {
                     fed,

@@ -93,35 +93,6 @@ impl ResiliencePolicy {
     }
 }
 
-/// Server-side memory model for the aggregation stage.
-///
-/// The round loop is the same in every mode; the mode only decides what
-/// happens to a sanitized arrival. `Batch` buffers all m surviving updates
-/// and hands them to the strategy — O(m·d) server RAM, kept as the oracle
-/// every other mode must match bit-for-bit. `Streaming` folds each update
-/// into a single O(d) accumulator as it arrives off the transport
-/// (strategies that cannot fold — Krum, FedGuard's audit — buffer as in
-/// `Batch`, as does a round that may need the survivor vectors for the
-/// damped below-quorum step).
-/// `Hierarchical` aggregates fixed client shards first and then the shard
-/// results: deterministic at any thread count and arrival order, but *not*
-/// bit-identical to `Batch` (a different, two-level fold tree), with peak
-/// residency O(d·⌈m/shard⌉).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub enum AggregationMemory {
-    /// Materialize every update, then aggregate — the oracle.
-    #[default]
-    Batch,
-    /// Fold updates one at a time into an O(d) accumulator.
-    Streaming,
-    /// Two-level tree: aggregate `shard`-sized client groups, then the
-    /// group results, weighted by group sample counts.
-    Hierarchical {
-        /// Clients per leaf shard (floored to 1).
-        shard: usize,
-    },
-}
-
 /// Top-level federation parameters (the `Federation` procedure of Alg. 1).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FederationConfig {
@@ -143,10 +114,6 @@ pub struct FederationConfig {
     pub eval_batch: usize,
     /// Master seed; every stochastic component derives from it.
     pub seed: u64,
-    /// Server-side aggregation memory model. Defaults to the O(m·d) batch
-    /// oracle.
-    #[serde(default)]
-    pub agg_memory: AggregationMemory,
 }
 
 impl FederationConfig {
@@ -168,7 +135,6 @@ impl FederationConfig {
             server_lr: 1.0,
             eval_batch: 64,
             seed: 0,
-            agg_memory: AggregationMemory::Batch,
         }
     }
 
@@ -234,21 +200,20 @@ mod tests {
     }
 
     #[test]
-    fn agg_memory_defaults_to_batch_and_old_configs_still_parse() {
-        assert_eq!(AggregationMemory::default(), AggregationMemory::Batch);
-        // A pre-knob config blob (no agg_memory key) must keep parsing.
+    fn stale_agg_memory_key_in_old_blobs_is_ignored() {
+        // The Welcome blob is how an older `fed_server` configures a
+        // `fed_client`: it may still carry the retired memory-mode knob, in
+        // any of its three spellings.
         let serde::Value::Obj(fields) = serde_json::to_value(&FederationConfig::paper()) else {
             panic!("config serializes to an object");
         };
-        let pruned: Vec<_> = fields.into_iter().filter(|(k, _)| k != "agg_memory").collect();
-        let parsed: FederationConfig = serde_json::from_value(&serde::Value::Obj(pruned)).unwrap();
-        assert_eq!(parsed.agg_memory, AggregationMemory::Batch);
-        // The shard payload round-trips.
-        let mut cfg = FederationConfig::paper();
-        cfg.agg_memory = AggregationMemory::Hierarchical { shard: 8 };
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: FederationConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.agg_memory, AggregationMemory::Hierarchical { shard: 8 });
+        for spelling in [r#""Batch""#, r#""Streaming""#, r#"{"Hierarchical":{"shard":8}}"#] {
+            let mut stale = fields.clone();
+            stale.push(("agg_memory".to_string(), serde_json::from_str(spelling).unwrap()));
+            let parsed: FederationConfig =
+                serde_json::from_value(&serde::Value::Obj(stale)).unwrap();
+            assert_eq!(parsed, FederationConfig::paper(), "stale key {spelling}");
+        }
     }
 
     #[test]

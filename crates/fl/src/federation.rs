@@ -26,8 +26,8 @@ static ROUNDS: Counter = Counter::new("fl.rounds");
 /// Peak transient server residency of the last aggregation stage, in bytes.
 /// A folding round reports the aggregator's own high-water mark; a
 /// buffering round reports the materialized-survivors proxy `(m + 1)·d·4`
-/// (the m survivor vectors plus the aggregate), so the two memory models
-/// are directly comparable on one gauge.
+/// (the m survivor vectors plus the aggregate), so the two are directly
+/// comparable on one gauge.
 static AGG_PEAK_BYTES: Gauge = Gauge::new("fl.agg.peak_bytes");
 
 /// A complete federated-learning simulation: `N` clients, a server-side test
@@ -67,7 +67,9 @@ static AGG_PEAK_BYTES: Gauge = Gauge::new("fl.agg.peak_bytes");
 ///    and push the survivor: into the strategy's
 ///    [`StreamingAggregator`](crate::strategy::StreamingAggregator) when
 ///    [`begin_streaming`](AggregationStrategy::begin_streaming) opened one,
-///    into a survivor buffer otherwise,
+///    into a survivor buffer otherwise — the strategy cannot fold, or
+///    [`ResiliencePolicy::damped_partial_step`] may need the survivor
+///    vectors below quorum,
 /// 5. if the survivors meet the [`ResiliencePolicy`] quorum, finalize the
 ///    fold (or hand the buffer to
 ///    [`aggregate`](AggregationStrategy::aggregate)) and move the global
@@ -376,14 +378,14 @@ impl Federation {
 
         // (2)–(4) Exchange: every arrival is fault-injected, accounted,
         // sanitized and pushed as it leaves the transport. The push folds
-        // into the strategy's O(d) aggregator when it opened one for this
-        // round's memory mode; otherwise — and whenever the damped
-        // below-quorum step may need the survivor vectors — it buffers.
+        // into the strategy's O(d) aggregator when it opened one; otherwise
+        // — and whenever the damped below-quorum step may need the survivor
+        // vectors — it buffers.
         let dim = self.global.len();
         let mut fold = if self.resilience.damped_partial_step {
             None
         } else {
-            self.strategy.begin_streaming(dim, &active, self.config.agg_memory)
+            self.strategy.begin_streaming(dim, &active)
         };
         let mut buffered: Vec<ModelUpdate> = Vec::new();
         // Upload accounting covers what actually crossed the wire this
@@ -583,7 +585,7 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AggregationMemory, LocalTrainConfig};
+    use crate::config::LocalTrainConfig;
     use crate::strategy::AggregationOutcome;
     use crate::telemetry::MemoryCollector;
     use fg_data::partition::{dirichlet_partition, partition_datasets};
@@ -632,7 +634,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 64,
             seed,
-            agg_memory: AggregationMemory::Batch,
         };
         Federation::builder(config).datasets(datasets).test_set(test).strategy(MeanStrategy)
     }
@@ -710,7 +711,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 32,
             seed: 3,
-            agg_memory: AggregationMemory::Batch,
         };
 
         let mut full = Federation::builder(config)
@@ -747,7 +747,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 32,
             seed: 0,
-            agg_memory: AggregationMemory::Batch,
         };
         Federation::builder(config)
             .datasets(vec![data.clone()])
@@ -769,7 +768,6 @@ mod tests {
             server_lr: 1.0,
             eval_batch: 32,
             seed: 0,
-            agg_memory: AggregationMemory::Batch,
         };
         Federation::builder(config).datasets(vec![data.clone()]).test_set(data).build();
     }

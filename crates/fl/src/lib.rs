@@ -38,9 +38,7 @@ pub use admin::{AdminPlane, FlightRecTrigger, OpsObserver, OpsState};
 pub use client::{Client, DataStream, UpdateInterceptor};
 pub use comm::CommStats;
 pub use compress::{CompressedBlob, CompressedUpdate, Compression, SparseUpdate};
-pub use config::{
-    AggregationMemory, CvaeTrainConfig, FederationConfig, LocalTrainConfig, ResiliencePolicy,
-};
+pub use config::{CvaeTrainConfig, FederationConfig, LocalTrainConfig, ResiliencePolicy};
 pub use fault::{
     sanitize_one, sanitize_round, CorruptionMode, FaultConfig, FaultEvent, FaultKind, FaultPlan,
     SubmissionFaults,

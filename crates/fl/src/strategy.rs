@@ -1,7 +1,6 @@
 //! The pluggable aggregation-strategy interface.
 
 use crate::compress::SparseUpdate;
-use crate::config::AggregationMemory;
 use crate::update::ModelUpdate;
 use fg_tensor::rng::SeededRng;
 
@@ -104,10 +103,10 @@ pub trait AggregationStrategy: Send {
         false
     }
 
-    /// Open a streaming accumulator for a round, or `None` if this strategy
-    /// can only aggregate a materialized batch (Krum's pairwise distances,
-    /// FedGuard's audit) or `memory` is [`AggregationMemory::Batch`]. The
-    /// round loop asks once per round: with `Some` it folds every sanitized
+    /// Open a streaming accumulator for a round, or `None` (the default) if
+    /// this strategy can only aggregate a materialized batch (Krum's
+    /// pairwise distances, order statistics, FedGuard's audit). The round
+    /// loop asks once per round: with `Some` it folds every sanitized
     /// arrival into the aggregator, with `None` it buffers the survivors and
     /// calls [`aggregate`](AggregationStrategy::aggregate). `roster` is the
     /// round's active client ids in ascending order — the canonical slot
@@ -115,15 +114,14 @@ pub trait AggregationStrategy: Send {
     /// keyed to, so results are independent of arrival order (a faulted
     /// round may deliver only a subset of the roster, and a stale duplicate
     /// out of order). A `Some` aggregator must produce the same
-    /// `AggregationOutcome` `aggregate` would (bit-identical params for
-    /// `Streaming` mode).
+    /// `AggregationOutcome` `aggregate` would, bit-identical params
+    /// included: which of the two runs is not observable in a run's results.
     fn begin_streaming(
         &mut self,
         dim: usize,
         roster: &[usize],
-        memory: AggregationMemory,
     ) -> Option<Box<dyn StreamingAggregator>> {
-        let _ = (dim, roster, memory);
+        let _ = (dim, roster);
         None
     }
 }
@@ -157,7 +155,7 @@ pub trait StreamingAggregator: Send {
 
     /// High-water mark of the aggregator's transient residency in bytes
     /// (accumulators + any out-of-order reorder buffer), for the
-    /// `fl.agg.peak_bytes` gauge and `bench_aggregation`.
+    /// `fl.agg.peak_bytes` gauge.
     fn peak_bytes(&self) -> u64;
 
     /// Complete the round: the outcome the batch path would have produced,
@@ -189,9 +187,8 @@ impl<S: AggregationStrategy + ?Sized> AggregationStrategy for Box<S> {
         &mut self,
         dim: usize,
         roster: &[usize],
-        memory: AggregationMemory,
     ) -> Option<Box<dyn StreamingAggregator>> {
-        (**self).begin_streaming(dim, roster, memory)
+        (**self).begin_streaming(dim, roster)
     }
 }
 
@@ -246,6 +243,46 @@ mod tests {
         assert!(plain.scores.is_empty());
         assert_eq!(plain.threshold, None);
         assert_eq!(plain.timings, StrategyTimings::default());
+    }
+
+    /// Records what it is pushed; inherits the default `push_sparse`.
+    #[derive(Default)]
+    struct Recorder(Vec<ModelUpdate>);
+
+    impl StreamingAggregator for Recorder {
+        fn push(&mut self, update: &ModelUpdate) {
+            self.0.push(update.clone());
+        }
+
+        fn peak_bytes(&self) -> u64 {
+            0
+        }
+
+        fn finalize(self: Box<Self>) -> Option<AggregationOutcome> {
+            None
+        }
+    }
+
+    #[test]
+    fn default_push_sparse_pushes_the_dense_reconstruction() {
+        let base = [1.0f32, -0.0, 3.0, 4.0];
+        let sparse = SparseUpdate {
+            client_id: 5,
+            num_samples: 9,
+            raw_len: base.len(),
+            idx: vec![0, 3],
+            val: vec![0.5, -1.0],
+            decoder: None,
+            class_coverage: None,
+        };
+        let mut agg = Recorder::default();
+        agg.push_sparse(&sparse, &base);
+        let [pushed] = agg.0.as_slice() else { panic!("exactly one push") };
+        assert_eq!((pushed.client_id, pushed.num_samples), (5, 9));
+        // Selected coordinates carry base + delta; the rest are copies of
+        // the base, sign of zero included.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pushed.params), bits(&[1.5, -0.0, 3.0, 3.0]));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use fg_data::partition::{dirichlet_partition, partition_datasets};
 use fg_data::synth::generate_dataset;
 use fg_fl::{
-    AggregationContext, AggregationMemory, AggregationOutcome, AggregationStrategy, Compression,
-    Federation, FederationConfig, LocalTrainConfig, ModelUpdate,
+    AggregationContext, AggregationOutcome, AggregationStrategy, Compression, Federation,
+    FederationConfig, LocalTrainConfig, ModelUpdate,
 };
 use fg_nn::models::ClassifierSpec;
 use fg_obs::prometheus::{render, sanitize_metric_name};
@@ -54,7 +54,6 @@ fn run_tiny_federation() {
         server_lr: 1.0,
         eval_batch: 64,
         seed: 42,
-        agg_memory: AggregationMemory::Batch,
     };
     let mut fed = Federation::builder(config)
         .datasets(datasets)

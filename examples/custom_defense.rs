@@ -13,8 +13,8 @@ use fedguard::attacks::{choose_malicious, ModelAttack, PoisoningInterceptor};
 use fedguard::data::partition::{dirichlet_partition, partition_datasets};
 use fedguard::data::synth::generate_dataset;
 use fedguard::fl::{
-    AggregationContext, AggregationMemory, AggregationOutcome, AggregationStrategy, Federation,
-    FederationConfig, LocalTrainConfig, ModelUpdate, StderrProgress,
+    AggregationContext, AggregationOutcome, AggregationStrategy, Federation, FederationConfig,
+    LocalTrainConfig, ModelUpdate, StderrProgress,
 };
 use fedguard::nn::models::ClassifierSpec;
 use fedguard::tensor::rng::SeededRng;
@@ -60,7 +60,6 @@ fn main() {
         server_lr: 1.0,
         eval_batch: 64,
         seed: 21,
-        agg_memory: AggregationMemory::Batch,
     };
 
     let train = generate_dataset(40, 1);

@@ -7,11 +7,13 @@
 //! records (modulo wall-clock time, which `RoundRecord::normalized()`
 //! zeroes) and the exact same fault-event stream.
 
+use fedguard::agg::FedAvgStrategy;
 use fedguard::data::partition::{dirichlet_partition, partition_datasets};
 use fedguard::data::synth::generate_dataset;
 use fedguard::fl::{
-    AggregationMemory, FaultConfig, FaultKind, FaultPlan, Federation, FederationConfig,
-    LocalTrainConfig, MemoryCollector, ResiliencePolicy, RoundRecord, RoundTelemetry,
+    AggregationContext, AggregationOutcome, AggregationStrategy, FaultConfig, FaultKind, FaultPlan,
+    Federation, FederationConfig, LocalTrainConfig, MemoryCollector, ModelUpdate, ResiliencePolicy,
+    RoundRecord, RoundTelemetry,
 };
 use fedguard::nn::models::ClassifierSpec;
 use fedguard::tensor::rng::SeededRng;
@@ -27,12 +29,35 @@ fn chaos_federation(
     policy: ResiliencePolicy,
     collector: MemoryCollector,
 ) -> Federation {
-    chaos_federation_in(AggregationMemory::Batch, rounds, seed, plan, policy, collector)
+    chaos_federation_with(FedAvgStrategy, rounds, seed, plan, policy, collector)
 }
 
-/// [`chaos_federation`] under the given aggregation-memory mode.
-fn chaos_federation_in(
-    agg_memory: AggregationMemory,
+/// FedAvg's buffered reference: forwards everything but `begin_streaming`,
+/// so the round loop buffers the survivors into `aggregate` → `ops::fedavg`
+/// instead of folding them.
+struct BufferedFedAvg;
+
+impl AggregationStrategy for BufferedFedAvg {
+    fn name(&self) -> &'static str {
+        FedAvgStrategy.name()
+    }
+
+    fn aggregate(
+        &mut self,
+        updates: &[ModelUpdate],
+        ctx: &mut AggregationContext<'_>,
+    ) -> AggregationOutcome {
+        FedAvgStrategy.aggregate(updates, ctx)
+    }
+
+    fn uses_decoders(&self) -> bool {
+        FedAvgStrategy.uses_decoders()
+    }
+}
+
+/// [`chaos_federation`] under the given strategy.
+fn chaos_federation_with(
+    strategy: impl AggregationStrategy + 'static,
     rounds: usize,
     seed: u64,
     plan: Option<FaultPlan>,
@@ -53,12 +78,11 @@ fn chaos_federation_in(
         server_lr: 1.0,
         eval_batch: 64,
         seed,
-        agg_memory,
     };
     Federation::builder(config)
         .datasets(datasets)
         .test_set(test)
-        .strategy(fedguard::agg::FedAvgStrategy)
+        .strategy(strategy)
         .faults(plan)
         .resilience(policy)
         .observer(collector)
@@ -108,12 +132,15 @@ fn seeded_fault_schedule_replays_bit_identical() {
 fn streaming_fold_matches_batch_under_a_chaotic_plan() {
     // Fault plans and the O(d) fold compose: the same seeded chaotic run
     // must come out bit-identical whether survivors are folded on arrival
-    // or buffered for the batch oracle, at any thread count.
-    let run = |agg_memory: AggregationMemory, threads: usize| {
+    // or buffered for the batch reference, at any thread count.
+    fn run(
+        strategy: impl AggregationStrategy + 'static,
+        threads: usize,
+    ) -> (Vec<u32>, Vec<RoundTelemetry>) {
         let collector = MemoryCollector::new();
         let plan = FaultPlan::new(FaultConfig::chaotic(), 0xC4A05);
-        let mut fed = chaos_federation_in(
-            agg_memory,
+        let mut fed = chaos_federation_with(
+            strategy,
             6,
             101,
             Some(plan),
@@ -123,23 +150,22 @@ fn streaming_fold_matches_batch_under_a_chaotic_plan() {
         rayon::with_threads(threads, || fed.run());
         let bits: Vec<u32> = fed.global_params().iter().map(|x| x.to_bits()).collect();
         (bits, collector.events())
-    };
-    let (oracle_global, oracle) = run(AggregationMemory::Batch, 1);
+    }
+    let (oracle_global, oracle) = run(BufferedFedAvg, 1);
     assert!(
         oracle.iter().any(|e| e.faults.iter().any(|f| f.kind == FaultKind::DuplicateSubmission)),
         "the plan never scheduled a duplicate"
     );
     assert!(oracle.iter().any(|e| !e.quorum_met) && oracle.iter().any(|e| e.quorum_met));
-    for (agg_memory, threads) in [
-        (AggregationMemory::Batch, 4),
-        (AggregationMemory::Streaming, 1),
-        (AggregationMemory::Streaming, 4),
+    for (what, threads, (global, events)) in [
+        ("buffered", 4, run(BufferedFedAvg, 4)),
+        ("fold", 1, run(FedAvgStrategy, 1)),
+        ("fold", 4, run(FedAvgStrategy, 4)),
     ] {
-        let (global, events) = run(agg_memory, threads);
-        assert_eq!(global, oracle_global, "{agg_memory:?} at {threads} threads: final global");
+        assert_eq!(global, oracle_global, "{what} at {threads} threads: final global");
         assert_eq!(events.len(), oracle.len());
         for (e, o) in events.iter().zip(&oracle) {
-            let at = format!("{agg_memory:?} at {threads} threads, round {}", e.round);
+            let at = format!("{what} at {threads} threads, round {}", e.round);
             assert_eq!(e.survivors, o.survivors, "{at}");
             assert_eq!(e.selected, o.selected, "{at}");
             assert_eq!(e.comm, o.comm, "{at}");

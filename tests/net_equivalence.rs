@@ -240,28 +240,31 @@ fn scheduled_dropouts_stay_bit_identical_over_tcp() {
     assert_eq!(declined, scheduled, "one Decline per scheduled dropout");
 }
 
-/// The streaming aggregation path, driven end-to-end over loopback TCP:
-/// with `agg_memory: Streaming` the server folds each upload into an O(d)
-/// accumulator as it leaves the wire instead of materializing the round,
-/// and the run must stay bit-identical to the batch oracle — in-process
-/// *and* over TCP.
+/// The folding aggregation path, driven end-to-end over loopback TCP: the
+/// server folds each FedAvg upload into the O(d) accumulator as it leaves
+/// the wire instead of materializing the round, and the run must stay
+/// bit-identical to the buffered batch oracle — in-process *and* over TCP.
 #[test]
 fn tcp_streaming_aggregation_is_bit_identical_to_batch_oracle() {
     let mut cfg =
         ExperimentConfig::preset(Preset::Smoke, StrategyKind::FedAvg, AttackScenario::None, 42);
     cfg.fed.rounds = 2;
-    let batch_oracle = run_experiment_full(&cfg);
+    // `damped_partial_step` is the one policy that makes the round loop
+    // keep the survivor vectors, so it selects `FedAvgStrategy::aggregate`
+    // (→ `ops::fedavg`) — and on these fault-free quorum-1 rounds the damped
+    // step itself never fires.
+    let mut buffered_cfg = cfg.clone();
+    buffered_cfg.resilience.damped_partial_step = true;
+    let batch_oracle = run_experiment_full(&buffered_cfg);
 
-    let mut streamed_cfg = cfg.clone();
-    streamed_cfg.fed.agg_memory = fg_fl::AggregationMemory::Streaming;
-    // In-process streaming vs in-process batch.
-    let local_streamed = run_experiment_full(&streamed_cfg);
-    assert_eq!(batch_oracle.final_global, local_streamed.final_global, "local streaming diverged");
-    assert_eq!(batch_oracle.result.accuracy_series(), local_streamed.result.accuracy_series());
+    // In-process fold vs in-process batch.
+    let local_folded = run_experiment_full(&cfg);
+    assert_eq!(batch_oracle.final_global, local_folded.final_global, "local fold diverged");
+    assert_eq!(batch_oracle.result.accuracy_series(), local_folded.result.accuracy_series());
 
-    // Over-the-wire streaming vs in-process batch.
-    let (served, _reports, wire) = serve_over_tcp(&streamed_cfg);
-    assert_eq!(batch_oracle.final_global, served.final_global, "TCP streaming diverged");
+    // Over-the-wire fold vs in-process batch.
+    let (served, _reports, wire) = serve_over_tcp(&cfg);
+    assert_eq!(batch_oracle.final_global, served.final_global, "TCP fold diverged");
     assert_eq!(batch_oracle.result.accuracy_series(), served.result.accuracy_series());
     for (a, b) in batch_oracle.telemetry.iter().zip(&served.telemetry) {
         assert_eq!(a.sampled, b.sampled);
