@@ -259,22 +259,26 @@ impl StreamingAggregator for StreamingFedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayon::with_threads;
 
-    const DIM: usize = 257;
+    /// A sub-block size, and the Table II CNN's parameter count: 26
+    /// `PAR_LEN` blocks with a ragged tail, so the `fold_weighted_mean` pass
+    /// under the sparse fold actually fans out.
+    const DIMS: [usize; 2] = [257, 1_663_370];
 
     /// A deterministic base vector with awkward values (including -0.0).
-    fn base_vec() -> Vec<f32> {
-        (0..DIM).map(|i| if i == 7 { -0.0 } else { ((i * 31) % 97) as f32 * 0.013 - 0.6 }).collect()
+    fn base_vec(dim: usize) -> Vec<f32> {
+        (0..dim).map(|i| if i == 7 { -0.0 } else { ((i * 31) % 97) as f32 * 0.013 - 0.6 }).collect()
     }
 
-    fn sparse(id: usize, n: usize, seed: usize) -> SparseUpdate {
+    fn sparse(id: usize, n: usize, seed: usize, dim: usize) -> SparseUpdate {
         let idx: Vec<u32> =
-            (0..DIM as u32).filter(|i| (i + seed as u32).is_multiple_of(9)).collect();
+            (0..dim as u32).filter(|i| (i + seed as u32).is_multiple_of(9)).collect();
         let val: Vec<f32> = idx.iter().map(|&i| (i as f32 + seed as f32) * 1e-3).collect();
         SparseUpdate {
             client_id: id,
             num_samples: n,
-            raw_len: DIM,
+            raw_len: dim,
             idx,
             val,
             decoder: None,
@@ -298,45 +302,59 @@ mod tests {
 
     #[test]
     fn sparse_fold_matches_dense_fold_bitwise() {
-        let base = base_vec();
-        let roster = vec![1, 4, 6, 9];
-        // Mixed weights, including a leading zero-weight (fallback path).
-        let updates: Vec<SparseUpdate> =
-            [(1, 0), (4, 10), (6, 3), (9, 25)].iter().map(|&(id, n)| sparse(id, n, id)).collect();
+        for dim in DIMS {
+            let base = base_vec(dim);
+            let roster = vec![1, 4, 6, 9];
+            // Mixed weights, including a leading zero-weight (fallback path).
+            let updates: Vec<SparseUpdate> = [(1, 0), (4, 10), (6, 3), (9, 25)]
+                .iter()
+                .map(|&(id, n)| sparse(id, n, id, dim))
+                .collect();
 
-        let mut s = StreamingFedAvg::new(DIM, &roster);
-        let mut d = StreamingFedAvg::new(DIM, &roster);
-        for u in &updates {
-            s.push_sparse(u, &base);
-            d.push(&dense_of(u, &base));
+            let fold = |threads: usize| {
+                with_threads(threads, || {
+                    let mut s = StreamingFedAvg::new(dim, &roster);
+                    let mut d = StreamingFedAvg::new(dim, &roster);
+                    for u in &updates {
+                        s.push_sparse(u, &base);
+                        d.push(&dense_of(u, &base));
+                    }
+                    let s_out = Box::new(s).finalize().unwrap();
+                    let d_out = Box::new(d).finalize().unwrap();
+                    assert_eq!(bits(&s_out.params), bits(&d_out.params), "d={dim} t={threads}");
+                    assert_eq!(s_out.selected, d_out.selected);
+                    // -0.0 at an unselected coordinate survived as a copy.
+                    assert!(s_out.params.iter().all(|x| x.is_finite()));
+                    bits(&s_out.params)
+                })
+            };
+            assert_eq!(fold(1), fold(4), "d={dim}: sparse fold diverged across thread counts");
         }
-        let s_out = Box::new(s).finalize().unwrap();
-        let d_out = Box::new(d).finalize().unwrap();
-        assert_eq!(bits(&s_out.params), bits(&d_out.params));
-        assert_eq!(s_out.selected, d_out.selected);
-        // -0.0 at an unselected coordinate survived as a copy.
-        assert!(s_out.params.iter().all(|x| x.is_finite()));
     }
 
     #[test]
     fn sparse_fold_is_arrival_order_invariant() {
-        let base = base_vec();
-        let roster = vec![0, 2, 5, 8];
-        let updates: Vec<SparseUpdate> =
-            [(0, 4), (2, 9), (5, 1), (8, 16)].iter().map(|&(id, n)| sparse(id, n, id)).collect();
+        for dim in DIMS {
+            let base = base_vec(dim);
+            let roster = vec![0, 2, 5, 8];
+            let updates: Vec<SparseUpdate> = [(0, 4), (2, 9), (5, 1), (8, 16)]
+                .iter()
+                .map(|&(id, n)| sparse(id, n, id, dim))
+                .collect();
 
-        let mut in_order = StreamingFedAvg::new(DIM, &roster);
-        for u in &updates {
-            in_order.push_sparse(u, &base);
+            let mut in_order = StreamingFedAvg::new(dim, &roster);
+            for u in &updates {
+                in_order.push_sparse(u, &base);
+            }
+            // Reversed arrivals park in the reorder buffer (as dense vectors)
+            // and drain in slot order — same fold sequence.
+            let mut reversed = StreamingFedAvg::new(dim, &roster);
+            for u in updates.iter().rev() {
+                reversed.push_sparse(u, &base);
+            }
+            let a = Box::new(in_order).finalize().unwrap();
+            let b = Box::new(reversed).finalize().unwrap();
+            assert_eq!(bits(&a.params), bits(&b.params), "d={dim}");
         }
-        // Reversed arrivals park in the reorder buffer (as dense vectors)
-        // and drain in slot order — same fold sequence.
-        let mut reversed = StreamingFedAvg::new(DIM, &roster);
-        for u in updates.iter().rev() {
-            reversed.push_sparse(u, &base);
-        }
-        let a = Box::new(in_order).finalize().unwrap();
-        let b = Box::new(reversed).finalize().unwrap();
-        assert_eq!(bits(&a.params), bits(&b.params));
     }
 }

@@ -4,12 +4,11 @@
 //! `coordinate_median` / `trimmed_mean_vectors` must not touch the
 //! allocator for scratch at all.
 //!
-//! `workspace::alloc_events` is process-global, so this file holds exactly
-//! one `#[test]`: its own process, no sibling test to move the counter
-//! between the two reads. `with_threads(1)` keeps every take on the calling
-//! thread's pool — the pools are per-thread, so which worker is warm under
-//! a wider schedule is up to the scheduler (thread-count invariance of the
-//! results is `schedule_invariance`'s job).
+//! `workspace::alloc_events` counts the calling thread's allocations, and
+//! `with_threads(1)` keeps every take on that thread's pool — the pools are
+//! per-thread, so which worker is warm under a wider schedule is up to the
+//! scheduler (thread-count invariance of the results is
+//! `schedule_invariance`'s job).
 
 use fg_agg::{coordinate_median, trimmed_mean_vectors};
 use fg_tensor::rng::SeededRng;

@@ -138,9 +138,6 @@ fn main() {
         cfg.compression =
             Compression::parse(&spec).unwrap_or_else(|| panic!("unknown --compress mode {spec:?}"));
     }
-    // Resolve FG_COMPRESS before the config is serialized, so workers and
-    // the oracle replay all see the same effective mode.
-    cfg.compression = cfg.compression.resolved();
     if let Some(dir) = flag_value(&args, "--telemetry") {
         cfg.telemetry_dir = Some(dir);
     }

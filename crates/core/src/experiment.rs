@@ -180,10 +180,9 @@ pub struct ExperimentConfig {
     pub resilience: ResiliencePolicy,
     /// Wire-level update compression (bf16 / int8 / top-k; see
     /// [`Compression`]). The default `None` keeps every model payload as
-    /// dense f32 — bit-identical to pre-compression deployments — and
-    /// `FG_COMPRESS` overrides at run time (applied via
-    /// [`Compression::resolved`] by the runners). `#[serde(default)]` keeps
-    /// config blobs from older deployments parseable.
+    /// dense f32 — bit-identical to pre-compression deployments.
+    /// `#[serde(default)]` keeps config blobs from older deployments
+    /// parseable.
     #[serde(default)]
     pub compression: Compression,
 }
@@ -588,7 +587,7 @@ fn run_with(
         // A custom transport (TcpTransport) negotiates its own compression
         // mode in the Join/Welcome handshake.
         Some(t) => builder.transport(t),
-        None => builder.datasets(setup.datasets).cvae(cvae).compression(cfg.compression.resolved()),
+        None => builder.datasets(setup.datasets).cvae(cvae).compression(cfg.compression),
     };
     if let Some(dir) = &cfg.telemetry_dir {
         let path = std::path::Path::new(dir).join(format!("{}.jsonl", cfg.cell_stem()));

@@ -5,9 +5,8 @@
 //! module turns the `fg_tensor::codec` kernels into a transport-level
 //! compression layer:
 //!
-//! * [`Compression`] — the experiment knob (`FG_COMPRESS` overrides),
-//!   negotiated in the Join/Welcome handshake so one server-side config
-//!   drives every client process.
+//! * [`Compression`] — the experiment knob, negotiated in the Join/Welcome
+//!   handshake so one server-side config drives every client process.
 //! * [`CompressedBlob`] / [`CompressedUpdate`] — the in-memory form of the
 //!   `UploadCompressed` / `RoundStartCompressed` wire frames.
 //! * [`compress_update`] / [`decompress_update`] — the encode→decode pair
@@ -39,7 +38,7 @@
 //! `fg_tensor::codec`), and both transports call the same
 //! [`decompress_update`]; the dequantized fold is therefore bit-identical
 //! across thread counts, arrival orders, and Local-vs-TCP deployments —
-//! asserted by `bench_compression` and `tests/net_equivalence.rs`.
+//! asserted by `tests/net_equivalence.rs`.
 
 use crate::update::{ModelUpdate, UpdateRejection};
 use fg_obs::metrics::Counter;
@@ -67,7 +66,6 @@ pub const DEFAULT_INT8_BLOCK: usize = codec::CODEC_SLAB;
 pub const DEFAULT_TOPK_FRAC: f64 = 0.1;
 
 /// Wire-compression mode for model payloads; the `ExperimentConfig` knob.
-/// `FG_COMPRESS` overrides at run time (see [`Compression::resolved`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum Compression {
     /// Dense f32 frames — bit-identical to the pre-compression protocol.
@@ -89,21 +87,10 @@ pub enum Compression {
 }
 
 impl Compression {
-    /// Apply the `FG_COMPRESS` environment override: `0`/`false`/`off`/
-    /// `none` force dense frames; `bf16`, `int8[:block]`, `topk[:frac]`
-    /// force that codec; anything else (or unset) keeps the configured
-    /// mode.
-    pub fn resolved(self) -> Compression {
-        match std::env::var("FG_COMPRESS") {
-            Ok(v) => Compression::parse(&v).unwrap_or(self),
-            Err(_) => self,
-        }
-    }
-
-    /// Parse a mode spec — the shared grammar of `FG_COMPRESS` and the
-    /// bench binaries' `--compress` flag: `0`/`false`/`off`/`none` for
-    /// dense frames; `bf16`; `int8[:block]`; `topk[:frac]`. `None` for
-    /// anything else (out-of-range arguments fall back to the defaults).
+    /// Parse a mode spec — the grammar of `fed_server --compress`:
+    /// `0`/`false`/`off`/`none` for dense frames; `bf16`; `int8[:block]`;
+    /// `topk[:frac]`. `None` for anything else (out-of-range arguments fall
+    /// back to the defaults).
     pub fn parse(spec: &str) -> Option<Compression> {
         let v = spec.to_ascii_lowercase();
         let (mode, arg) = match v.split_once(':') {
@@ -494,29 +481,22 @@ mod tests {
     }
 
     #[test]
-    fn resolved_parses_the_env_grammar() {
-        // Set/unset FG_COMPRESS around each case; tests in this crate run
-        // single-process per binary but the var is process-global, so keep
-        // the whole grammar in one test.
-        let base = Compression::Bf16;
-        for (v, want) in [
-            ("off", Compression::None),
-            ("none", Compression::None),
-            ("0", Compression::None),
-            ("bf16", Compression::Bf16),
-            ("int8", Compression::Int8 { block: DEFAULT_INT8_BLOCK }),
-            ("int8:512", Compression::Int8 { block: 512 }),
-            ("int8:junk", Compression::Int8 { block: DEFAULT_INT8_BLOCK }),
-            ("topk", Compression::TopK { frac: DEFAULT_TOPK_FRAC }),
-            ("topk:0.25", Compression::TopK { frac: 0.25 }),
-            ("topk:7", Compression::TopK { frac: DEFAULT_TOPK_FRAC }),
-            ("garbage", base),
+    fn parse_accepts_the_flag_grammar() {
+        for (spec, want) in [
+            ("off", Some(Compression::None)),
+            ("none", Some(Compression::None)),
+            ("0", Some(Compression::None)),
+            ("bf16", Some(Compression::Bf16)),
+            ("int8", Some(Compression::Int8 { block: DEFAULT_INT8_BLOCK })),
+            ("int8:512", Some(Compression::Int8 { block: 512 })),
+            ("int8:junk", Some(Compression::Int8 { block: DEFAULT_INT8_BLOCK })),
+            ("topk", Some(Compression::TopK { frac: DEFAULT_TOPK_FRAC })),
+            ("topk:0.25", Some(Compression::TopK { frac: 0.25 })),
+            ("topk:7", Some(Compression::TopK { frac: DEFAULT_TOPK_FRAC })),
+            ("garbage", None),
         ] {
-            std::env::set_var("FG_COMPRESS", v);
-            assert_eq!(base.resolved(), want, "FG_COMPRESS={v}");
+            assert_eq!(Compression::parse(spec), want, "--compress {spec}");
         }
-        std::env::remove_var("FG_COMPRESS");
-        assert_eq!(base.resolved(), base);
     }
 
     #[test]

@@ -347,19 +347,25 @@ mod tests {
     #[test]
     fn batched_matches_sequential_oracle_bitwise() {
         let spec = ClassifierSpec::Mlp { hidden: 12 };
-        let params = mlp_models(5, 12, 7);
         let mut rng = SeededRng::new(8);
         let x = Tensor::randn(&[23, 784], &mut rng); // ragged at batch 8
         let y: Vec<usize> = (0..23).map(|i| i % 10).collect();
 
-        let views: Vec<&[f32]> = params.iter().map(|p| p.as_slice()).collect();
-        let batched = BatchedClassifier::new(&spec, &views).evaluate(&x, &y, 8);
-        let oracle: Vec<f32> =
-            params.iter().map(|p| Classifier::from_params(&spec, p).evaluate(&x, &y, 8)).collect();
-        assert_eq!(
-            batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        // Inside one model block, exactly one, and two plus a ragged third.
+        for count in [5, MODEL_BLOCK, 2 * MODEL_BLOCK + 1] {
+            let params = mlp_models(count, 12, 7);
+            let views: Vec<&[f32]> = params.iter().map(|p| p.as_slice()).collect();
+            let batched = BatchedClassifier::new(&spec, &views).evaluate(&x, &y, 8);
+            let oracle: Vec<f32> = params
+                .iter()
+                .map(|p| Classifier::from_params(&spec, p).evaluate(&x, &y, 8))
+                .collect();
+            assert_eq!(
+                batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "m = {count}"
+            );
+        }
     }
 
     #[test]

@@ -11,12 +11,9 @@
 //! (Output tensors returned to the caller are per-call allocations by API
 //! design and are not counted; the contract covers workspace scratch.)
 //!
-//! `alloc_events` is process-global while the pools are per-thread, so a
-//! sibling test allocating concurrently would move the counter between our
-//! reads and fail the assertion spuriously. [`alloc_delta`] takes a global
-//! lock around the measured region: every measured section runs alone, and
-//! `with_threads(1)` inside it keeps all workspace traffic on the locked
-//! thread.
+//! `alloc_events` counts the calling thread's allocations, and
+//! `with_threads(1)` keeps every workspace request of a measured region on
+//! that thread, so sibling tests cannot move the reading.
 
 use fg_nn::conv_layer::Conv2d;
 use fg_nn::linear::Linear;
@@ -25,16 +22,9 @@ use fg_tensor::rng::SeededRng;
 use fg_tensor::workspace;
 use fg_tensor::Tensor;
 use rayon::with_threads;
-use std::sync::Mutex;
 
-/// Serializes every region measured against the global `alloc_events`
-/// counter (shared by all tests in this binary).
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with exclusive ownership of the allocation counter and return
-/// how many workspace allocations it performed.
+/// How many workspace allocations `f` performed on this thread.
 fn alloc_delta(f: impl FnOnce()) -> u64 {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let before = workspace::alloc_events();
     f();
     workspace::alloc_events() - before

@@ -157,8 +157,17 @@ mod tests {
         SpanRecord { id, parent: 0, name: "flight.test", tid: 0, start_ns: t0, end_ns: t1 }
     }
 
+    /// The recorder is one per process and these tests switch it on and off,
+    /// so they take turns: an `enable` landing between another test's
+    /// `disable` and its `recent` would fail that test for no reason.
+    fn recorder() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: Mutex<()> = Mutex::new(());
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn ring_is_bounded_and_ordered() {
+        let _turn = recorder();
         enable(4);
         clear();
         for i in 0..10u64 {
@@ -174,6 +183,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_captures_nothing() {
+        let _turn = recorder();
         disable();
         clear();
         offer(rec(99, 0, 1));
@@ -182,6 +192,7 @@ mod tests {
 
     #[test]
     fn dump_writes_trace_and_manifest() {
+        let _turn = recorder();
         enable(16);
         clear();
         offer(rec(1, 0, 1_000_000));

@@ -12,9 +12,10 @@
 //!   only touch the allocator otherwise.
 //! * Dropping the guard returns the buffer to the current thread's pool
 //!   (guards may migrate across pool workers; buffers simply change homes).
-//! * Pool traffic feeds the `fg-obs` metrics `tensor.workspace.hits` /
-//!   `.misses` / `.evictions`; [`alloc_events`] (the misses counter) lets
-//!   tests assert that a steady-state training loop performs **zero**
+//! * Pool traffic feeds the process-wide `fg-obs` metrics
+//!   `tensor.workspace.hits` / `.misses` / `.evictions`; [`alloc_events`]
+//!   (the calling thread's share of the misses, per-thread like the pools)
+//!   lets tests assert that a steady-state training loop performs **zero**
 //!   workspace allocations after warm-up (`crates/nn/tests/alloc_free.rs`).
 //!
 //! The pool is deliberately simple: a best-fit scan over at most
@@ -29,7 +30,7 @@
 //! pool state.
 
 use fg_obs::metrics::Counter;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
 
 /// Upper bound on buffers retained per thread; excess buffers are freed on
@@ -40,15 +41,16 @@ const MAX_POOLED: usize = 96;
 
 /// Non-empty takes served from a recycled buffer.
 static HITS: Counter = Counter::new("tensor.workspace.hits");
-/// Non-empty takes that had to touch the allocator — the value
-/// [`alloc_events`] reports, and the one steady-state hot paths must not
-/// move.
+/// Non-empty takes that had to touch the allocator, process-wide (the
+/// telemetry view; [`alloc_events`] is the per-thread one).
 static MISSES: Counter = Counter::new("tensor.workspace.misses");
 /// Buffers freed on return because the per-thread pool was full.
 static EVICTIONS: Counter = Counter::new("tensor.workspace.evictions");
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// This thread's misses — what [`alloc_events`] reports.
+    static THREAD_MISSES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// RAII guard over a pooled scratch buffer; derefs to `[f32]` of exactly the
@@ -129,6 +131,7 @@ fn take_raw(len: usize) -> Vec<f32> {
         None => {
             if len > 0 {
                 MISSES.incr();
+                THREAD_MISSES.with(|m| m.set(m.get() + 1));
             }
             Vec::with_capacity(len)
         }
@@ -153,11 +156,13 @@ pub fn take_zeroed(len: usize) -> Scratch {
     s
 }
 
-/// Number of workspace allocator hits since process start (the
-/// `tensor.workspace.misses` metric). Steady-state hot paths must not move
-/// this counter; see `crates/nn/tests/alloc_free.rs`.
+/// Number of times the **calling thread** had to touch the allocator for a
+/// non-empty take. Per-thread, like the pools it describes, so a reader is
+/// never moved by another thread's warm-up: measure on one thread (under
+/// `rayon::with_threads(1)`). Steady-state hot paths must not move it; see
+/// `crates/nn/tests/alloc_free.rs`.
 pub fn alloc_events() -> u64 {
-    MISSES.get()
+    THREAD_MISSES.with(Cell::get)
 }
 
 #[cfg(test)]

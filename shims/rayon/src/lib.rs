@@ -11,22 +11,21 @@
 //! ## Execution model
 //!
 //! An iterator chain is a tree of splittable [`Producer`]s (ranges, slices,
-//! chunk views, and the `map`/`zip`/`enumerate`/`filter` adapters over
-//! them). A consuming operation (`for_each`, `collect`, `sum`, `fold`,
-//! `reduce`) recursively halves the producer into segments and executes the
-//! segments via [`join`], then combines the per-segment results **in index
-//! order**.
+//! chunk views, and the `map`/`zip`/`enumerate` adapters over them). A
+//! consuming operation (`for_each`, `collect`, `fold`, `reduce`) recursively
+//! halves the producer into segments and executes the segments via [`join`],
+//! then combines the per-segment results **in index order**.
 //!
 //! ## Determinism contract
 //!
-//! The segment tree is a pure function of the input length (and
-//! `with_min_len`), never of the thread count, and segment results are
-//! always combined left-to-right in the fixed tree shape. The thread count
-//! (`FG_THREADS`, or a scoped [`with_threads`] override) therefore changes
-//! only *which thread* runs a segment, not what is computed or in what
-//! order results are folded — so every consumer, including
-//! order-sensitive `f32` reductions, is bit-identical at any thread count.
-//! `FG_THREADS=1` runs the same tree inline on the calling thread.
+//! The segment tree is a pure function of the input length, never of the
+//! thread count, and segment results are always combined left-to-right in
+//! the fixed tree shape. The thread count (`FG_THREADS`, or a scoped
+//! [`with_threads`] override) therefore changes only *which thread* runs a
+//! segment, not what is computed or in what order results are folded — so
+//! every consumer, including order-sensitive `f32` reductions, is
+//! bit-identical at any thread count. `FG_THREADS=1` runs the same tree
+//! inline on the calling thread.
 
 mod pool;
 
@@ -38,12 +37,6 @@ pub use pool::{current_num_threads, join, with_threads};
 /// no matter how many workers execute it. 32 segments keep up to 32 threads
 /// busy while costing only ~5 levels of split recursion.
 const MAX_SEGMENTS: usize = 32;
-
-/// Smallest segment the driver will produce for an input of `len` items:
-/// `len / MAX_SEGMENTS`, floored by the iterator's `with_min_len`.
-fn segment_floor(len: usize, min_len: usize) -> usize {
-    min_len.max(len.div_ceil(MAX_SEGMENTS)).max(1)
-}
 
 // ---------------------------------------------------------------------------
 // Producers: splittable sources
@@ -57,8 +50,7 @@ pub trait Producer: Sized + Send {
     type Item: Send;
     type IntoIter: Iterator<Item = Self::Item>;
 
-    /// Number of items (an upper bound for `filter`, exact otherwise); used
-    /// only to shape the split tree.
+    /// Exact number of items.
     fn len(&self) -> usize;
 
     /// Split into `[0, index)` and `[index, len)`.
@@ -240,12 +232,6 @@ where
 }
 
 /// `zip` adapter; both sides split at the same index.
-///
-/// Both producers must report **exact** lengths: segments are paired purely
-/// by index, so a side whose `len()` is only an upper bound (notably
-/// [`FilterProducer`]) would silently mispair or drop items. Real rayon
-/// forbids this by making filtered iterators unindexed; here the contract is
-/// only documented, so do not `zip` a filtered iterator.
 pub struct ZipProducer<P, Q> {
     a: P,
     b: Q,
@@ -319,38 +305,6 @@ impl<P: Producer> Producer for EnumerateProducer<P> {
     }
 }
 
-/// `filter` adapter. `len()` is the pre-filter upper bound, which only
-/// shapes the split tree; order is preserved because segments are combined
-/// in index order. Because `len()` is inexact, a filtered iterator must not
-/// feed adapters that treat `Producer::len()` as exact — see the
-/// [`ZipProducer`] contract.
-pub struct FilterProducer<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, F> Producer for FilterProducer<P, F>
-where
-    P: Producer,
-    F: Fn(&P::Item) -> bool + Clone + Send,
-{
-    type Item = P::Item;
-    type IntoIter = std::iter::Filter<P::IntoIter, F>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (FilterProducer { base: l, f: self.f.clone() }, FilterProducer { base: r, f: self.f })
-    }
-
-    fn into_seq(self) -> Self::IntoIter {
-        self.base.into_seq().filter(self.f)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The driver: deterministic split tree, work distributed via join
 // ---------------------------------------------------------------------------
@@ -387,20 +341,19 @@ where
 // ParIter: the user-facing parallel iterator
 // ---------------------------------------------------------------------------
 
-/// Stand-in for every rayon parallel-iterator type: a splittable producer
-/// plus the `with_min_len` granularity floor.
+/// Stand-in for every rayon parallel-iterator type: a splittable producer.
 pub struct ParIter<P> {
     p: P,
-    min_len: usize,
 }
 
 fn par<P>(p: P) -> ParIter<P> {
-    ParIter { p, min_len: 1 }
+    ParIter { p }
 }
 
 impl<P: Producer> ParIter<P> {
+    /// Smallest segment the driver will produce for this input.
     fn floor(&self) -> usize {
-        segment_floor(self.p.len(), self.min_len)
+        self.p.len().div_ceil(MAX_SEGMENTS).max(1)
     }
 
     fn parallel() -> bool {
@@ -414,31 +367,16 @@ impl<P: Producer> ParIter<P> {
         B: Send,
         F: Fn(P::Item) -> B + Clone + Send,
     {
-        ParIter { p: MapProducer { base: self.p, f }, min_len: self.min_len }
+        par(MapProducer { base: self.p, f })
     }
 
-    /// Pair items by index. Both sides must be exact-length iterators — see
-    /// the [`ZipProducer`] contract; do not zip a `filter`ed iterator.
+    /// Pair items by index.
     pub fn zip<J: IntoParallelIterator>(self, other: J) -> ParIter<ZipProducer<P, J::Producer>> {
-        ParIter { p: ZipProducer { a: self.p, b: other.into_par_iter().p }, min_len: self.min_len }
+        par(ZipProducer { a: self.p, b: other.into_par_iter().p })
     }
 
     pub fn enumerate(self) -> ParIter<EnumerateProducer<P>> {
-        ParIter { p: EnumerateProducer { base: self.p, offset: 0 }, min_len: self.min_len }
-    }
-
-    pub fn filter<F>(self, f: F) -> ParIter<FilterProducer<P, F>>
-    where
-        F: Fn(&P::Item) -> bool + Clone + Send,
-    {
-        ParIter { p: FilterProducer { base: self.p, f }, min_len: self.min_len }
-    }
-
-    /// Lower bound on segment size; raises the granularity floor exactly
-    /// like rayon's `with_min_len`.
-    pub fn with_min_len(mut self, min: usize) -> Self {
-        self.min_len = self.min_len.max(min.max(1));
-        self
+        par(EnumerateProducer { base: self.p, offset: 0 })
     }
 
     // ---- consumers -------------------------------------------------------
@@ -478,23 +416,6 @@ impl<P: Producer> ParIter<P> {
     /// Collect into a container, preserving input order.
     pub fn collect<C: FromParallelIterator<P::Item>>(self) -> C {
         C::from_par_vec(self.collect_vec())
-    }
-
-    /// Parallel sum. Per-segment sums combine in index order, so the result
-    /// is identical at any thread count.
-    pub fn sum<S>(self) -> S
-    where
-        S: Send + std::iter::Sum<P::Item> + std::iter::Sum<S>,
-    {
-        let floor = self.floor();
-        drive(self.p, floor, Self::parallel(), &|leaf: P| leaf.into_seq().sum::<S>(), &|a, b| {
-            [a, b].into_iter().sum::<S>()
-        })
-    }
-
-    pub fn count(self) -> usize {
-        let floor = self.floor();
-        drive(self.p, floor, Self::parallel(), &|leaf: P| leaf.into_seq().count(), &|a, b| a + b)
     }
 
     /// Rayon-style fold: one accumulator **per segment** of the fixed split
@@ -681,7 +602,7 @@ mod tests {
             .par_chunks(2)
             .zip(b.par_chunks(2))
             .map(|(x, y)| x.iter().zip(y).map(|(p, q)| p * q).sum::<f32>())
-            .sum();
+            .reduce(|| 0.0, |a, b| a + b);
         assert_eq!(s, 10.0 + 40.0 + 90.0 + 160.0);
     }
 
@@ -690,13 +611,6 @@ mod tests {
         let mut out = [0usize; 6];
         out.par_chunks_mut(2).enumerate().for_each(|(i, c)| c.iter_mut().for_each(|x| *x = i));
         assert_eq!(out, [0, 0, 1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn filter_keeps_order() {
-        let v: Vec<usize> =
-            with_threads(4, || (0..1000usize).into_par_iter().filter(|x| x % 3 == 0).collect());
-        assert_eq!(v, (0..1000usize).filter(|x| x % 3 == 0).collect::<Vec<_>>());
     }
 
     #[test]
@@ -774,11 +688,12 @@ mod tests {
     fn float_sum_is_bit_identical_across_thread_counts() {
         // An adversarial sequence where summation order visibly matters.
         let xs: Vec<f32> = (0..100_000).map(|i| ((i * 37 % 1000) as f32 - 499.5) * 1e-3).collect();
-        let s1: f32 = with_threads(1, || xs.par_iter().map(|&x| x * x - 0.1).sum());
-        let s4: f32 = with_threads(4, || xs.par_iter().map(|&x| x * x - 0.1).sum());
-        let s8: f32 = with_threads(8, || xs.par_iter().map(|&x| x * x - 0.1).sum());
-        assert_eq!(s1.to_bits(), s4.to_bits());
-        assert_eq!(s1.to_bits(), s8.to_bits());
+        let sum = |n: usize| {
+            with_threads(n, || xs.par_iter().map(|&x| x * x - 0.1).reduce(|| 0.0f32, |a, b| a + b))
+        };
+        let s1 = sum(1).to_bits();
+        assert_eq!(s1, sum(4).to_bits());
+        assert_eq!(s1, sum(8).to_bits());
     }
 
     #[test]
@@ -826,16 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn with_min_len_coarsens_but_preserves_results() {
-        let a: Vec<f32> = (0..4_000).map(|i| i as f32).collect();
-        let fine: f32 = with_threads(4, || a.par_iter().map(|&x| x).sum());
-        let coarse: f32 = with_threads(4, || a.par_iter().with_min_len(4_000).map(|&x| x).sum());
-        // The total stays below 2^24, so every partial is exact in f32 and
-        // the two tree shapes must agree bitwise.
-        assert_eq!(fine, coarse);
-    }
-
-    #[test]
     fn par_iter_mut_writes_every_slot() {
         let mut v = vec![0usize; 5000];
         with_threads(4, || v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i * 3));
@@ -843,11 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn count_and_empty_inputs() {
-        assert_eq!((0..0usize).into_par_iter().count(), 0);
-        let empty: Vec<f32> = Vec::new();
-        let s: f32 = empty.par_iter().map(|&x| x).sum();
-        assert_eq!(s, 0.0);
+    fn empty_input_reduces_to_the_identity() {
         let r = (0..0usize).into_par_iter().map(|x| x as f32).reduce(|| 0.0, |a, b| a + b);
         assert_eq!(r, 0.0);
     }

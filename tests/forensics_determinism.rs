@@ -37,7 +37,7 @@ fn serve_over_tcp(cfg: &ExperimentConfig) -> RunArtifacts {
     let mut transport =
         TcpTransport::bind("127.0.0.1:0", cfg.fed.n_clients, param_len, blob, net_cfg())
             .expect("bind loopback transport")
-            .with_compression(cfg.compression.resolved());
+            .with_compression(cfg.compression);
     let addr = transport.local_addr().expect("ephemeral address");
     let handles: Vec<_> = (0..cfg.fed.n_clients)
         .map(|id| {

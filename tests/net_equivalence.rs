@@ -41,7 +41,7 @@ fn bind_for(cfg: &ExperimentConfig) -> (TcpTransport, SocketAddr) {
     let transport =
         TcpTransport::bind("127.0.0.1:0", cfg.fed.n_clients, param_len, blob, net_cfg())
             .expect("bind loopback transport")
-            .with_compression(cfg.compression.resolved());
+            .with_compression(cfg.compression);
     let addr = transport.local_addr().expect("ephemeral address");
     (transport, addr)
 }
