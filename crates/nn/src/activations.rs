@@ -1,11 +1,13 @@
 //! Parameter-free activation layers.
 
-use crate::layer::{Layer, Module, Parameter};
+use crate::layer::{cache_tensor, Layer, Module, Parameter};
 use fg_tensor::Tensor;
 
 /// Rectified linear unit.
 #[derive(Default)]
 pub struct ReLU {
+    /// Which inputs of the last training forward were positive; the buffer
+    /// is recycled across steps.
     mask: Option<Vec<bool>>,
 }
 
@@ -27,7 +29,9 @@ impl Layer for ReLU {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if train {
-            self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
+            let mask = self.mask.get_or_insert_with(Vec::new);
+            mask.clear();
+            mask.extend(input.data().iter().map(|&x| x > 0.0));
         }
         input.map(|x| x.max(0.0))
     }
@@ -72,7 +76,7 @@ impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = input.map(Sigmoid::apply);
         if train {
-            self.cached_output = Some(out.clone());
+            cache_tensor(&mut self.cached_output, &out);
         }
         out
     }
@@ -104,6 +108,23 @@ mod tests {
         relu.forward(&x, true);
         let g = relu.backward(&Tensor::from_vec(vec![5.0, 5.0], &[2]));
         assert_eq!(g.data(), &[0.0, 5.0]);
+    }
+
+    #[test]
+    fn recycled_caches_follow_a_shape_change() {
+        let mut relu = ReLU::new();
+        let mut sigmoid = Sigmoid::new();
+        for x in [vec![-1.0, 2.0, 3.0], vec![4.0, -5.0]] {
+            let n = x.len();
+            let x = Tensor::from_vec(x, &[n]);
+            relu.forward(&x, true);
+            let mask: Vec<f32> =
+                x.data().iter().map(|&v| if v > 0.0 { 1.0 } else { 0.0 }).collect();
+            assert_eq!(relu.backward(&Tensor::ones(&[n])).data(), &mask[..]);
+            let s = sigmoid.forward(&x, true);
+            let want: Vec<f32> = s.data().iter().map(|&s| s * (1.0 - s)).collect();
+            assert_eq!(sigmoid.backward(&Tensor::ones(&[n])).data(), &want[..]);
+        }
     }
 
     #[test]

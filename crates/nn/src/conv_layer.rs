@@ -1,7 +1,9 @@
 //! Convolution layer wrapping the im2col kernels of `fg-tensor`.
 
 use crate::layer::{cache_tensor, Layer, Module, Parameter};
-use fg_tensor::conv::{conv2d_backward_acc, conv2d_forward, Conv2dSpec};
+use fg_tensor::conv::{
+    conv2d_backward_acc, conv2d_backward_params_acc, conv2d_forward, Conv2dSpec,
+};
 use fg_tensor::rng::SeededRng;
 use fg_tensor::Tensor;
 
@@ -73,11 +75,23 @@ impl Layer for Conv2d {
             &mut self.bias.grad,
         )
     }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let input = self.cached_input.as_ref().expect("Conv2d::backward before forward");
+        conv2d_backward_params_acc(
+            input,
+            grad_output,
+            &self.spec,
+            &mut self.weight.grad,
+            &mut self.bias.grad,
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
 
     #[test]
     fn table_ii_conv_param_counts() {
@@ -99,5 +113,25 @@ mod tests {
         let dx = conv.backward(&Tensor::ones(y.dims()));
         assert_eq!(dx.dims(), x.dims());
         assert!(conv.weight.grad.l2_norm() > 0.0);
+    }
+
+    #[test]
+    fn params_only_backward_accumulates_the_same_gradient_bits() {
+        let mut rng = SeededRng::new(2);
+        // Batch 5 splits the fold/reduce tree unevenly.
+        let mut full = Conv2d::new(2, 4, 3, 1, &mut rng);
+        let mut lean = Conv2d::new(2, 4, 3, 1, &mut SeededRng::new(0));
+        lean.weight.value.copy_from(&full.weight.value);
+        lean.bias.value.copy_from(&full.bias.value);
+        let x = Tensor::randn(&[5, 2, 8, 8], &mut rng);
+        let g = Tensor::randn(&[5, 4, 8, 8], &mut rng);
+        for _ in 0..2 {
+            full.forward(&x, true);
+            full.backward(&g);
+            lean.forward(&x, true);
+            lean.backward_params(&g);
+        }
+        assert_eq!(bits(lean.weight.grad.data()), bits(full.weight.grad.data()));
+        assert_eq!(bits(lean.bias.grad.data()), bits(full.bias.grad.data()));
     }
 }

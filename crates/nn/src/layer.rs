@@ -66,14 +66,23 @@ pub fn cache_tensor(slot: &mut Option<Tensor>, value: &Tensor) {
 ///
 /// `forward` caches whatever it needs (inputs, masks, argmax indices);
 /// `backward` consumes that cache, accumulates parameter gradients and
-/// returns the gradient with respect to its input. Calling `backward` without
-/// a preceding `forward` panics.
+/// returns the gradient with respect to its input. Calling `backward` (or
+/// `backward_params`) without a preceding `forward` panics.
 pub trait Layer: Module + Send {
     /// Compute the layer output. `train` requests caching for backprop.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Propagate the upstream gradient, accumulating parameter gradients.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// the first layer of a model: accumulate the parameter gradients, to the
+    /// same bits, and skip the input-gradient product. Layers where that
+    /// product costs something override this; the default computes and drops
+    /// it.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward(grad_output);
+    }
 
     /// Stable kind label used for trace spans and the per-layer
     /// `nn.layer.fwd_ns` / `nn.layer.bwd_ns` timing metrics.

@@ -36,5 +36,12 @@ pub mod pool_layer;
 pub mod sequential;
 
 pub use layer::{Layer, Module, Parameter};
+
+/// The bit patterns of a float slice: what the crate's bit-identity tests
+/// compare, so that NaNs and signed zeros count.
+#[cfg(test)]
+pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sequential::Sequential;

@@ -67,9 +67,15 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_params(grad_output);
+        // dx = g · W.
+        matmul(grad_output, &self.weight.value)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
         let input = self.cached_input.as_ref().expect("Linear::backward before forward");
         // dW += gᵀ · x   (out, in), accumulated straight into the gradient
-        // tensor; db += column sums of g; dx = g · W.
+        // tensor; db += column sums of g.
         matmul_at_acc(grad_output, input, &mut self.weight.grad);
         let db = self.bias.grad.data_mut();
         for r in 0..grad_output.dim(0) {
@@ -77,14 +83,13 @@ impl Layer for Linear {
                 *d += g;
             }
         }
-        matmul(grad_output, &self.weight.value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss;
+    use crate::{bits, loss};
 
     #[test]
     fn forward_shape_and_bias() {
@@ -152,6 +157,28 @@ mod tests {
         let twice = l.weight.grad.clone();
         for (a, b) in once.data().iter().zip(twice.data()) {
             assert!((2.0 * a - b).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn params_only_backward_accumulates_the_same_gradient_bits() {
+        let mut rng = SeededRng::new(5);
+        for (batch, fan_in, fan_out) in [(32, 794, 100), (6, 794, 100), (3, 5, 2)] {
+            let mut full = Linear::new(fan_in, fan_out, &mut rng);
+            let mut lean = Linear::new(fan_in, fan_out, &mut SeededRng::new(0));
+            lean.weight.value.copy_from(&full.weight.value);
+            lean.bias.value.copy_from(&full.bias.value);
+            let x = Tensor::randn(&[batch, fan_in], &mut rng);
+            let g = Tensor::randn(&[batch, fan_out], &mut rng);
+            // Twice, so the second pass accumulates onto a non-zero gradient.
+            for _ in 0..2 {
+                full.forward(&x, true);
+                full.backward(&g);
+                lean.forward(&x, true);
+                lean.backward_params(&g);
+            }
+            assert_eq!(bits(lean.weight.grad.data()), bits(full.weight.grad.data()));
+            assert_eq!(bits(lean.bias.grad.data()), bits(full.bias.grad.data()));
         }
     }
 

@@ -107,21 +107,13 @@ impl Classifier {
         params::load(&mut self.net, flat);
     }
 
-    fn shape_input(&self, x: &Tensor) -> Tensor {
-        match self.spec {
-            ClassifierSpec::TableIICnn => {
-                let b = x.dim(0);
-                x.view(&[b, 1, 28, 28])
-            }
-            ClassifierSpec::Mlp { .. } => x.clone(),
-        }
-    }
-
     /// Raw class logits for a batch of flattened images `(batch, 784)`.
     pub fn logits(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.dim(1), 784, "classifier expects flattened 28x28 images");
-        let shaped = self.shape_input(x);
-        self.net.forward(&shaped, train)
+        match self.spec {
+            ClassifierSpec::TableIICnn => self.net.forward(&x.view(&[x.dim(0), 1, 28, 28]), train),
+            ClassifierSpec::Mlp { .. } => self.net.forward(x, train),
+        }
     }
 
     /// One optimizer step on a mini-batch; returns the batch loss.
@@ -129,7 +121,7 @@ impl Classifier {
         self.net.zero_grad();
         let logits = self.logits(x, true);
         let (loss, dlogits) = loss::softmax_cross_entropy(&logits, y);
-        self.net.backward(&dlogits);
+        self.net.backward_params(&dlogits);
         optim.step(&mut self.net);
         loss
     }
@@ -151,7 +143,7 @@ impl Classifier {
         self.net.zero_grad();
         let logits = self.logits(x, true);
         let (loss, dlogits) = loss::softmax_cross_entropy(&logits, y);
-        self.net.backward(&dlogits);
+        self.net.backward_params(&dlogits);
         if mu != 0.0 {
             let mut off = 0usize;
             self.net.visit_params_mut(&mut |p| {
@@ -235,6 +227,7 @@ impl Module for Classifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
     use crate::optim::Sgd;
 
     #[test]
@@ -304,6 +297,31 @@ mod tests {
             clf.train_batch(&x, &ys, &mut sgd);
         }
         assert!(clf.evaluate(&x, &ys, 32) > 0.95);
+    }
+
+    #[test]
+    fn params_only_first_layer_trains_to_the_same_bits_as_a_full_backward() {
+        for spec in [ClassifierSpec::Mlp { hidden: 64 }, ClassifierSpec::TableIICnn] {
+            let mut rng = SeededRng::new(11);
+            let x = Tensor::rand_uniform(&[6, 784], 0.0, 1.0, &mut rng);
+            let y = vec![3usize, 1, 4, 1, 5, 9];
+            let mut lean = Classifier::new(&spec, &mut SeededRng::new(12));
+            // The same stack, stepped the pre-elision way: a full backward
+            // through every layer, the first one's input gradient included.
+            let mut full = Classifier::new(&spec, &mut SeededRng::new(12));
+            let (mut sgd_lean, mut sgd_full) =
+                (Sgd::with_momentum(0.05, 0.9), Sgd::with_momentum(0.05, 0.9));
+            for _ in 0..3 {
+                lean.train_batch(&x, &y, &mut sgd_lean);
+
+                full.net.zero_grad();
+                let logits = full.logits(&x, true);
+                let (_, dlogits) = loss::softmax_cross_entropy(&logits, &y);
+                full.net.backward(&dlogits);
+                sgd_full.step(&mut full.net);
+            }
+            assert_eq!(bits(&lean.get_params()), bits(&full.get_params()), "{spec:?}");
+        }
     }
 
     #[test]

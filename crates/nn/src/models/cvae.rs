@@ -248,7 +248,8 @@ impl Cvae {
         let dh_lv = self.logvar_head.backward(&dlogvar);
         let dh = dh_mu.add(&dh_lv);
         let dh = self.enc_relu.backward(&dh);
-        self.enc_l1.backward(&dh);
+        // Nothing sits below the first layer: parameter gradients only.
+        self.enc_l1.backward_params(&dh);
 
         optim.step(self);
         recon_loss + kl_loss
@@ -286,6 +287,7 @@ impl Module for Cvae {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
     use crate::optim::Adam;
 
     #[test]
@@ -330,6 +332,70 @@ mod tests {
         let imgs = dec.generate(&z, &[0, 1, 2, 3, 4]);
         assert_eq!(imgs.dims(), &[5, 784]);
         assert!(imgs.data().iter().all(|&p| (0.0..=1.0).contains(&p)));
+    }
+
+    /// [`Cvae::train_batch`] as it ran before the first-layer elision: the
+    /// same step with a full `enc_l1.backward`, input gradient included.
+    fn train_batch_full_backward(
+        cvae: &mut Cvae,
+        x: &Tensor,
+        labels: &[usize],
+        optim: &mut dyn Optimizer,
+        rng: &mut SeededRng,
+    ) -> f32 {
+        cvae.zero_grad();
+        let y = one_hot(labels, cvae.spec.n_classes);
+        let xy = x.concat_cols(&y);
+        let h = cvae.enc_l1.forward(&xy, true);
+        let h = cvae.enc_relu.forward(&h, true);
+        let mu = cvae.mu_head.forward(&h, true);
+        let logvar = cvae.logvar_head.forward(&h, true);
+        let eps = mu.randn_like(rng);
+        let std = logvar.map(|lv| (0.5 * lv).exp());
+        let z = mu.add(&std.mul(&eps));
+        let logits = cvae.decoder.logits(&z, &y, true);
+        let (recon_loss, dlogits) = loss::bce_with_logits(&logits, &xy);
+        let (kl_loss, kl_dmu, kl_dlogvar) = loss::kl_gaussian(&mu, &logvar);
+        let dz = cvae.decoder.backward_to_z(&dlogits);
+        let dmu = dz.add(&kl_dmu);
+        let dlogvar = dz.mul(&eps).mul(&std).map(|v| 0.5 * v).add(&kl_dlogvar);
+        let dh = cvae.mu_head.backward(&dmu).add(&cvae.logvar_head.backward(&dlogvar));
+        let dh = cvae.enc_relu.backward(&dh);
+        let dxy = cvae.enc_l1.backward(&dh);
+        assert_eq!(dxy.dims(), xy.dims());
+        optim.step(cvae);
+        recon_loss + kl_loss
+    }
+
+    #[test]
+    fn params_only_first_layer_trains_to_the_same_bits_as_a_full_backward() {
+        let spec = CvaeSpec::reduced(100, 8);
+        let mut rng = SeededRng::new(21);
+        // A full batch and the 6-row tail of a 134-sample partition.
+        for batch in [32usize, 6] {
+            let x = Tensor::rand_uniform(&[batch, 784], 0.0, 1.0, &mut rng);
+            let labels: Vec<usize> = (0..batch).map(|i| i % 10).collect();
+            let mut lean = Cvae::new(&spec, &mut SeededRng::new(22));
+            let mut full = Cvae::new(&spec, &mut SeededRng::new(22));
+            let (mut adam_lean, mut adam_full) = (Adam::new(2e-3), Adam::new(2e-3));
+            let (mut rng_lean, mut rng_full) = (SeededRng::new(23), SeededRng::new(23));
+            for _ in 0..3 {
+                let a = lean.train_batch(&x, &labels, &mut adam_lean, &mut rng_lean);
+                let b = train_batch_full_backward(
+                    &mut full,
+                    &x,
+                    &labels,
+                    &mut adam_full,
+                    &mut rng_full,
+                );
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            assert_eq!(
+                bits(&params::flatten(&lean)),
+                bits(&params::flatten(&full)),
+                "batch {batch}"
+            );
+        }
     }
 
     #[test]

@@ -50,6 +50,31 @@ impl Module for Sequential {
     }
 }
 
+/// Run one layer's pass `f`; while tracing is enabled, under a span named
+/// after the layer kind and timed into `hist`.
+fn timed<R>(hist: &'static HistogramFamily, name: &'static str, f: impl FnOnce() -> R) -> R {
+    if !fg_obs::enabled() {
+        return f();
+    }
+    let t0 = fg_obs::now_ns();
+    let layer_span = fg_obs::span::span(name);
+    let out = f();
+    drop(layer_span);
+    hist.record(name, fg_obs::now_ns().saturating_sub(t0));
+    out
+}
+
+/// Backward through `layers`, last to first, starting from `grad_output`
+/// (borrowed, not copied); `None` when there is no layer to run.
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_output: &Tensor) -> Option<Tensor> {
+    let mut g: Option<Tensor> = None;
+    for l in layers.iter_mut().rev() {
+        let name = l.name();
+        g = Some(timed(&LAYER_BWD_NS, name, || l.backward(g.as_ref().unwrap_or(grad_output))));
+    }
+    g
+}
+
 impl Layer for Sequential {
     fn name(&self) -> &'static str {
         "sequential"
@@ -57,38 +82,29 @@ impl Layer for Sequential {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let _pass = fg_obs::span::span("nn.forward");
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for l in &mut self.layers {
-            if fg_obs::enabled() {
-                let name = l.name();
-                let t0 = fg_obs::now_ns();
-                let layer_span = fg_obs::span::span(name);
-                x = l.forward(&x, train);
-                drop(layer_span);
-                LAYER_FWD_NS.record(name, fg_obs::now_ns().saturating_sub(t0));
-            } else {
-                x = l.forward(&x, train);
-            }
+            let name = l.name();
+            x = Some(timed(&LAYER_FWD_NS, name, || l.forward(x.as_ref().unwrap_or(input), train)));
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let _pass = fg_obs::span::span("nn.backward");
-        let mut g = grad_output.clone();
-        for l in self.layers.iter_mut().rev() {
-            if fg_obs::enabled() {
-                let name = l.name();
-                let t0 = fg_obs::now_ns();
-                let layer_span = fg_obs::span::span(name);
-                g = l.backward(&g);
-                drop(layer_span);
-                LAYER_BWD_NS.record(name, fg_obs::now_ns().saturating_sub(t0));
-            } else {
-                g = l.backward(&g);
-            }
-        }
-        g
+        backward_through(&mut self.layers, grad_output).unwrap_or_else(|| grad_output.clone())
+    }
+
+    /// Full backward through every layer but the first, whose input gradient
+    /// would be the stack's own: it accumulates its parameter gradients only.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let _pass = fg_obs::span::span("nn.backward");
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let g = backward_through(rest, grad_output);
+        let name = first.name();
+        timed(&LAYER_BWD_NS, name, || first.backward_params(g.as_ref().unwrap_or(grad_output)));
     }
 }
 
@@ -136,5 +152,37 @@ mod tests {
         norm = 0.0;
         net.visit_params(&mut |p| norm += p.grad.l2_norm());
         assert_eq!(norm, 0.0);
+    }
+
+    #[test]
+    fn params_only_backward_fills_the_same_gradients() {
+        let grads = |net: &Sequential| {
+            let mut all = Vec::new();
+            net.visit_params(&mut |p| all.extend(crate::bits(p.grad.data())));
+            all
+        };
+        // Three layers, one layer (nothing to backpropagate through first),
+        // and none.
+        for depth in [3, 1, 0] {
+            let build = || {
+                let mut rng = SeededRng::new(3);
+                let mut net = Sequential::new();
+                if depth >= 1 {
+                    net = net.push(Linear::new(4, 6, &mut rng));
+                }
+                if depth >= 3 {
+                    net = net.push(ReLU::new()).push(Linear::new(6, 2, &mut rng));
+                }
+                net
+            };
+            let (mut full, mut lean) = (build(), build());
+            let mut rng = SeededRng::new(4);
+            let x = Tensor::randn(&[5, 4], &mut rng);
+            let g = Tensor::randn(full.forward(&x, true).dims(), &mut rng);
+            lean.forward(&x, true);
+            full.backward(&g);
+            lean.backward_params(&g);
+            assert_eq!(grads(&lean), grads(&full), "depth {depth}");
+        }
     }
 }

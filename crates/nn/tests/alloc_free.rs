@@ -1,4 +1,5 @@
-//! Steady-state allocation-freedom of the conv/linear hot paths.
+//! Steady-state allocation-freedom of the conv/linear hot paths and of a
+//! whole CVAE train step.
 //!
 //! The blocked GEMM and the im2col convolution draw all scratch — packed
 //! panels, lowered patch matrices, gradient staging — from the thread-local
@@ -69,6 +70,46 @@ fn conv_and_linear_hot_paths_are_allocation_free_after_warmup() {
             delta, 0,
             "steady-state conv/linear train steps must perform zero workspace allocations"
         );
+    });
+}
+
+#[test]
+fn a_whole_cvae_train_step_is_allocation_free_after_warmup() {
+    use fg_nn::models::{Cvae, CvaeSpec};
+    use fg_nn::Adam;
+
+    with_threads(1, || {
+        // The Fast preset's CVAE on one client's epoch: full batches of 32
+        // and the 6-row tail, through every stage of the step — one-hot and
+        // concat, four linear layers each way, ReLU/BCE/KL,
+        // reparameterisation, Adam.
+        let mut rng = SeededRng::new(7);
+        let mut cvae = Cvae::new(&CvaeSpec::reduced(100, 8), &mut rng);
+        let mut adam = Adam::new(2e-3);
+        let batches: Vec<(Tensor, Vec<usize>)> = [32usize, 6]
+            .iter()
+            .map(|&b| {
+                (
+                    Tensor::rand_uniform(&[b, 784], 0.0, 1.0, &mut rng),
+                    (0..b).map(|i| i % 10).collect(),
+                )
+            })
+            .collect();
+        let mut epoch = |cvae: &mut Cvae, rng: &mut SeededRng| {
+            for (x, y) in &batches {
+                cvae.train_batch(x, y, &mut adam, rng);
+            }
+        };
+
+        for _ in 0..2 {
+            epoch(&mut cvae, &mut rng);
+        }
+        let delta = alloc_delta(|| {
+            for _ in 0..4 {
+                epoch(&mut cvae, &mut rng);
+            }
+        });
+        assert_eq!(delta, 0, "warm CVAE train steps must perform zero workspace allocations");
     });
 }
 

@@ -345,6 +345,37 @@ pub fn conv2d_backward_acc(
     d_weight: &mut Tensor,
     d_bias: &mut Tensor,
 ) -> Tensor {
+    let mut d_input = vec![0.0f32; input.numel()];
+    backward_acc(input, Some((weight.data(), &mut d_input)), d_out, spec, d_weight, d_bias);
+    Tensor::from_vec(d_input, input.dims())
+}
+
+/// [`conv2d_backward_acc`] without the input gradient, for a first layer
+/// whose input gradient nobody reads: the same per-image weight/bias
+/// gradients through the same fold/reduce tree (its shape depends on the
+/// batch size only), so `d_weight`/`d_bias` receive the same bits, and the
+/// `dcols` GEMM and its `col2im` scatter are skipped.
+pub fn conv2d_backward_params_acc(
+    input: &Tensor,
+    d_out: &Tensor,
+    spec: &Conv2dSpec,
+    d_weight: &mut Tensor,
+    d_bias: &mut Tensor,
+) {
+    backward_acc(input, None, d_out, spec, d_weight, d_bias);
+}
+
+/// The shared body of the two backward entry points; `input_grad` carries
+/// the filter bank's data and the zeroed `(b, c, h, w)` buffer when the
+/// input gradient is wanted.
+fn backward_acc(
+    input: &Tensor,
+    input_grad: Option<(&[f32], &mut [f32])>,
+    d_out: &Tensor,
+    spec: &Conv2dSpec,
+    d_weight: &mut Tensor,
+    d_bias: &mut Tensor,
+) {
     CONV_BWD_CALLS.incr();
     let _span = fg_obs::span::span("tensor.conv2d.backward");
     let dims = input.dims();
@@ -359,73 +390,81 @@ pub fn conv2d_backward_acc(
     assert_eq!(d_bias.dims(), &[out_ch], "conv2d_backward_acc: d_bias shape");
 
     let in_data = input.data();
-    let w_data = weight.data();
     let dout_data = d_out.data();
 
-    let mut d_input_vec = vec![0.0f32; b * img_len];
-    let (dw, db) = d_input_vec
-        .par_chunks_mut(img_len)
-        .enumerate()
-        .fold(
-            || (workspace::take_zeroed(out_ch * patch), workspace::take_zeroed(out_ch)),
-            |(mut dw, mut db), (bi, dimg)| {
-                let image = &in_data[bi * img_len..(bi + 1) * img_len];
-                let mut cols = workspace::take_uninit(out_plane * patch);
-                im2col(image, h, w, spec, &mut cols);
+    // One image's contribution: `dw`/`db` gain its weight/bias gradients and,
+    // given the filter bank, `dimg` (pre-zeroed) receives its input gradient.
+    type Acc = (workspace::Scratch, workspace::Scratch);
+    let per_image = |(mut dw, mut db): Acc, bi: usize, dimg: Option<(&[f32], &mut [f32])>| -> Acc {
+        let image = &in_data[bi * img_len..(bi + 1) * img_len];
+        let mut cols = workspace::take_uninit(out_plane * patch);
+        im2col(image, h, w, spec, &mut cols);
 
-                // Upstream grad staged as g(out_plane × out_ch).
-                let mut g = workspace::take_uninit(out_plane * out_ch);
-                let src = &dout_data[bi * out_ch * out_plane..(bi + 1) * out_ch * out_plane];
-                for (oc, plane) in src.chunks_exact(out_plane).enumerate() {
-                    for (pos, &v) in plane.iter().enumerate() {
-                        g[pos * out_ch + oc] = v;
-                    }
-                }
+        // Upstream grad staged as g(out_plane × out_ch).
+        let mut g = workspace::take_uninit(out_plane * out_ch);
+        let src = &dout_data[bi * out_ch * out_plane..(bi + 1) * out_ch * out_plane];
+        for (oc, plane) in src.chunks_exact(out_plane).enumerate() {
+            for (pos, &v) in plane.iter().enumerate() {
+                g[pos * out_ch + oc] = v;
+            }
+        }
 
-                // dW += gᵀ(out_ch × out_plane) · cols(out_plane × patch).
-                kernels::gemm(
-                    false,
-                    out_ch,
-                    patch,
-                    out_plane,
-                    MatRef { data: &g, rs: 1, cs: out_ch },
-                    MatRef { data: &cols, rs: patch, cs: 1 },
-                    &mut dw,
-                );
-                // db += column sums of g.
-                for row in g.chunks_exact(out_ch) {
-                    for (d, &v) in db.iter_mut().zip(row) {
-                        *d += v;
-                    }
-                }
-                // dcols = g(out_plane × out_ch) · W(out_ch × patch), scattered
-                // back into this image's (pre-zeroed) input-gradient slice.
-                let mut dcols = workspace::take_zeroed(out_plane * patch);
-                kernels::gemm(
-                    false,
-                    out_plane,
-                    patch,
-                    out_ch,
-                    MatRef { data: &g, rs: out_ch, cs: 1 },
-                    MatRef { data: w_data, rs: patch, cs: 1 },
-                    &mut dcols,
-                );
-                col2im(&dcols, h, w, spec, dimg);
-                (dw, db)
-            },
-        )
-        .reduce(
-            || (workspace::take_zeroed(out_ch * patch), workspace::take_zeroed(out_ch)),
-            |(mut dw1, mut db1), (dw2, db2)| {
-                for (a, &x) in dw1.iter_mut().zip(dw2.iter()) {
-                    *a += x;
-                }
-                for (a, &x) in db1.iter_mut().zip(db2.iter()) {
-                    *a += x;
-                }
-                (dw1, db1)
-            },
+        // dW += gᵀ(out_ch × out_plane) · cols(out_plane × patch).
+        kernels::gemm(
+            false,
+            out_ch,
+            patch,
+            out_plane,
+            MatRef { data: &g, rs: 1, cs: out_ch },
+            MatRef { data: &cols, rs: patch, cs: 1 },
+            &mut dw,
         );
+        // db += column sums of g.
+        for row in g.chunks_exact(out_ch) {
+            for (d, &v) in db.iter_mut().zip(row) {
+                *d += v;
+            }
+        }
+        if let Some((w_data, dimg)) = dimg {
+            // dcols = g(out_plane × out_ch) · W(out_ch × patch), scattered
+            // back into this image's input-gradient slice.
+            let mut dcols = workspace::take_zeroed(out_plane * patch);
+            kernels::gemm(
+                false,
+                out_plane,
+                patch,
+                out_ch,
+                MatRef { data: &g, rs: out_ch, cs: 1 },
+                MatRef { data: w_data, rs: patch, cs: 1 },
+                &mut dcols,
+            );
+            col2im(&dcols, h, w, spec, dimg);
+        }
+        (dw, db)
+    };
+    let fresh = || (workspace::take_zeroed(out_ch * patch), workspace::take_zeroed(out_ch));
+    let merge = |(mut dw1, mut db1): Acc, (dw2, db2): Acc| -> Acc {
+        for (a, &x) in dw1.iter_mut().zip(dw2.iter()) {
+            *a += x;
+        }
+        for (a, &x) in db1.iter_mut().zip(db2.iter()) {
+            *a += x;
+        }
+        (dw1, db1)
+    };
+
+    // Both producers have `b` items, so both folds split into the same tree.
+    let (dw, db) = match input_grad {
+        Some((w_data, d_input)) => d_input
+            .par_chunks_mut(img_len)
+            .enumerate()
+            .fold(fresh, |acc, (bi, dimg)| per_image(acc, bi, Some((w_data, dimg))))
+            .reduce(fresh, merge),
+        None => (0..b)
+            .into_par_iter()
+            .fold(fresh, |acc, bi| per_image(acc, bi, None))
+            .reduce(fresh, merge),
+    };
 
     for (d, &v) in d_weight.data_mut().iter_mut().zip(dw.iter()) {
         *d += v;
@@ -433,7 +472,6 @@ pub fn conv2d_backward_acc(
     for (d, &v) in d_bias.data_mut().iter_mut().zip(db.iter()) {
         *d += v;
     }
-    Tensor::from_vec(d_input_vec, &[b, c, h, w])
 }
 
 #[cfg(test)]

@@ -21,10 +21,16 @@
 //!   shared dimension cut into `KC`-deep slabs;
 //! * for each `(KC, NC)` slab, `B` is packed **once** into `NR`-wide column
 //!   panels (paying any transpose/stride cost a single time), and each
-//!   `MC`-row block packs its slice of `A` into `MR`-tall row panels;
+//!   `MC`-row block packs its slice of `A` into `MR`-tall row panels. Every
+//!   public layout has a unit stride on one axis, so a pack is either
+//!   fixed-size copies or an interleave of contiguous runs (in-register
+//!   transposes for `B` on x86), pinned in this module's tests to a
+//!   per-element strided pack;
 //! * an `MR`×`NR` register-tile microkernel walks the packed panels with all
 //!   `MR*NR` accumulators live in registers, so each loaded element is used
-//!   `MR` (resp. `NR`) times instead of once.
+//!   `MR` (resp. `NR`) times instead of once, and adds the finished tile
+//!   into `C` from those registers. The AVX-512 tile spans two adjacent `B`
+//!   panels (4×32).
 //!
 //! Packed panels and all other scratch come from the thread-local
 //! [`crate::workspace`] pool, so steady-state calls perform no heap
@@ -39,14 +45,21 @@
 //! including its rounding — therefore depends only on the shapes, never on
 //! the thread count: results are **bit-identical at any `FG_THREADS`**
 //! (`tests/schedule_invariance.rs`). The microkernel itself is selected per
-//! CPU (AVX2+FMA when the hardware has it, a portable scalar tile
-//! otherwise), so bits are fixed per machine; only thread-count invariance
-//! is promised across machines.
+//! CPU by [`Level::detect`] — AVX-512F, else AVX2+FMA, else a portable scalar
+//! tile, with no override — so bits are fixed per machine. The AVX2 and
+//! AVX-512 tiles are bit-identical to each other: per output element and per
+//! `KC` slab both run one fused multiply-add per `k` step from zero in
+//! increasing-`k` order and then one add into `C`, and differ only in how
+//! many elements share an instruction. The scalar tile rounds its multiply
+//! and its add separately, so its bits differ from theirs; across machines
+//! only thread-count invariance is promised. Each level is pinned to a
+//! scalar chain oracle in this module's tests.
 //!
 //! Unlike the pre-blocking kernels there is no `a == 0.0` skip: zeros are
 //! multiplied like any other value, so non-finite payloads propagate exactly
 //! as IEEE 754 demands (`0 × ∞ = NaN`), matching [`matmul_reference`].
 
+use crate::simd::Level;
 use crate::tensor::Tensor;
 use crate::workspace;
 use fg_obs::metrics::{Counter, HistogramFamily};
@@ -84,8 +97,9 @@ pub const KC: usize = 256;
 pub const NC: usize = 512;
 
 /// A strided read-only matrix view: element `(r, c)` lives at
-/// `data[r * rs + c * cs]`. The three public layouts differ only in strides,
-/// so packing — and therefore the whole driver — is layout-agnostic.
+/// `data[r * rs + c * cs]`, and one of the two strides is 1. The three
+/// public layouts differ only in strides, so packing — and therefore the
+/// whole driver — is layout-agnostic.
 #[derive(Clone, Copy)]
 pub(crate) struct MatRef<'a> {
     pub data: &'a [f32],
@@ -93,10 +107,34 @@ pub(crate) struct MatRef<'a> {
     pub cs: usize,
 }
 
-impl MatRef<'_> {
-    #[inline(always)]
-    fn at(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.rs + c * self.cs]
+/// Stand-in source for the rows/columns a tail panel does not have, so the
+/// interleaving packs run one loop for full and partial panels alike.
+static ZEROS: [f32; KC] = [0.0; KC];
+
+/// `dst[p * W + l] = lanes[l][p]`: interleave `W` equally long runs — the
+/// transposing half of both packs (a unit-stride run per panel lane).
+#[inline(always)]
+fn interleave<const W: usize>(lanes: [&[f32]; W], dst: &mut [f32]) {
+    let len = dst.len() / W;
+    let lanes = lanes.map(|s| &s[..len]);
+    for (p, d) in dst.chunks_exact_mut(W).enumerate() {
+        for (o, lane) in d.iter_mut().zip(&lanes) {
+            *o = lane[p];
+        }
+    }
+}
+
+/// `dst = src ‖ zeros`: the copying half of both packs (one panel lane group
+/// is already adjacent in memory). The full-width case — every panel but a
+/// tail — is a fixed-size copy the compiler turns into vector moves.
+#[inline(always)]
+fn copy_run(src: &[f32], dst: &mut [f32]) {
+    if src.len() == dst.len() {
+        dst.copy_from_slice(src);
+    } else {
+        let (head, pad) = dst.split_at_mut(src.len());
+        head.copy_from_slice(src);
+        pad.fill(0.0);
     }
 }
 
@@ -104,13 +142,28 @@ impl MatRef<'_> {
 /// `MR`-tall row panels: panel `ip`, depth `p`, lane `r` lands at
 /// `out[(ip*kc + p)*MR + r]`. Rows past `mc` are zero-filled; the zero lanes
 /// feed accumulators that are never written back, so padding cannot leak.
+///
+/// A [`MatRef`] has a unit stride on one axis, so the pack is either an
+/// interleave of `MR` contiguous source rows (`cs == 1`) or a copy of `MR`
+/// adjacent elements per depth step (`rs == 1`).
 fn pack_a(a: MatRef<'_>, row0: usize, mc: usize, col0: usize, kc: usize, out: &mut [f32]) {
     debug_assert_eq!(out.len(), mc.div_ceil(MR) * kc * MR);
+    assert!(a.cs == 1 || a.rs == 1, "pack_a: neither stride of A is 1");
     for (ip, panel) in out.chunks_exact_mut(kc * MR).enumerate() {
+        let r0 = row0 + ip * MR;
         let rows = (mc - ip * MR).min(MR);
-        for (p, dst) in panel.chunks_exact_mut(MR).enumerate() {
-            for (r, d) in dst.iter_mut().enumerate() {
-                *d = if r < rows { a.at(row0 + ip * MR + r, col0 + p) } else { 0.0 };
+        if a.cs == 1 {
+            let lanes: [&[f32]; MR] = std::array::from_fn(|r| {
+                if r < rows {
+                    &a.data[(r0 + r) * a.rs + col0..][..kc]
+                } else {
+                    &ZEROS[..kc]
+                }
+            });
+            interleave(lanes, panel);
+        } else {
+            for (p, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                copy_run(&a.data[(col0 + p) * a.cs + r0..][..rows], dst);
             }
         }
     }
@@ -119,77 +172,218 @@ fn pack_a(a: MatRef<'_>, row0: usize, mc: usize, col0: usize, kc: usize, out: &m
 /// Pack rows `[row0, row0+kc)` × columns `[col0, col0+nc)` of `b` into
 /// `NR`-wide column panels: panel `jp`, depth `p`, lane `c` lands at
 /// `out[(jp*kc + p)*NR + c]`. Columns past `nc` are zero-filled.
-fn pack_b(b: MatRef<'_>, row0: usize, kc: usize, col0: usize, nc: usize, out: &mut [f32]) {
+///
+/// Specialised like [`pack_a`]: `cs == 1` copies `NR` adjacent elements per
+/// depth step, `rs == 1` interleaves `NR` contiguous source columns — as
+/// in-register transposes where `level` has them.
+fn pack_b(
+    level: Level,
+    b: MatRef<'_>,
+    row0: usize,
+    kc: usize,
+    col0: usize,
+    nc: usize,
+    out: &mut [f32],
+) {
     debug_assert_eq!(out.len(), nc.div_ceil(NR) * kc * NR);
+    assert!(b.cs == 1 || b.rs == 1, "pack_b: neither stride of B is 1");
     for (jp, panel) in out.chunks_exact_mut(kc * NR).enumerate() {
+        let c0 = col0 + jp * NR;
         let cols = (nc - jp * NR).min(NR);
-        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-            for (c, d) in dst.iter_mut().enumerate() {
-                *d = if c < cols { b.at(row0 + p, col0 + jp * NR + c) } else { 0.0 };
+        if b.cs == 1 {
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                copy_run(&b.data[(row0 + p) * b.rs + c0..][..cols], dst);
+            }
+        } else {
+            let lanes: [&[f32]; NR] = std::array::from_fn(|c| {
+                if c < cols {
+                    &b.data[(c0 + c) * b.cs + row0..][..kc]
+                } else {
+                    &ZEROS[..kc]
+                }
+            });
+            match level {
+                Level::Scalar => interleave(lanes, panel),
+                // SAFETY: `gemm_with` asserted the level's CPU features; both
+                // vector levels include AVX2, a superset of the AVX needed.
+                #[cfg(target_arch = "x86_64")]
+                _ => unsafe { x86::interleave_avx(&lanes, panel) },
             }
         }
     }
 }
 
-/// AVX2+FMA variant of the register-tile microkernel, selected at runtime on
-/// CPUs that support it. Per output element the accumulation chain is still
-/// one multiply-add per `k` step in increasing-`k` order, so thread-count
-/// invariance is untouched. The *fused* rounding does differ from the scalar
-/// path — which is why kernel selection depends only on the CPU, never on the
-/// call site or thread count: a given machine always computes the same bits.
+/// The vector microkernels. Per output element every one of them runs the
+/// chain the scalar tile runs — from zero, one multiply-add per `k` step in
+/// increasing-`k` order, then a single add into `C` — so thread-count
+/// invariance is untouched. The multiply-add is *fused* here and unfused in
+/// the scalar tile, which is why selection depends only on the CPU, never on
+/// the call site or thread count; the AVX2 and AVX-512 tiles issue the same
+/// IEEE operations per element and differ only in how many elements share
+/// an instruction, so their bits are equal.
 #[cfg(target_arch = "x86_64")]
-mod simd {
+mod x86 {
     use super::{MR, NR};
-    use core::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps};
+    use core::arch::x86_64::*;
 
-    /// Whether the running CPU supports the AVX2+FMA microkernel. The
-    /// detection macro caches, so this is a couple of loads per call.
-    #[inline]
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    /// `acc[r][c] += Σ_p ap[p][r] * bp[p][c]`, 4×16 tile: 8 vector
-    /// accumulators, one broadcast per `A` lane, two `B` loads per `k` step.
+    /// [`super::interleave`] for the `NR` lanes of a `B` panel, as 8×8
+    /// in-register transposes: pure data movement, so the packed bits equal
+    /// the portable loop's.
     ///
     /// # Safety
-    /// Caller must have checked [`available`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-        let kc = bp.len() / NR;
-        debug_assert_eq!(ap.len(), kc * MR);
-        let mut c0 = [_mm256_loadu_ps(acc[0].as_ptr()); MR];
-        let mut c1 = [_mm256_loadu_ps(acc[0].as_ptr().add(8)); MR];
-        for r in 1..MR {
-            c0[r] = _mm256_loadu_ps(acc[r].as_ptr());
-            c1[r] = _mm256_loadu_ps(acc[r].as_ptr().add(8));
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn interleave_avx(lanes: &[&[f32]; NR], dst: &mut [f32]) {
+        let len = dst.len() / NR;
+        assert!(dst.len() == len * NR && lanes.iter().all(|l| l.len() >= len));
+        let blocks = len / 8;
+        for (g, group) in lanes.chunks_exact(8).enumerate() {
+            for blk in 0..blocks {
+                // SAFETY: `blk*8 + 8 <= len` bounds every lane read, and
+                // depth steps `< len` with `g*8 + 8 <= NR` bound the stores.
+                let r: [__m256; 8] =
+                    std::array::from_fn(|l| _mm256_loadu_ps(group[l].as_ptr().add(blk * 8)));
+                let t: [__m256; 8] = std::array::from_fn(|i| {
+                    let (x, y) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+                    if i % 2 == 0 {
+                        _mm256_unpacklo_ps(x, y)
+                    } else {
+                        _mm256_unpackhi_ps(x, y)
+                    }
+                });
+                let u: [__m256; 8] = std::array::from_fn(|i| {
+                    let (x, y) = (t[i / 4 * 4 + i % 4 / 2], t[i / 4 * 4 + i % 4 / 2 + 2]);
+                    if i % 2 == 0 {
+                        _mm256_shuffle_ps(x, y, 0x44)
+                    } else {
+                        _mm256_shuffle_ps(x, y, 0xEE)
+                    }
+                });
+                for i in 0..8 {
+                    let (x, y) = (u[i % 4], u[i % 4 + 4]);
+                    let v = if i < 4 {
+                        _mm256_permute2f128_ps(x, y, 0x20)
+                    } else {
+                        _mm256_permute2f128_ps(x, y, 0x31)
+                    };
+                    _mm256_storeu_ps(dst.as_mut_ptr().add((blk * 8 + i) * NR + g * 8), v);
+                }
+            }
+            for p in blocks * 8..len {
+                for (l, lane) in group.iter().enumerate() {
+                    dst[p * NR + g * 8 + l] = lane[p];
+                }
+            }
         }
-        let mut ap_ptr = ap.as_ptr();
-        let mut bp_ptr = bp.as_ptr();
-        for _ in 0..kc {
-            let b0 = _mm256_loadu_ps(bp_ptr);
-            let b1 = _mm256_loadu_ps(bp_ptr.add(8));
+    }
+
+    /// One 4×16 tile: `c[r][..cols] += Σ_p ap[p][r] · bp[p][..cols]` for
+    /// `r < rows`, 8 vector accumulators, one broadcast per `A` lane and two
+    /// `B` loads per `k` step. A full-width tile adds into `C` with vector
+    /// adds; a column tail spills once and adds its valid lanes.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA. `ap`/`bp` must be readable for
+    /// `kc*MR` / `kc*NR` elements, and `c[r*ldc..][..cols]` readable and
+    /// writable for every `r < rows`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn tile_avx2(
+        kc: usize,
+        ap: *const f32,
+        bp: *const f32,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        let mut c0 = [_mm256_setzero_ps(); MR];
+        let mut c1 = [_mm256_setzero_ps(); MR];
+        for p in 0..kc {
+            let b0 = _mm256_loadu_ps(bp.add(p * NR));
+            let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
             for r in 0..MR {
-                let a = _mm256_set1_ps(*ap_ptr.add(r));
+                let a = _mm256_set1_ps(*ap.add(p * MR + r));
                 c0[r] = _mm256_fmadd_ps(a, b0, c0[r]);
                 c1[r] = _mm256_fmadd_ps(a, b1, c1[r]);
             }
-            ap_ptr = ap_ptr.add(MR);
-            bp_ptr = bp_ptr.add(NR);
         }
+        if cols == NR {
+            for r in 0..MR {
+                if r < rows {
+                    let row = c.add(r * ldc);
+                    _mm256_storeu_ps(row, _mm256_add_ps(_mm256_loadu_ps(row), c0[r]));
+                    let hi = row.add(8);
+                    _mm256_storeu_ps(hi, _mm256_add_ps(_mm256_loadu_ps(hi), c1[r]));
+                }
+            }
+        } else {
+            let mut acc = [[0.0f32; NR]; MR];
+            for r in 0..MR {
+                _mm256_storeu_ps(acc[r].as_mut_ptr(), c0[r]);
+                _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), c1[r]);
+            }
+            for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                for (j, &v) in acc_row.iter().enumerate().take(cols) {
+                    *c.add(r * ldc + j) += v;
+                }
+            }
+        }
+    }
+
+    /// One 4×32 tile over the two adjacent packed panels at `bp` and
+    /// `bp + kc*NR`: 8 zmm accumulators, and per element exactly
+    /// [`tile_avx2`]'s chain. `cols` counts valid columns over both panels
+    /// (`NR < cols ≤ 2·NR`); the second panel's add into `C` is masked to it.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. `ap` must be readable for `kc*MR`
+    /// elements, `bp` for `2*kc*NR`, and `c[r*ldc..][..cols]` readable and
+    /// writable for every `r < rows`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn tile_avx512(
+        kc: usize,
+        ap: *const f32,
+        bp: *const f32,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        let bq = bp.add(kc * NR);
+        let mut c0 = [_mm512_setzero_ps(); MR];
+        let mut c1 = [_mm512_setzero_ps(); MR];
+        for p in 0..kc {
+            let b0 = _mm512_loadu_ps(bp.add(p * NR));
+            let b1 = _mm512_loadu_ps(bq.add(p * NR));
+            for r in 0..MR {
+                let a = _mm512_set1_ps(*ap.add(p * MR + r));
+                c0[r] = _mm512_fmadd_ps(a, b0, c0[r]);
+                c1[r] = _mm512_fmadd_ps(a, b1, c1[r]);
+            }
+        }
+        let tail: __mmask16 = (((1u32 << (cols - NR)) - 1) & 0xFFFF) as u16;
         for r in 0..MR {
-            _mm256_storeu_ps(acc[r].as_mut_ptr(), c0[r]);
-            _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), c1[r]);
+            if r < rows {
+                let row = c.add(r * ldc);
+                _mm512_storeu_ps(row, _mm512_add_ps(_mm512_loadu_ps(row), c0[r]));
+                let hi = row.add(NR);
+                let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(tail, hi), c1[r]);
+                _mm512_mask_storeu_ps(hi, tail, sum);
+            }
         }
     }
 }
 
-/// The portable register-tile microkernel: `acc[r][c] += Σ_p ap[p][r] *
-/// bp[p][c]` over one packed `A` panel (`kc × MR`) and one packed `B` panel
-/// (`kc × NR`). Each accumulator is a single sequential chain over `p`, fixed
-/// by construction — the unit of the determinism contract.
+/// The portable register tile: `c[r][..cols] += Σ_p ap[p][r] · bp[p][..cols]`
+/// for `r < rows` over one packed `A` panel (`kc × MR`) and one packed `B`
+/// panel (`kc × NR`). Each accumulator is a single sequential chain over `p`
+/// from zero, fixed by construction — the unit of the determinism contract —
+/// and is added into `C` once.
 #[inline(always)]
-fn microkernel_scalar(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn tile_scalar(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, rows: usize, cols: usize) {
+    let mut acc = [[0.0f32; NR]; MR];
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         let a: &[f32; MR] = a.try_into().expect("packed A panel stride");
         let b: &[f32; NR] = b.try_into().expect("packed B panel stride");
@@ -200,54 +394,66 @@ fn microkernel_scalar(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
             }
         }
     }
-}
-
-/// Run the best microkernel for this CPU (AVX2+FMA when available, the
-/// portable scalar tile otherwise). The choice is a pure function of the
-/// hardware, so every call on a given machine takes the same path.
-#[inline(always)]
-fn microkernel(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::available() {
-        // SAFETY: `available` verified AVX2 and FMA support.
-        unsafe { simd::microkernel(ap, bp, acc) };
-        return;
+    for (r, acc_row) in acc.iter().enumerate().take(rows) {
+        for (o, &v) in c[r * ldc..][..cols].iter_mut().zip(acc_row) {
+            *o += v;
+        }
     }
-    microkernel_scalar(ap, bp, acc)
 }
 
-/// One `MC`-row block against one packed `(KC, NC)` slab of `B`: pack the
-/// `A` block, run the microkernel over every tile, and accumulate the valid
-/// region of each register tile into `out_rows` (rows of `C` at full width
-/// `n`, starting at global row `row0`).
+/// One packed `A` block (`mc` rows) against one packed `(KC, NC)` slab of
+/// `B`: run `level`'s register tile over every tile position, each
+/// accumulated from zero and added into the valid region of `out_rows` (rows
+/// of `C` at full width `n`; the slab's columns start at `jc`).
 #[allow(clippy::too_many_arguments)]
-fn gemm_row_block(
+fn sweep_tiles(
+    level: Level,
     out_rows: &mut [f32],
     n: usize,
-    a: MatRef<'_>,
-    row0: usize,
     mc: usize,
-    pc: usize,
     kc: usize,
     jc: usize,
     nc: usize,
+    packed_a: &[f32],
     packed_b: &[f32],
 ) {
-    let mut packed_a = workspace::take_uninit(mc.div_ceil(MR) * kc * MR);
-    pack_a(a, row0, mc, pc, kc, &mut packed_a);
-    for (jp, bp) in packed_b.chunks_exact(kc * NR).enumerate() {
-        let cols = (nc - jp * NR).min(NR);
-        for (ip, apan) in packed_a.chunks_exact(kc * MR).enumerate() {
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel(apan, bp, &mut acc);
+    // How many packed `B` panels one tile of this variant spans.
+    let span = match level {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => 2,
+        _ => 1,
+    };
+    let panels = nc.div_ceil(NR);
+    assert_eq!(packed_a.len(), mc.div_ceil(MR) * kc * MR, "packed A block size");
+    assert_eq!(packed_b.len(), panels * kc * NR, "packed B slab size");
+    let mut jp = 0;
+    while jp < panels {
+        // An odd last panel of the two-panel variant runs as a one-panel tile.
+        let width = span.min(panels - jp);
+        let cols = (nc - jp * NR).min(width * NR);
+        let bp = &packed_b[jp * kc * NR..][..width * kc * NR];
+        for (ip, ap) in packed_a.chunks_exact(kc * MR).enumerate() {
             let rows = (mc - ip * MR).min(MR);
-            for (row, acc_row) in acc.iter().enumerate().take(rows) {
-                let dst = &mut out_rows[(ip * MR + row) * n + jc + jp * NR..][..cols];
-                for (o, &v) in dst.iter_mut().zip(acc_row) {
-                    *o += v;
-                }
+            let c = &mut out_rows[ip * MR * n + jc + jp * NR..];
+            // The bound every tile variant's writes stay under.
+            assert!((rows - 1) * n + cols <= c.len(), "tile outside the output block");
+            match (level, width) {
+                (Level::Scalar, _) => tile_scalar(ap, bp, c, n, rows, cols),
+                // SAFETY: `gemm_with` asserted the level's CPU features (both
+                // vector levels include AVX2+FMA); `ap`/`bp` are `kc*MR` and
+                // `width*kc*NR` long by the slicing above, and the assert
+                // bounds rows `< rows` × columns `< cols` of `c`.
+                #[cfg(target_arch = "x86_64")]
+                (Level::Avx512, 2) => unsafe {
+                    x86::tile_avx512(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), n, rows, cols)
+                },
+                #[cfg(target_arch = "x86_64")]
+                _ => unsafe {
+                    x86::tile_avx2(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), n, rows, cols)
+                },
             }
         }
+        jp += width;
     }
 }
 
@@ -268,6 +474,22 @@ pub(crate) fn gemm(
     b: MatRef<'_>,
     out: &mut [f32],
 ) {
+    gemm_with(Level::detect(), parallel, m, n, k, a, b, out)
+}
+
+/// [`gemm`] at an explicit [`Level`] (the per-level bit-identity tests).
+#[allow(clippy::too_many_arguments)]
+fn gemm_with(
+    level: Level,
+    parallel: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    out: &mut [f32],
+) {
+    assert!(level <= Level::detect(), "{level:?} is not available on this CPU");
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -281,12 +503,14 @@ pub(crate) fn gemm(
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let mut packed_b = workspace::take_uninit(nc.div_ceil(NR) * kc * NR);
-            pack_b(b, pc, kc, jc, nc, &mut packed_b);
+            pack_b(level, b, pc, kc, jc, nc, &mut packed_b);
             let pb = &packed_b[..];
             let body = |ib: usize, rows: &mut [f32]| {
                 let row0 = ib * MC;
                 let mc = MC.min(m - row0);
-                gemm_row_block(rows, n, a, row0, mc, pc, kc, jc, nc, pb);
+                let mut packed_a = workspace::take_uninit(mc.div_ceil(MR) * kc * MR);
+                pack_a(a, row0, mc, pc, kc, &mut packed_a);
+                sweep_tiles(level, rows, n, mc, kc, jc, nc, &packed_a, pb);
             };
             if fan_out {
                 out.par_chunks_mut(MC * n).enumerate().for_each(|(ib, rows)| body(ib, rows));
@@ -666,6 +890,143 @@ mod tests {
             }
             // The first output row hits both 0 × ∞ and 0 × NaN: it must be NaN.
             assert!(kernel.data()[0].is_nan(), "{name}: 0 × ∞ must produce NaN");
+        }
+    }
+
+    impl MatRef<'_> {
+        fn at(&self, r: usize, c: usize) -> f32 {
+            self.data[r * self.rs + c * self.cs]
+        }
+    }
+
+    /// `out += A·B` exactly as the driver's numeric contract states it: per
+    /// element and per `KC` slab one chain from zero over increasing `k` —
+    /// `fused` picks the vector tiles' single-rounding multiply-add or the
+    /// scalar tile's multiply then add — and one add of the chain into `out`.
+    fn chain_oracle(
+        fused: bool,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        out: &mut [f32],
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                for pc in (0..k).step_by(KC) {
+                    let mut acc = 0.0f32;
+                    for p in pc..(pc + KC).min(k) {
+                        let (x, y) = (a.at(i, p), b.at(p, j));
+                        acc = if fused { x.mul_add(y, acc) } else { acc + x * y };
+                    }
+                    out[i * n + j] += acc;
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_tile_level_matches_the_chain_oracle_bitwise() {
+        // The CVAE's four big products, its 6-row tail batch, n = 100 (not a
+        // tile multiple), k = 794 (three slabs + 26), a two-block `m`, and
+        // the im2col products of a small convolution.
+        let shapes = [
+            (32, 794, 100),
+            (32, 100, 794),
+            (100, 32, 794),
+            (794, 32, 100),
+            (6, 794, 100),
+            (6, 100, 794),
+            (37, 300, 45),
+            (8, 25, 144),
+            (144, 8, 25),
+            (1, 1, 1),
+        ];
+        let mut rng = SeededRng::new(19);
+        for (m, k, n) in shapes {
+            let a = Tensor::randn(&[m * k], &mut rng);
+            let b = Tensor::randn(&[k * n], &mut rng);
+            let seed = Tensor::randn(&[m * n], &mut rng);
+            // (A strides, B strides): `matmul` / conv dcols, `matmul_bt` /
+            // conv forward, `matmul_at` / conv dW.
+            for (layout, (ars, acs), (brs, bcs)) in
+                [("nn", (k, 1), (n, 1)), ("bt", (k, 1), (1, k)), ("at", (1, m), (n, 1))]
+            {
+                let a = MatRef { data: a.data(), rs: ars, cs: acs };
+                let b = MatRef { data: b.data(), rs: brs, cs: bcs };
+                for level in Level::offered() {
+                    let mut want = seed.data().to_vec();
+                    chain_oracle(level != Level::Scalar, m, n, k, a, b, &mut want);
+                    let mut got = seed.data().to_vec();
+                    gemm_with(level, false, m, n, k, a, b, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} {layout} at {level:?}");
+                }
+            }
+        }
+    }
+
+    /// What [`pack_a`] must produce, one strided read per element.
+    fn pack_a_oracle(a: MatRef<'_>, row0: usize, mc: usize, col0: usize, kc: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; mc.div_ceil(MR) * kc * MR];
+        for (ip, panel) in out.chunks_exact_mut(kc * MR).enumerate() {
+            let rows = (mc - ip * MR).min(MR);
+            for (p, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                for (r, d) in dst.iter_mut().enumerate() {
+                    *d = if r < rows { a.at(row0 + ip * MR + r, col0 + p) } else { 0.0 };
+                }
+            }
+        }
+        out
+    }
+
+    /// What [`pack_b`] must produce; see [`pack_a_oracle`].
+    fn pack_b_oracle(b: MatRef<'_>, row0: usize, kc: usize, col0: usize, nc: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; nc.div_ceil(NR) * kc * NR];
+        for (jp, panel) in out.chunks_exact_mut(kc * NR).enumerate() {
+            let cols = (nc - jp * NR).min(NR);
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                for (c, d) in dst.iter_mut().enumerate() {
+                    *d = if c < cols { b.at(row0 + p, col0 + jp * NR + c) } else { 0.0 };
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packs_match_the_per_element_oracle() {
+        let mut rng = SeededRng::new(20);
+        // A 41×53 matrix in both unit-stride storages, packed from interior
+        // offsets with row/column counts that leave zero-filled tails.
+        let (rows, cols) = (41, 53);
+        let data = Tensor::randn(&[rows * cols], &mut rng);
+        for (rs, cs) in [(cols, 1), (1, rows)] {
+            let mat = MatRef { data: data.data(), rs, cs };
+            // As `A`: rows 3.., depth slab 5...
+            for (mc, kc) in [(MR, 8), (MR + 1, 19), (30, 40), (1, 1)] {
+                let want = pack_a_oracle(mat, 3, mc, 5, kc);
+                let mut got = vec![f32::NAN; want.len()];
+                pack_a(mat, 3, mc, 5, kc, &mut got);
+                assert_eq!(bits(&got), bits(&want), "pack_a rs={rs} cs={cs} mc={mc} kc={kc}");
+            }
+            // ...and as `B`: depth slab 2.., columns 7...
+            for (kc, nc) in [(8, NR), (19, NR + 3), (39, 2 * NR), (33, 45), (1, 1)] {
+                let want = pack_b_oracle(mat, 2, kc, 7, nc);
+                for level in Level::offered() {
+                    let mut got = vec![f32::NAN; want.len()];
+                    pack_b(level, mat, 2, kc, 7, nc, &mut got);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "pack_b rs={rs} cs={cs} kc={kc} nc={nc} at {level:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -37,6 +37,7 @@ pub mod kernels;
 pub mod pool;
 pub mod rng;
 pub mod shape;
+pub mod simd;
 pub mod stats;
 pub mod tensor;
 pub mod vecops;

@@ -68,17 +68,19 @@ fn disabled_instrumentation_is_noise_against_smallest_matmul() {
     });
 
     // The smallest GEMM the classifier runs per batch is far bigger than
-    // this 32³ one; if the overhead is invisible here it is invisible
-    // everywhere.
-    let a = Tensor::zeros(&[32, 32]);
-    let b = Tensor::zeros(&[32, 32]);
+    // this 48³ one; if the overhead is invisible here it is invisible
+    // everywhere. At this profile it costs ~4.7µs, so 1% allows ~47ns for
+    // two ~15ns atomic adds: the budget this bound had while its probe was a
+    // 32³ product that cost as much (~1.4µs now).
+    let a = Tensor::zeros(&[48, 48]);
+    let b = Tensor::zeros(&[48, 48]);
     let per_matmul = time_per_iter(2_000, 5, || {
         std::hint::black_box(matmul(&a, &b));
     });
 
     assert!(
         per_call_overhead < per_matmul * 0.01,
-        "disabled instrumentation ({:.1}ns) exceeds 1% of a 32x32x32 matmul ({:.1}ns)",
+        "disabled instrumentation ({:.1}ns) exceeds 1% of a 48x48x48 matmul ({:.1}ns)",
         per_call_overhead * 1e9,
         per_matmul * 1e9
     );
