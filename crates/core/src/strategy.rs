@@ -118,7 +118,9 @@ pub struct FedGuardStrategy {
 }
 
 impl FedGuardStrategy {
+    /// Panics on `eval_batch: 0` (an audit mini-batch that never advances).
     pub fn new(config: FedGuardConfig) -> Self {
+        assert!(config.eval_batch > 0, "FedGuardConfig: eval_batch must be positive");
         FedGuardStrategy { config }
     }
 
@@ -450,6 +452,12 @@ mod tests {
         let pb: Vec<u32> = batched.params.iter().map(|v| v.to_bits()).collect();
         let ps: Vec<u32> = sequential.params.iter().map(|v| v.to_bits()).collect();
         assert_eq!(pb, ps, "aggregated parameters diverged");
+    }
+
+    #[test]
+    #[should_panic(expected = "eval_batch must be positive")]
+    fn zero_eval_batch_rejected() {
+        FedGuardStrategy::new(FedGuardConfig { eval_batch: 0, ..config() });
     }
 
     #[test]

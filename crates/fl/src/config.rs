@@ -148,6 +148,7 @@ impl FederationConfig {
         assert!(self.rounds > 0, "need at least one round");
         assert!(self.server_lr > 0.0 && self.server_lr <= 1.0, "server_lr must be in (0, 1]");
         assert!(self.local.epochs > 0 && self.local.batch_size > 0);
+        assert!(self.eval_batch > 0, "eval_batch must be positive");
     }
 }
 
@@ -186,6 +187,16 @@ mod tests {
     fn zero_server_lr_rejected() {
         let mut c = FederationConfig::paper();
         c.server_lr = 0.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "eval_batch must be positive")]
+    fn zero_eval_batch_rejected() {
+        // Would otherwise hang round 0's evaluation on a mini-batch that
+        // never advances.
+        let mut c = FederationConfig::paper();
+        c.eval_batch = 0;
         c.validate();
     }
 

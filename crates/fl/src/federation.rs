@@ -11,11 +11,11 @@ use crate::telemetry::{RoundObserver, RoundTelemetry, StageTimings, SCHEMA_VERSI
 use crate::transport::{IncomingUpdate, LocalTransport, RoundOffer, Transport};
 use crate::update::ModelUpdate;
 use fg_data::Dataset;
-use fg_nn::models::Classifier;
+use fg_nn::models::{BatchedClassifier, Classifier};
 use fg_obs::metrics::{Counter, Gauge};
 use fg_obs::span::{record_interleaved, timed_span};
 use fg_tensor::rng::SeededRng;
-use fg_tensor::vecops;
+use fg_tensor::{vecops, Tensor};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,7 +82,10 @@ static AGG_PEAK_BYTES: Gauge = Gauge::new("fl.agg.peak_bytes");
 pub struct Federation {
     config: FederationConfig,
     transport: Box<dyn Transport>,
-    test_set: Dataset,
+    /// The held-out test set as the scorer reads it, converted once at
+    /// [`build`](FederationBuilder::build): `(n, 784)` images and labels.
+    test_x: Tensor,
+    test_y: Vec<usize>,
     strategy: Box<dyn AggregationStrategy>,
     interceptor: Arc<dyn UpdateInterceptor>,
     faults: Option<FaultPlan>,
@@ -265,7 +268,8 @@ impl FederationBuilder {
         Federation {
             config,
             transport,
-            test_set,
+            test_x: test_set.to_tensor(),
+            test_y: test_set.labels_usize(),
             strategy,
             interceptor: self.interceptor,
             faults: self.faults,
@@ -332,12 +336,16 @@ impl Federation {
         self.observers.push(Box::new(observer));
     }
 
-    /// Evaluate the current global model on the test set.
+    /// Accuracy of the current global model on the test set — through the
+    /// scorer the audit uses ([`BatchedClassifier`], one model), so a
+    /// non-finite `ψ₀` scores `0.0` exactly as a non-finite update audits.
     pub fn evaluate_global(&self) -> f32 {
-        let mut clf = Classifier::from_params(&self.config.classifier, &self.global);
-        let x = self.test_set.to_tensor();
-        let y = self.test_set.labels_usize();
-        clf.evaluate(&x, &y, self.config.eval_batch)
+        let psi = [self.global.as_slice()];
+        BatchedClassifier::new(&self.config.classifier, &psi).evaluate(
+            &self.test_x,
+            &self.test_y,
+            self.config.eval_batch,
+        )[0]
     }
 
     /// Run one round; returns the new record and emits one
@@ -687,6 +695,30 @@ mod tests {
             a1,
             smoke_federation(3, 12).run().iter().map(|r| r.accuracy).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn evaluation_is_a_pure_reading_of_the_global_model() {
+        let mut fed = smoke_federation(1, 5);
+        fed.run();
+        let before: Vec<u32> = fed.global_params().iter().map(|v| v.to_bits()).collect();
+        let (first, second) = (fed.evaluate_global(), fed.evaluate_global());
+        assert_eq!(first.to_bits(), second.to_bits());
+        assert_eq!(first.to_bits(), fed.history()[0].accuracy.to_bits());
+        let after: Vec<u32> = fed.global_params().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(before, after, "evaluation must not touch the global model");
+    }
+
+    #[test]
+    fn non_finite_global_model_evaluates_to_zero() {
+        // One scorer, one answer: a NaN/Inf ψ₀ reads 0.0 exactly as a
+        // non-finite update audits (DESIGN §7.3). The sanitizer keeps every
+        // committed configuration away from this state.
+        let mut fed = smoke_federation(1, 5);
+        for poison in [f32::NAN, f32::INFINITY] {
+            fed.global[3] = poison;
+            assert_eq!(fed.evaluate_global().to_bits(), 0.0f32.to_bits());
+        }
     }
 
     #[test]

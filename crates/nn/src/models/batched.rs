@@ -1,45 +1,45 @@
-//! Batched multi-model audit scoring.
+//! The server's scorer: flat parameter vectors on a labelled set.
 //!
 //! FedGuard's server audits every one of the round's `m` client classifiers
-//! on the *same* synthetic validation set — `m` forward passes through the
-//! same architecture that differ only in their weights. [`BatchedClassifier`]
-//! exploits that: it borrows the `m` flat parameter vectors without cloning
-//! and drives each network layer as **one grouped launch** over all models
-//! (`fg_tensor::kernels::matmul_bt_bias_grouped`,
-//! `fg_tensor::conv::conv2d_forward_cols_grouped` /
-//! `conv2d_forward_grouped`, `fg_tensor::pool::maxpool2d_forward_grouped`)
-//! instead of `m` independent passes. The conv1 im2col of each validation
-//! mini-batch is lowered once and shared by every model; per-model
-//! activations live in workspace-pooled slabs, so a warm scoring pass
-//! performs zero workspace allocations.
+//! on the *same* synthetic validation set, and every round scores the global
+//! model `ψ₀` on the test set — forward passes through one architecture that
+//! differ only in their weights. [`BatchedClassifier`] serves both: it
+//! borrows the flat parameter vectors without cloning, reads the
+//! architecture off [`ClassifierSpec::layers`] (parameter offsets and launch
+//! sequence alike) and drives each layer as **one grouped launch** over all
+//! models. A layer's input is the validation mini-batch every model shares
+//! until the first parameterised layer has run and per-model slabs from then
+//! on; a convolution reading the shared mini-batch lowers it once and hands
+//! every model the same columns. Activations live in workspace-pooled slabs,
+//! so a warm scoring pass performs zero workspace allocations.
 //!
 //! ## Bit-identity to the sequential oracle
 //!
 //! The grouped launches issue, per model, exactly the bias-seed + GEMM /
 //! window-scan / `max(0.0)` operations the per-model
 //! [`Classifier::evaluate`](super::Classifier::evaluate) path issues, on
-//! value-identical inputs, and the model axis fans out over the rayon shim
-//! into disjoint output slabs with no cross-model reduction. Scores are
-//! therefore **bitwise identical** to `m` sequential `evaluate` calls at any
+//! value-identical inputs, and fan out over the rayon shim into disjoint
+//! output slabs with no cross-model reduction. Scores are therefore
+//! **bitwise identical** to `m` sequential `evaluate` calls at any
 //! `FG_THREADS` — pinned by `crates/nn/tests/batched_props.rs` and
 //! `tests/schedule_invariance.rs`.
 //!
-//! Non-finite parameter sets audit to `0.0` (the same contract the
-//! sequential audit applies via `ModelUpdate::is_non_finite`) and are
-//! excluded from the launches so NaN/Inf payloads never touch shared slabs.
+//! Non-finite parameter sets score `0.0` (the same contract the sequential
+//! audit applies via `ModelUpdate::is_non_finite`) and are excluded from the
+//! launches so NaN/Inf payloads never touch shared slabs.
 
-use super::classifier::ClassifierSpec;
+use super::classifier::{ClassifierSpec, LayerSpec};
 use fg_obs::metrics::Counter;
 use fg_obs::span::span;
-use fg_tensor::conv::{self, Conv2dSpec};
+use fg_tensor::conv;
 use fg_tensor::kernels::{matmul_bt_bias_grouped, GroupedA};
-use fg_tensor::pool::maxpool2d_forward_grouped;
+use fg_tensor::pool::maxpool2d_forward_values;
 use fg_tensor::workspace::{self, Scratch};
 use fg_tensor::Tensor;
 use rayon::prelude::*;
-use std::ops::Range;
 
-/// Grouped layer launches issued (one per layer per model block).
+/// Grouped conv / pool / linear launches issued (one per such layer per
+/// model block per mini-batch).
 static LAUNCHES: Counter = Counter::new("audit.batched.launches");
 /// Finite models scored through the batched path.
 static MODELS: Counter = Counter::new("audit.batched.models");
@@ -56,53 +56,20 @@ static NONFINITE: Counter = Counter::new("audit.batched.nonfinite");
 /// never affects bits.
 const MODEL_BLOCK: usize = 8;
 
-/// Where one layer's weights and bias live in the flat parameter vector
-/// (the `params::flatten` / `params::load` visit order: weight then bias,
-/// layers front to back).
-struct Seg {
-    w: Range<usize>,
-    b: Range<usize>,
+/// What a layer reads.
+enum Act<'x> {
+    /// The validation mini-batch, the same for every model.
+    Shared(&'x [f32]),
+    /// One `(bsz, len)` activation block per model, models back to back.
+    PerGroup(Scratch),
 }
 
-/// Per-layer parameter segments for `spec`, in forward order.
-fn segments(spec: &ClassifierSpec) -> Vec<Seg> {
-    let mut off = 0usize;
-    let mut seg = |wn: usize, bn: usize| {
-        let w = off..off + wn;
-        off += wn;
-        let b = off..off + bn;
-        off += bn;
-        Seg { w, b }
-    };
-    let segs = match spec {
-        ClassifierSpec::TableIICnn => {
-            vec![seg(32 * 25, 32), seg(64 * 800, 64), seg(512 * 3136, 512), seg(10 * 512, 10)]
-        }
-        ClassifierSpec::Mlp { hidden } => {
-            vec![seg(hidden * 784, *hidden), seg(10 * hidden, 10)]
-        }
-    };
-    debug_assert_eq!(off, spec.num_params());
-    segs
-}
-
-/// Per-model weight and bias views of one layer for the models in `blk`.
-fn layer_views<'m>(
-    models: &[&'m [f32]],
-    blk: &[usize],
-    seg: &Seg,
-) -> (Vec<&'m [f32]>, Vec<&'m [f32]>) {
-    let w: Vec<&[f32]> = blk.iter().map(|&i| &models[i][seg.w.clone()]).collect();
-    let b: Vec<&[f32]> = blk.iter().map(|&i| &models[i][seg.b.clone()]).collect();
-    (w, b)
-}
-
-/// Elementwise `max(0.0)` over a grouped activation slab, fanned over the
-/// per-model chunks — the grouped form of the ReLU layer's `x.max(0.0)`.
-fn relu_grouped(slab: &mut [f32], group_len: usize) {
+/// Elementwise `max(0.0)` over a grouped activation slab, one task per
+/// `len`-scalar sample — the grouped form of the ReLU layer's `x.max(0.0)`.
+fn relu(slab: &mut [f32], len: usize) {
     let _s = span("audit.batched.relu");
-    slab.par_chunks_mut(group_len).for_each(|g| {
-        for v in g.iter_mut() {
+    slab.par_chunks_mut(len).for_each(|sample| {
+        for v in sample.iter_mut() {
             *v = v.max(0.0);
         }
     });
@@ -150,7 +117,8 @@ impl<'a> BatchedClassifier<'a> {
             return scores;
         }
         assert!(batch > 0, "evaluate: batch must be positive");
-        assert_eq!(x.dim(1), 784, "classifier expects flattened 28x28 images");
+        let (dim, classes) = (self.spec.input_dim(), self.spec.num_classes());
+        assert_eq!(x.dim(1), dim, "classifier expects flattened 28x28 images");
 
         let finite: Vec<usize> =
             (0..total).filter(|&i| self.models[i].iter().all(|v| v.is_finite())).collect();
@@ -160,6 +128,7 @@ impl<'a> BatchedClassifier<'a> {
             return scores;
         }
 
+        let layers = self.spec.layers();
         let data = x.data();
         let mut correct = vec![0usize; finite.len()];
         let mut lo = 0usize;
@@ -167,26 +136,17 @@ impl<'a> BatchedClassifier<'a> {
             let hi = (lo + batch).min(n);
             let bsz = hi - lo;
             MINIBATCHES.incr();
-            let xb = &data[lo * 784..hi * 784];
-            // The conv1 lowering of this mini-batch is identical for every
-            // model: pay it once, share it across all model blocks.
-            let cols1 = match self.spec {
-                ClassifierSpec::TableIICnn => {
-                    let _s = span("audit.batched.im2col");
-                    let c1 = conv1_spec();
-                    let mut cols = workspace::take_uninit(bsz * 784 * c1.patch_len());
-                    conv::im2col_batch(xb, bsz, 28, 28, &c1, &mut cols);
-                    Some(cols)
-                }
-                ClassifierSpec::Mlp { .. } => None,
-            };
+            let xb = &data[lo * dim..hi * dim];
+            // This mini-batch's lowering, filled by the first model block
+            // that convolves it and reused by the blocks after.
+            let mut lowered = None;
             for (blk_idx, blk) in finite.chunks(MODEL_BLOCK).enumerate() {
-                let logits = self.forward_block(blk, xb, cols1.as_deref(), bsz);
-                for (j, lg) in logits.chunks_exact(bsz * 10).enumerate() {
+                let logits = self.forward_block(&layers, blk, xb, bsz, &mut lowered);
+                for (j, lg) in logits.chunks_exact(bsz * classes).enumerate() {
                     let slot = blk_idx * MODEL_BLOCK + j;
                     // Inline row argmax: same scan (and tie-breaking) as
                     // `Tensor::argmax_rows`.
-                    for (row, &t) in lg.chunks_exact(10).zip(&y[lo..hi]) {
+                    for (row, &t) in lg.chunks_exact(classes).zip(&y[lo..hi]) {
                         let mut best = 0usize;
                         let mut best_v = f32::NEG_INFINITY;
                         for (c, &v) in row.iter().enumerate() {
@@ -209,126 +169,94 @@ impl<'a> BatchedClassifier<'a> {
         scores
     }
 
-    /// One mini-batch through one block of models: grouped launches layer by
-    /// layer, per-model activations in workspace slabs. Returns the logits
-    /// slab `(g, bsz, 10)`.
+    /// One mini-batch `xb` of `bsz` samples through the models in `blk`: one
+    /// grouped launch per layer of `layers`, per-model activations in
+    /// workspace slabs. Returns the logits slab `(g, bsz, classes)`.
     fn forward_block(
         &self,
+        layers: &[LayerSpec],
         blk: &[usize],
         xb: &[f32],
-        cols1: Option<&[f32]>,
         bsz: usize,
+        lowered: &mut Option<Scratch>,
     ) -> Scratch {
         let g = blk.len();
-        let segs = segments(&self.spec);
-        match self.spec {
-            ClassifierSpec::Mlp { hidden } => {
-                let (w1, b1) = layer_views(&self.models, blk, &segs[0]);
-                let mut h = workspace::take_uninit(g * bsz * hidden);
-                {
-                    let _s = span("audit.batched.fc1");
+        // The block's views of one layer's weights (`at`, `w_len` scalars)
+        // and bias (the `b_len` after them) in every flat vector.
+        let params = |at: usize, (w_len, b_len): (usize, usize)| {
+            let views = |at: usize, len: usize| -> Vec<&[f32]> {
+                blk.iter().map(|&i| &self.models[i][at..at + len]).collect()
+            };
+            (views(at, w_len), views(at + w_len, b_len))
+        };
+        let mut act = Act::Shared(xb);
+        // Scalars per sample entering the layer, and where the layer's
+        // parameters start in the flat vectors.
+        let (mut len, mut off) = (self.spec.input_dim(), 0usize);
+        for layer in layers {
+            let (out_len, lens) = (layer.out_len(len), layer.param_lens());
+            act = match (*layer, act) {
+                (LayerSpec::Conv { conv: c, h, w }, input) => {
+                    let _s = span("audit.batched.conv");
                     LAUNCHES.incr();
-                    matmul_bt_bias_grouped(
-                        bsz,
-                        hidden,
-                        784,
-                        GroupedA::Shared(xb),
-                        &w1,
-                        &b1,
-                        &mut h,
-                    );
+                    let (wt, bias) = params(off, lens);
+                    let mut out = workspace::take_uninit(g * bsz * out_len);
+                    match input {
+                        Act::Shared(x) => {
+                            let cols = lowered.get_or_insert_with(|| {
+                                let _s = span("audit.batched.im2col");
+                                let (oh, ow) = c.out_size(h, w);
+                                let mut cols =
+                                    workspace::take_uninit(bsz * oh * ow * c.patch_len());
+                                conv::im2col_batch(x, bsz, h, w, &c, &mut cols);
+                                cols
+                            });
+                            conv::conv2d_forward_cols_grouped(
+                                cols, bsz, h, w, &c, &wt, &bias, &mut out,
+                            );
+                        }
+                        Act::PerGroup(x) => {
+                            conv::conv2d_forward_grouped(&x, bsz, h, w, &c, &wt, &bias, &mut out);
+                        }
+                    }
+                    Act::PerGroup(out)
                 }
-                relu_grouped(&mut h, bsz * hidden);
-                let (w2, b2) = layer_views(&self.models, blk, &segs[1]);
-                let mut logits = workspace::take_uninit(g * bsz * 10);
-                {
-                    let _s = span("audit.batched.fc2");
+                (LayerSpec::Linear { inputs, outputs }, input) => {
+                    let _s = span("audit.batched.linear");
                     LAUNCHES.incr();
-                    matmul_bt_bias_grouped(
-                        bsz,
-                        10,
-                        hidden,
-                        GroupedA::PerGroup(&h),
-                        &w2,
-                        &b2,
-                        &mut logits,
-                    );
+                    let (wt, bias) = params(off, lens);
+                    let mut out = workspace::take_uninit(g * bsz * out_len);
+                    let a = match &input {
+                        Act::Shared(x) => GroupedA::Shared(x),
+                        Act::PerGroup(x) => GroupedA::PerGroup(x),
+                    };
+                    matmul_bt_bias_grouped(bsz, outputs, inputs, a, &wt, &bias, &mut out);
+                    Act::PerGroup(out)
                 }
-                logits
-            }
-            ClassifierSpec::TableIICnn => {
-                let cols1 = cols1.expect("CNN forward requires the shared conv1 columns");
-                let c1 = conv1_spec();
-                let c2 = Conv2dSpec { in_ch: 32, out_ch: 64, kh: 5, kw: 5, pad: 2 };
-
-                let (w, b) = layer_views(&self.models, blk, &segs[0]);
-                let mut a1 = workspace::take_uninit(g * bsz * 32 * 28 * 28);
-                {
-                    let _s = span("audit.batched.conv1");
+                (LayerSpec::MaxPool { ch, h, w, k }, Act::PerGroup(x)) => {
+                    let _s = span("audit.batched.pool");
                     LAUNCHES.incr();
-                    conv::conv2d_forward_cols_grouped(cols1, bsz, 28, 28, &c1, &w, &b, &mut a1);
+                    let mut out = workspace::take_uninit(g * bsz * out_len);
+                    maxpool2d_forward_values(&x, ch, h, w, k, &mut out);
+                    Act::PerGroup(out)
                 }
-                relu_grouped(&mut a1, bsz * 32 * 28 * 28);
-                let mut p1 = workspace::take_uninit(g * bsz * 32 * 14 * 14);
-                {
-                    let _s = span("audit.batched.pool1");
-                    LAUNCHES.incr();
-                    maxpool2d_forward_grouped(&a1, bsz, 32, 28, 28, 2, &mut p1);
+                (LayerSpec::Relu, Act::PerGroup(mut x)) => {
+                    relu(&mut x, len);
+                    Act::PerGroup(x)
                 }
-                drop(a1);
-
-                let (w, b) = layer_views(&self.models, blk, &segs[1]);
-                let mut a2 = workspace::take_uninit(g * bsz * 64 * 14 * 14);
-                {
-                    let _s = span("audit.batched.conv2");
-                    LAUNCHES.incr();
-                    conv::conv2d_forward_grouped(&p1, bsz, 14, 14, &c2, &w, &b, &mut a2);
+                // `(bsz, ch, h, w)` → `(bsz, features)` is a row-major no-op.
+                (LayerSpec::Flatten, x) => x,
+                (LayerSpec::Relu | LayerSpec::MaxPool { .. }, Act::Shared(_)) => {
+                    unreachable!("a classifier starts with a parameterised layer")
                 }
-                drop(p1);
-                relu_grouped(&mut a2, bsz * 64 * 14 * 14);
-                let mut p2 = workspace::take_uninit(g * bsz * 64 * 7 * 7);
-                {
-                    let _s = span("audit.batched.pool2");
-                    LAUNCHES.incr();
-                    maxpool2d_forward_grouped(&a2, bsz, 64, 14, 14, 2, &mut p2);
-                }
-                drop(a2);
-
-                // Flatten (bsz, 64, 7, 7) → (bsz, 3136) is a row-major
-                // layout no-op; p2 feeds fc1 directly as per-group matrices.
-                let (w, b) = layer_views(&self.models, blk, &segs[2]);
-                let mut h = workspace::take_uninit(g * bsz * 512);
-                {
-                    let _s = span("audit.batched.fc1");
-                    LAUNCHES.incr();
-                    matmul_bt_bias_grouped(bsz, 512, 3136, GroupedA::PerGroup(&p2), &w, &b, &mut h);
-                }
-                drop(p2);
-                relu_grouped(&mut h, bsz * 512);
-                let (w, b) = layer_views(&self.models, blk, &segs[3]);
-                let mut logits = workspace::take_uninit(g * bsz * 10);
-                {
-                    let _s = span("audit.batched.fc2");
-                    LAUNCHES.incr();
-                    matmul_bt_bias_grouped(
-                        bsz,
-                        10,
-                        512,
-                        GroupedA::PerGroup(&h),
-                        &w,
-                        &b,
-                        &mut logits,
-                    );
-                }
-                logits
-            }
+            };
+            (len, off) = (out_len, off + lens.0 + lens.1);
+        }
+        match act {
+            Act::PerGroup(logits) => logits,
+            Act::Shared(_) => unreachable!("a classifier has a parameterised layer"),
         }
     }
-}
-
-/// The Table II conv1: 1 → 32 channels, 5×5, same-size (padding 2).
-fn conv1_spec() -> Conv2dSpec {
-    Conv2dSpec { in_ch: 1, out_ch: 32, kh: 5, kw: 5, pad: 2 }
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use crate::optim::Optimizer;
 use crate::params;
 use crate::pool_layer::{Flatten, MaxPool2d};
 use crate::sequential::Sequential;
+use fg_tensor::conv::Conv2dSpec;
 use fg_tensor::rng::SeededRng;
 use fg_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -30,6 +31,60 @@ pub enum ClassifierSpec {
     Mlp { hidden: usize },
 }
 
+/// One layer of a classifier architecture with every shape it needs; the
+/// flat parameter vector holds each parameterised layer's weight then bias,
+/// layers front to back (the `params::flatten` visit order).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayerSpec {
+    /// Stride-1 convolution over `(in_ch, h, w)` activations.
+    Conv {
+        conv: Conv2dSpec,
+        h: usize,
+        w: usize,
+    },
+    Relu,
+    /// `k×k` max pool (stride `k`) over `(ch, h, w)` activations.
+    MaxPool {
+        ch: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+    },
+    /// `(ch, h, w)` → features; a no-op on row-major data.
+    Flatten,
+    Linear {
+        inputs: usize,
+        outputs: usize,
+    },
+}
+
+impl LayerSpec {
+    /// `(weight, bias)` scalar counts; `(0, 0)` for a parameter-free layer.
+    pub fn param_lens(&self) -> (usize, usize) {
+        match *self {
+            LayerSpec::Conv { conv, .. } => (conv.out_ch * conv.patch_len(), conv.out_ch),
+            LayerSpec::Linear { inputs, outputs } => (outputs * inputs, outputs),
+            LayerSpec::Relu | LayerSpec::MaxPool { .. } | LayerSpec::Flatten => (0, 0),
+        }
+    }
+
+    /// Activation scalars per sample leaving this layer, given `in_len`
+    /// entering it; panics when `in_len` is not what the layer consumes.
+    pub fn out_len(&self, in_len: usize) -> usize {
+        let (consumes, produces) = match *self {
+            LayerSpec::Conv { conv, h, w } => {
+                let (oh, ow) = conv.out_size(h, w);
+                (conv.in_ch * h * w, conv.out_ch * oh * ow)
+            }
+            LayerSpec::MaxPool { ch, h, w, k } => (ch * h * w, ch * (h / k) * (w / k)),
+            LayerSpec::Linear { inputs, outputs } => (inputs, outputs),
+            LayerSpec::Relu | LayerSpec::Flatten => (in_len, in_len),
+        };
+        assert_eq!(in_len, consumes, "{self:?}: input length mismatch");
+        produces
+    }
+}
+
 impl ClassifierSpec {
     /// Flattened input dimensionality (28 × 28 images).
     pub fn input_dim(&self) -> usize {
@@ -41,14 +96,45 @@ impl ClassifierSpec {
         10
     }
 
+    /// The architecture, front to back — the one statement of its shapes:
+    /// [`Self::num_params`], [`Classifier::new`] and the batched scorer's
+    /// parameter offsets and launch sequence are all read off this list.
+    pub fn layers(&self) -> Vec<LayerSpec> {
+        use LayerSpec::{Flatten, Linear, Relu};
+        let classes = self.num_classes();
+        match *self {
+            ClassifierSpec::TableIICnn => {
+                // Same-size 5×5 convolutions; the 2×2 pools take 28 → 14 → 7.
+                let conv = |in_ch, out_ch, side| LayerSpec::Conv {
+                    conv: Conv2dSpec { in_ch, out_ch, kh: 5, kw: 5, pad: 2 },
+                    h: side,
+                    w: side,
+                };
+                let pool = |ch, side| LayerSpec::MaxPool { ch, h: side, w: side, k: 2 };
+                vec![
+                    conv(1, 32, 28),
+                    Relu,
+                    pool(32, 28),
+                    conv(32, 64, 14),
+                    Relu,
+                    pool(64, 14),
+                    Flatten,
+                    Linear { inputs: 64 * 7 * 7, outputs: 512 },
+                    Relu,
+                    Linear { inputs: 512, outputs: classes },
+                ]
+            }
+            ClassifierSpec::Mlp { hidden } => vec![
+                Linear { inputs: self.input_dim(), outputs: hidden },
+                Relu,
+                Linear { inputs: hidden, outputs: classes },
+            ],
+        }
+    }
+
     /// Total trainable scalar count (including biases).
     pub fn num_params(&self) -> usize {
-        match self {
-            ClassifierSpec::TableIICnn => {
-                (800 + 32) + (51_200 + 64) + (3136 * 512 + 512) + (512 * 10 + 10)
-            }
-            ClassifierSpec::Mlp { hidden } => (784 * hidden + hidden) + (hidden * 10 + 10),
-        }
+        self.layers().iter().map(LayerSpec::param_lens).map(|(w, b)| w + b).sum()
     }
 }
 
@@ -56,6 +142,9 @@ impl ClassifierSpec {
 pub struct Classifier {
     spec: ClassifierSpec,
     net: Sequential,
+    /// `(in_ch, h, w)` the flat input rows are viewed as when the first layer
+    /// is a convolution.
+    image_dims: Option<[usize; 3]>,
     /// Mini-batch staging tensor recycled across [`Classifier::evaluate`]
     /// calls (taken around the forward pass, put back after), so scoring
     /// does not allocate a fresh input copy per mini-batch.
@@ -63,26 +152,25 @@ pub struct Classifier {
 }
 
 impl Classifier {
-    /// Freshly initialized classifier.
+    /// Freshly initialized classifier: one layer object per
+    /// [`ClassifierSpec::layers`] entry, constructed front to back (the order
+    /// the RNG draws follow).
     pub fn new(spec: &ClassifierSpec, rng: &mut SeededRng) -> Self {
-        let net = match spec {
-            ClassifierSpec::TableIICnn => Sequential::new()
-                .push(Conv2d::new(1, 32, 5, 2, rng))
-                .push(ReLU::new())
-                .push(MaxPool2d::new(2))
-                .push(Conv2d::new(32, 64, 5, 2, rng))
-                .push(ReLU::new())
-                .push(MaxPool2d::new(2))
-                .push(Flatten::new())
-                .push(Linear::new(3136, 512, rng))
-                .push(ReLU::new())
-                .push(Linear::new(512, 10, rng)),
-            ClassifierSpec::Mlp { hidden } => Sequential::new()
-                .push(Linear::new(784, *hidden, rng))
-                .push(ReLU::new())
-                .push(Linear::new(*hidden, 10, rng)),
+        let layers = spec.layers();
+        let image_dims = match layers.first() {
+            Some(&LayerSpec::Conv { conv, h, w }) => Some([conv.in_ch, h, w]),
+            _ => None,
         };
-        Classifier { spec: *spec, net, eval_stage: None }
+        let net = layers.into_iter().fold(Sequential::new(), |net, layer| match layer {
+            LayerSpec::Conv { conv, .. } => {
+                net.push(Conv2d::new(conv.in_ch, conv.out_ch, conv.kh, conv.pad, rng))
+            }
+            LayerSpec::Relu => net.push(ReLU::new()),
+            LayerSpec::MaxPool { k, .. } => net.push(MaxPool2d::new(k)),
+            LayerSpec::Flatten => net.push(Flatten::new()),
+            LayerSpec::Linear { inputs, outputs } => net.push(Linear::new(inputs, outputs, rng)),
+        });
+        Classifier { spec: *spec, net, image_dims, eval_stage: None }
     }
 
     /// Classifier constructed from a flat parameter vector `ψ`.
@@ -109,10 +197,10 @@ impl Classifier {
 
     /// Raw class logits for a batch of flattened images `(batch, 784)`.
     pub fn logits(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.dim(1), 784, "classifier expects flattened 28x28 images");
-        match self.spec {
-            ClassifierSpec::TableIICnn => self.net.forward(&x.view(&[x.dim(0), 1, 28, 28]), train),
-            ClassifierSpec::Mlp { .. } => self.net.forward(x, train),
+        assert_eq!(x.dim(1), self.spec.input_dim(), "classifier expects flattened 28x28 images");
+        match self.image_dims {
+            Some([c, h, w]) => self.net.forward(&x.view(&[x.dim(0), c, h, w]), train),
+            None => self.net.forward(x, train),
         }
     }
 
@@ -174,6 +262,7 @@ impl Classifier {
         if n == 0 {
             return 0.0;
         }
+        assert!(batch > 0, "evaluate: batch must be positive");
         let cols = x.dim(1);
         let data = x.data();
         let mut correct = 0usize;
@@ -371,6 +460,15 @@ mod tests {
         let y = vec![0usize; 7];
         let acc = clf.evaluate(&x, &y, 3);
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must be positive")]
+    fn evaluate_rejects_a_zero_batch() {
+        // `hi = (lo + 0).min(n)` would never advance.
+        let mut rng = SeededRng::new(4);
+        let mut clf = Classifier::new(&ClassifierSpec::Mlp { hidden: 8 }, &mut rng);
+        clf.evaluate(&Tensor::zeros(&[3, 784]), &[0, 1, 2], 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ mod cvae;
 mod vae;
 
 pub use batched::BatchedClassifier;
-pub use classifier::{Classifier, ClassifierSpec};
+pub use classifier::{Classifier, ClassifierSpec, LayerSpec};
 pub use cvae::{Cvae, CvaeDecoder, CvaeSpec};
 pub use vae::{Vae, VaeSpec};
 

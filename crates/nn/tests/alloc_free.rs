@@ -144,6 +144,20 @@ fn warm_scoring_paths_are_allocation_free() {
             delta, 0,
             "warm sequential and batched scoring must perform zero workspace allocations"
         );
+
+        // The server's per-round evaluation: one Table II model through the
+        // same scorer, ragged last mini-batch included.
+        let spec = ClassifierSpec::TableIICnn;
+        let psi = Classifier::new(&spec, &mut rng).get_params();
+        let global = BatchedClassifier::new(&spec, &[&psi]);
+        let (x, y) = (Tensor::randn(&[6, 784], &mut rng), vec![3usize; 6]);
+        for _ in 0..2 {
+            global.evaluate(&x, &y, 4);
+        }
+        let delta = alloc_delta(|| {
+            global.evaluate(&x, &y, 4);
+        });
+        assert_eq!(delta, 0, "a warm m = 1 evaluation must perform zero workspace allocations");
     });
 }
 

@@ -144,3 +144,143 @@ fn table_ii_cnn_cohort_matches_oracle_bitwise() {
     let want: Vec<u32> = oracle.iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, want);
 }
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The server's evaluation of `ψ₀` is the `m = 1` case: one Table II model,
+/// a ragged last mini-batch, and — since one group must be as parallel as
+/// eight — the same bits as [`Classifier::evaluate`] at 1, 2 and 4 threads.
+#[test]
+fn one_table_ii_model_matches_the_oracle_at_any_thread_count() {
+    let spec = ClassifierSpec::TableIICnn;
+    let models = random_models(&spec, 1, 3);
+    let (x, y) = random_dataset(13, 3);
+    let want = bits(&oracle_scores(&spec, &models, &x, &y, 5));
+    for threads in [1, 2, 4] {
+        let got = rayon::with_threads(threads, || {
+            BatchedClassifier::new(&spec, &[&models[0]]).evaluate(&x, &y, 5)
+        });
+        assert_eq!(bits(&got), want, "{threads} threads");
+    }
+}
+
+/// The layer list is the one statement of the architecture: it reproduces
+/// the parameter counts, and the offsets the scorer reads off it carve a
+/// flattened model into exactly the tensors `params::flatten` visited.
+#[test]
+fn layer_list_reproduces_param_counts_and_the_flatten_order() {
+    use fg_nn::Module;
+
+    let weights =
+        |spec: &ClassifierSpec| -> usize { spec.layers().iter().map(|l| l.param_lens().0).sum() };
+    assert_eq!(weights(&ClassifierSpec::TableIICnn), 1_662_752, "Table II counts weights only");
+    assert_eq!(ClassifierSpec::TableIICnn.num_params(), 1_662_752 + 32 + 64 + 512 + 10);
+    for hidden in [1, 24, 64] {
+        let spec = ClassifierSpec::Mlp { hidden };
+        assert_eq!(spec.num_params(), (784 * hidden + hidden) + (hidden * 10 + 10));
+    }
+
+    for spec in [ClassifierSpec::TableIICnn, ClassifierSpec::Mlp { hidden: 9 }] {
+        let clf = Classifier::new(&spec, &mut SeededRng::new(5));
+        let flat = clf.get_params();
+        let mut visited: Vec<Vec<u32>> = Vec::new();
+        clf.visit_params(&mut |p| visited.push(bits(p.value.data())));
+
+        let (mut off, mut carved) = (0usize, Vec::new());
+        let mut len = spec.input_dim();
+        for layer in spec.layers() {
+            len = layer.out_len(len); // panics unless the shapes chain
+            let (w, b) = layer.param_lens();
+            if w + b > 0 {
+                carved.push(bits(&flat[off..off + w]));
+                carved.push(bits(&flat[off + w..off + w + b]));
+                off += w + b;
+            }
+        }
+        assert_eq!(len, spec.num_classes(), "{spec:?}: the list ends in the logits");
+        assert_eq!(off, flat.len(), "{spec:?}");
+        assert_eq!(carved, visited, "{spec:?}: layer-list offsets vs visit order");
+    }
+}
+
+/// Each forward kernel has one body; a one-group call of it is the grouped
+/// call's first group, bit for bit (and the other groups are independent
+/// one-group calls too).
+#[test]
+fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
+    use fg_tensor::conv::{
+        conv2d_forward, conv2d_forward_cols_grouped, conv2d_forward_grouped, im2col_batch,
+        Conv2dSpec,
+    };
+    use fg_tensor::kernels::{matmul_bt_bias, matmul_bt_bias_grouped, GroupedA};
+    use fg_tensor::pool::{maxpool2d_forward, maxpool2d_forward_values, MaxPool2dSpec};
+
+    let mut rng = SeededRng::new(17);
+    let (groups, b) = (3usize, 5usize);
+
+    // Convolution: per-group activations, and shared pre-lowered columns.
+    let spec = Conv2dSpec { in_ch: 2, out_ch: 4, kh: 3, kw: 3, pad: 1 };
+    let (h, w) = (6, 7);
+    let (img, out_img) = (spec.in_ch * h * w, spec.out_ch * h * w);
+    let x = Tensor::randn(&[groups * b, spec.in_ch, h, w], &mut rng);
+    let banks: Vec<Tensor> =
+        (0..groups).map(|_| Tensor::randn(&[spec.out_ch, spec.patch_len()], &mut rng)).collect();
+    let biases: Vec<Tensor> =
+        (0..groups).map(|_| Tensor::randn(&[spec.out_ch], &mut rng)).collect();
+    let wv: Vec<&[f32]> = banks.iter().map(|t| t.data()).collect();
+    let bv: Vec<&[f32]> = biases.iter().map(|t| t.data()).collect();
+
+    let mut grouped = vec![0.0f32; groups * b * out_img];
+    conv2d_forward_grouped(x.data(), b, h, w, &spec, &wv, &bv, &mut grouped);
+    let mut cols = vec![0.0f32; b * h * w * spec.patch_len()];
+    im2col_batch(&x.data()[..b * img], b, h, w, &spec, &mut cols);
+    let mut shared = vec![0.0f32; groups * b * out_img];
+    conv2d_forward_cols_grouped(&cols, b, h, w, &spec, &wv, &bv, &mut shared);
+    for g in 0..groups {
+        let own = Tensor::from_vec(
+            x.data()[g * b * img..(g + 1) * b * img].to_vec(),
+            &[b, spec.in_ch, h, w],
+        );
+        let one = conv2d_forward(&own, &banks[g], &biases[g], &spec);
+        assert_eq!(bits(one.data()), bits(&grouped[g * b * out_img..(g + 1) * b * out_img]));
+        // Every group of the shared launch convolved group 0's images.
+        let first = Tensor::from_vec(x.data()[..b * img].to_vec(), &[b, spec.in_ch, h, w]);
+        let one = conv2d_forward(&first, &banks[g], &biases[g], &spec);
+        assert_eq!(bits(one.data()), bits(&shared[g * b * out_img..(g + 1) * b * out_img]));
+    }
+
+    // Linear forward, large enough (70 × 150 · 110 > 2^20 MACs) that each
+    // group's product also splits its row blocks.
+    let (m, n, k) = (70usize, 150usize, 110usize);
+    let a = Tensor::randn(&[groups * m, k], &mut rng);
+    let ws: Vec<Tensor> = (0..groups).map(|_| Tensor::randn(&[n, k], &mut rng)).collect();
+    let bs: Vec<Tensor> = (0..groups).map(|_| Tensor::randn(&[n], &mut rng)).collect();
+    let wv: Vec<&[f32]> = ws.iter().map(|t| t.data()).collect();
+    let bv: Vec<&[f32]> = bs.iter().map(|t| t.data()).collect();
+    let mut per_group = vec![0.0f32; groups * m * n];
+    matmul_bt_bias_grouped(m, n, k, GroupedA::PerGroup(a.data()), &wv, &bv, &mut per_group);
+    let mut shared = vec![0.0f32; groups * m * n];
+    let first = Tensor::from_vec(a.data()[..m * k].to_vec(), &[m, k]);
+    matmul_bt_bias_grouped(m, n, k, GroupedA::Shared(first.data()), &wv, &bv, &mut shared);
+    for g in 0..groups {
+        let own = Tensor::from_vec(a.data()[g * m * k..(g + 1) * m * k].to_vec(), &[m, k]);
+        let one = matmul_bt_bias(&own, &ws[g], &bs[g]);
+        assert_eq!(bits(one.data()), bits(&per_group[g * m * n..(g + 1) * m * n]));
+        let one = matmul_bt_bias(&first, &ws[g], &bs[g]);
+        assert_eq!(bits(one.data()), bits(&shared[g * m * n..(g + 1) * m * n]));
+    }
+
+    // Values-only pooling: a slab of `groups × b` images, its first group
+    // alone, and the training-path forward agree.
+    let (c, h, w, k) = (3usize, 6usize, 8usize, 2usize);
+    let x = Tensor::randn(&[groups * b, c, h, w], &mut rng);
+    let pooled_len = b * c * (h / k) * (w / k);
+    let mut slab = vec![0.0f32; groups * pooled_len];
+    maxpool2d_forward_values(x.data(), c, h, w, k, &mut slab);
+    let mut one = vec![0.0f32; pooled_len];
+    maxpool2d_forward_values(&x.data()[..b * c * h * w], c, h, w, k, &mut one);
+    assert_eq!(bits(&one), bits(&slab[..pooled_len]));
+    assert_eq!(bits(maxpool2d_forward(&x, &MaxPool2dSpec { k }).output.data()), bits(&slab));
+}

@@ -116,68 +116,105 @@ pub fn col2im(cols: &[f32], h: usize, w: usize, spec: &Conv2dSpec, image_grad: &
     }
 }
 
-/// Forward convolution.
+/// Where [`forward_body`] finds the `(out_plane, patch_len)` column matrix of
+/// one image.
+#[derive(Clone, Copy)]
+enum Columns<'a> {
+    /// Lower the image out of this `(groups, b, in_ch, h, w)` activation slab
+    /// into pooled scratch ([`im2col`]).
+    Lower(&'a [f32]),
+    /// Read image `bi`'s block of a `(b, out_plane, patch_len)` slab that
+    /// [`im2col_batch`] lowered once for every group.
+    Shared(&'a [f32]),
+}
+
+/// The one forward-convolution body: group `g` convolves `b` images with its
+/// own `(out_ch, patch_len)` filter bank and bias into
+/// `out[g*b*out_ch*out_plane..]`.
 ///
-/// `input` is `(batch, in_ch, h, w)`, `weight` `(out_ch, in_ch*kh*kw)` (the
-/// flattened filter bank), `bias` `(out_ch)`. Returns
-/// `(batch, out_ch, out_h, out_w)`.
-///
-/// Per image, the patch matrix is lowered into a workspace buffer and the
-/// product `W · colsᵀ` is computed directly in the `(out_ch, out_plane)`
-/// output layout (the packing step absorbs the transpose, replacing the old
-/// strided transpose scatter), with the bias folded into the GEMM epilogue
-/// by seeding each output channel's row. Parallelism is over batch images
-/// (disjoint output planes), so results are bit-identical at any thread
-/// count; steady-state calls allocate nothing but the returned tensor.
-pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec) -> Tensor {
+/// Per *(group, image)* item: take the image's columns, seed each output
+/// channel's row with its bias (the fused epilogue), then
+/// `C(out_ch × out_plane) += W · colsᵀ` written straight in the output layout
+/// (the GEMM's packing absorbs the transpose). The items are the parallel
+/// grain — disjoint output planes, a sequential GEMM each — so one group is as
+/// parallel as eight and every bit is the same at any thread count; scratch
+/// comes from the thread-local workspace pool.
+#[allow(clippy::too_many_arguments)]
+fn forward_body(
+    cols: Columns<'_>,
+    b: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    weights: &[&[f32]],
+    biases: &[&[f32]],
+    out: &mut [f32],
+) {
     CONV_FWD_CALLS.incr();
     let _span = fg_obs::span::span("tensor.conv2d.forward");
-    let dims = input.dims();
-    assert_eq!(dims.len(), 4, "conv2d input must be (B,C,H,W)");
-    let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    assert_eq!(c, spec.in_ch, "channel mismatch");
-    assert_eq!(weight.dims(), &[spec.out_ch, spec.patch_len()]);
+    let groups = weights.len();
     let (oh, ow) = spec.out_size(h, w);
-    let img_len = c * h * w;
-    let out_plane = oh * ow;
-    let patch = spec.patch_len();
-
-    let mut out = vec![0.0f32; b * spec.out_ch * out_plane];
-    let in_data = input.data();
-    let w_data = weight.data();
-    let bias_data = bias.data();
-
-    out.par_chunks_mut(spec.out_ch * out_plane).enumerate().for_each(|(bi, out_img)| {
-        let image = &in_data[bi * img_len..(bi + 1) * img_len];
-        let mut cols = workspace::take_uninit(out_plane * patch);
-        im2col(image, h, w, spec, &mut cols);
-        // Seed each output row with its channel bias (the fused epilogue)…
-        for (dst, &bv) in out_img.chunks_exact_mut(out_plane).zip(bias_data) {
+    let (out_plane, patch, img_len) = (oh * ow, spec.patch_len(), spec.in_ch * h * w);
+    let cols_len = out_plane * patch;
+    assert_eq!(biases.len(), groups, "conv2d forward: weights/biases mismatch");
+    assert_eq!(out.len(), groups * b * spec.out_ch * out_plane, "conv2d forward: output slab");
+    match cols {
+        Columns::Lower(x) => assert_eq!(x.len(), groups * b * img_len, "conv2d forward: input"),
+        Columns::Shared(c) => assert_eq!(c.len(), b * cols_len, "conv2d forward: cols slab"),
+    }
+    for (w_data, bias) in weights.iter().zip(biases) {
+        assert_eq!(w_data.len(), spec.out_ch * patch, "conv2d forward: filter bank size");
+        assert_eq!(bias.len(), spec.out_ch, "conv2d forward: bias length");
+    }
+    out.par_chunks_mut(spec.out_ch * out_plane).enumerate().for_each(|(item, out_img)| {
+        let (g, bi) = (item / b, item % b);
+        let lowered;
+        let cols = match cols {
+            Columns::Lower(x) => {
+                let mut scratch = workspace::take_uninit(cols_len);
+                im2col(&x[item * img_len..(item + 1) * img_len], h, w, spec, &mut scratch);
+                lowered = scratch;
+                &lowered[..]
+            }
+            Columns::Shared(c) => &c[bi * cols_len..(bi + 1) * cols_len],
+        };
+        for (dst, &bv) in out_img.chunks_exact_mut(out_plane).zip(biases[g]) {
             dst.fill(bv);
         }
-        // …then C(out_ch × out_plane) += W(out_ch × patch) · colsᵀ. The
-        // per-image GEMM stays sequential: batch images are the parallel
-        // grain here.
         kernels::gemm(
             false,
             spec.out_ch,
             out_plane,
             patch,
-            MatRef { data: w_data, rs: patch, cs: 1 },
-            MatRef { data: &cols, rs: 1, cs: patch },
+            MatRef { data: weights[g], rs: patch, cs: 1 },
+            MatRef { data: cols, rs: 1, cs: patch },
             out_img,
         );
     });
+}
 
+/// Forward convolution: `input` `(batch, in_ch, h, w)`, `weight`
+/// `(out_ch, in_ch*kh*kw)` (the flattened filter bank), `bias` `(out_ch)` →
+/// `(batch, out_ch, out_h, out_w)`. A one-group call of the forward body;
+/// steady-state calls allocate nothing but the returned tensor.
+pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    let &[b, c, h, w] = input.dims() else { panic!("conv2d input must be (B,C,H,W)") };
+    assert_eq!(c, spec.in_ch, "channel mismatch");
+    assert_eq!(weight.dims(), &[spec.out_ch, spec.patch_len()]);
+    let (oh, ow) = spec.out_size(h, w);
+    let mut out = vec![0.0f32; b * spec.out_ch * oh * ow];
+    let x = Columns::Lower(input.data());
+    forward_body(x, b, h, w, spec, &[weight.data()], &[bias.data()], &mut out);
     Tensor::from_vec(out, &[b, spec.out_ch, oh, ow])
 }
 
 /// Lower a whole batch `(b, in_ch, h, w)` of images into one
 /// `(b, out_h*out_w, patch_len)` column slab — the shared im2col buffer of
-/// the batched audit path: every audited model convolves the *same*
-/// validation batch, so the lowering is paid once and reused across all of
-/// them. Pure data movement (each value is copied or zero), so the slab is
-/// bit-identical to the per-image [`im2col`] calls [`conv2d_forward`] makes.
+/// the batched scorer: every scored model convolves the *same* validation
+/// batch, so the lowering is paid once and reused across all of them. Pure
+/// data movement (each value is copied or zero), one task per image, so the
+/// slab is bit-identical to the per-image [`im2col`] calls the forward body
+/// makes.
 pub fn im2col_batch(
     input: &[f32],
     b: usize,
@@ -189,24 +226,17 @@ pub fn im2col_batch(
     let (oh, ow) = spec.out_size(h, w);
     let img_len = spec.in_ch * h * w;
     let cols_len = oh * ow * spec.patch_len();
-    debug_assert_eq!(input.len(), b * img_len);
+    assert_eq!(input.len(), b * img_len, "im2col_batch: input slab size");
     assert_eq!(out.len(), b * cols_len, "im2col_batch: output slab size");
-    for (image, cols) in input.chunks_exact(img_len).zip(out.chunks_exact_mut(cols_len)) {
-        im2col(image, h, w, spec, cols);
-    }
+    out.par_chunks_mut(cols_len).enumerate().for_each(|(bi, cols)| {
+        im2col(&input[bi * img_len..(bi + 1) * img_len], h, w, spec, cols);
+    });
 }
 
-/// One grouped forward convolution over pre-lowered *shared* columns: every
+/// Grouped forward convolution over pre-lowered *shared* columns: every
 /// group convolves the same `(b, out_plane, patch)` column slab (from
-/// [`im2col_batch`]) with its own `(out_ch, patch)` filter bank and bias,
-/// writing group `g`'s `(b, out_ch, out_plane)` output into
-/// `out[g*b*out_ch*out_plane..]`.
-///
-/// Per (group, image) this issues exactly the bias-seed + GEMM of
-/// [`conv2d_forward`] on value-identical columns, so every output bit
-/// matches `G` independent `conv2d_forward` calls; the group axis fans out
-/// over the rayon shim into disjoint output chunks (no cross-group
-/// arithmetic), keeping results bit-identical at any `FG_THREADS`.
+/// [`im2col_batch`]) with its own filter bank and bias. Bitwise equal to one
+/// [`conv2d_forward`] per group on the images the slab was lowered from.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_cols_grouped(
     cols: &[f32],
@@ -218,46 +248,13 @@ pub fn conv2d_forward_cols_grouped(
     biases: &[&[f32]],
     out: &mut [f32],
 ) {
-    let groups = weights.len();
-    assert_eq!(biases.len(), groups, "conv2d_forward_cols_grouped: weights/biases mismatch");
-    let (oh, ow) = spec.out_size(h, w);
-    let out_plane = oh * ow;
-    let patch = spec.patch_len();
-    assert_eq!(cols.len(), b * out_plane * patch, "conv2d_forward_cols_grouped: cols slab");
-    assert_eq!(out.len(), groups * b * spec.out_ch * out_plane);
-    out.par_chunks_mut(b * spec.out_ch * out_plane).enumerate().for_each(|(g, out_g)| {
-        let w_data = weights[g];
-        let bias = biases[g];
-        debug_assert_eq!(w_data.len(), spec.out_ch * patch);
-        debug_assert_eq!(bias.len(), spec.out_ch);
-        for (img_cols, out_img) in cols
-            .chunks_exact(out_plane * patch)
-            .zip(out_g.chunks_exact_mut(spec.out_ch * out_plane))
-        {
-            for (dst, &bv) in out_img.chunks_exact_mut(out_plane).zip(bias) {
-                dst.fill(bv);
-            }
-            kernels::gemm(
-                false,
-                spec.out_ch,
-                out_plane,
-                patch,
-                MatRef { data: w_data, rs: patch, cs: 1 },
-                MatRef { data: img_cols, rs: 1, cs: patch },
-                out_img,
-            );
-        }
-    });
+    forward_body(Columns::Shared(cols), b, h, w, spec, weights, biases, out);
 }
 
-/// One grouped forward convolution over *per-group* activations: group `g`
-/// convolves its own `(b, in_ch, h, w)` slab slice
-/// `input[g*b*in_ch*h*w..]` — the deeper-layer case of the batched audit
-/// path, where activations have already diverged per model. Lowering happens
-/// inside each group's task (per image, into thread-local workspace scratch,
-/// exactly as [`conv2d_forward`] does), followed by the identical
-/// bias-seed-then-GEMM sequence; the same bit-identity argument as
-/// [`conv2d_forward_cols_grouped`] applies.
+/// Grouped forward convolution over *per-group* activations: group `g`
+/// convolves its own `(b, in_ch, h, w)` slice `input[g*b*in_ch*h*w..]` — the
+/// deeper layers of the batched scorer, where activations have diverged per
+/// model. Bitwise equal to one [`conv2d_forward`] per group.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_grouped(
     input: &[f32],
@@ -269,37 +266,7 @@ pub fn conv2d_forward_grouped(
     biases: &[&[f32]],
     out: &mut [f32],
 ) {
-    let groups = weights.len();
-    assert_eq!(biases.len(), groups, "conv2d_forward_grouped: weights/biases mismatch");
-    let (oh, ow) = spec.out_size(h, w);
-    let out_plane = oh * ow;
-    let patch = spec.patch_len();
-    let img_len = spec.in_ch * h * w;
-    assert_eq!(input.len(), groups * b * img_len, "conv2d_forward_grouped: input slab");
-    assert_eq!(out.len(), groups * b * spec.out_ch * out_plane);
-    out.par_chunks_mut(b * spec.out_ch * out_plane).enumerate().for_each(|(g, out_g)| {
-        let w_data = weights[g];
-        let bias = biases[g];
-        let in_g = &input[g * b * img_len..(g + 1) * b * img_len];
-        let mut cols = workspace::take_uninit(out_plane * patch);
-        for (image, out_img) in
-            in_g.chunks_exact(img_len).zip(out_g.chunks_exact_mut(spec.out_ch * out_plane))
-        {
-            im2col(image, h, w, spec, &mut cols);
-            for (dst, &bv) in out_img.chunks_exact_mut(out_plane).zip(bias) {
-                dst.fill(bv);
-            }
-            kernels::gemm(
-                false,
-                spec.out_ch,
-                out_plane,
-                patch,
-                MatRef { data: w_data, rs: patch, cs: 1 },
-                MatRef { data: &cols, rs: 1, cs: patch },
-                out_img,
-            );
-        }
-    });
+    forward_body(Columns::Lower(input), b, h, w, spec, weights, biases, out);
 }
 
 /// Gradients produced by [`conv2d_backward`].

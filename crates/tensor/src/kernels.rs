@@ -579,29 +579,17 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `C = A · Bᵀ + bias` with the bias row folded into the output
 /// initialization — the fused linear-forward epilogue. `bias` must have
-/// length N; it seeds every output row before the product accumulates on
-/// top, so the bias add costs no separate pass.
+/// length N. A one-group call of [`matmul_bt_bias_grouped`].
 pub fn matmul_bt_bias(a: &Tensor, b: &Tensor, bias: &Tensor) -> Tensor {
     assert_eq!(a.shape().rank(), 2, "matmul_bt_bias: A must be rank-2");
     assert_eq!(b.shape().rank(), 2, "matmul_bt_bias: B must be rank-2");
     let (m, k) = (a.dim(0), a.dim(1));
     let (n, k2) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul_bt_bias: inner dims mismatch ({k} vs {k2})");
-    assert_eq!(bias.numel(), n, "matmul_bt_bias: bias length mismatch");
 
     let mut out = vec![0.0f32; m * n];
-    for row in out.chunks_exact_mut(n) {
-        row.copy_from_slice(bias.data());
-    }
-    gemm(
-        worth_forking(m, n, k),
-        m,
-        n,
-        k,
-        MatRef { data: a.data(), rs: k, cs: 1 },
-        MatRef { data: b.data(), rs: 1, cs: k },
-        &mut out,
-    );
+    let a = GroupedA::Shared(a.data());
+    matmul_bt_bias_grouped(m, n, k, a, &[b.data()], &[bias.data()], &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -609,26 +597,25 @@ pub fn matmul_bt_bias(a: &Tensor, b: &Tensor, bias: &Tensor) -> Tensor {
 #[derive(Clone, Copy)]
 pub enum GroupedA<'a> {
     /// Every group multiplies the same row-major `m×k` matrix — the shared
-    /// validation batch of the batched audit path.
+    /// validation batch of the batched scorer.
     Shared(&'a [f32]),
     /// Group `g` multiplies `slab[g*m*k..(g+1)*m*k]` — per-model activation
     /// slabs produced by an earlier grouped layer.
     PerGroup(&'a [f32]),
 }
 
-/// One grouped launch of `C_g = A_g · W_gᵀ + bias_g` over `G` groups — the
-/// batched-audit form of [`matmul_bt_bias`]: `A_g` is `m×k` (shared or a
-/// per-group slab slice), `W_g` is `n×k`, `bias_g` has length `n`, and group
-/// `g`'s output lands in `out[g*m*n..(g+1)*m*n]`.
+/// `C_g = A_g · W_gᵀ + bias_g` over `G` groups — the one body of the fused
+/// linear forward: `A_g` is `m×k` (shared or a per-group slab slice), `W_g`
+/// is `n×k`, `bias_g` has length `n`, and group `g`'s output lands in
+/// `out[g*m*n..(g+1)*m*n]`.
 ///
-/// Each group runs the *same* bias-seed + [`gemm`] call the per-model
-/// sequential path issues (same shape, same `MatRef` strides, same
-/// increasing-`k` accumulation chains), so per-element arithmetic — and
-/// therefore every output bit — is identical to `G` independent
-/// `matmul_bt_bias` calls. The model axis fans out over the rayon shim into
-/// disjoint output chunks with no cross-group reduction, so results are also
-/// bit-identical at any `FG_THREADS`. Per-group GEMMs stay sequential: the
-/// group axis is the parallel grain here.
+/// Per group: every output row is seeded with the bias, so the bias add
+/// costs no separate pass, then one [`gemm`] accumulates the product on top
+/// (same shape, same `MatRef` strides, same increasing-`k` chains whatever
+/// the group count). The parallel grain is *group × `MC` row-block*: groups
+/// fan out into disjoint output chunks with no cross-group reduction, and a
+/// product [`worth_forking`] splits its row-blocks too, so one group is as
+/// parallel as eight and results are bit-identical at any `FG_THREADS`.
 pub fn matmul_bt_bias_grouped(
     m: usize,
     n: usize,
@@ -645,25 +632,28 @@ pub fn matmul_bt_bias_grouped(
         GroupedA::Shared(s) => assert_eq!(s.len(), m * k, "grouped A: shared matrix size"),
         GroupedA::PerGroup(s) => assert_eq!(s.len(), groups * m * k, "grouped A: slab size"),
     }
+    for (w, bias) in weights.iter().zip(biases) {
+        assert_eq!(w.len(), n * k, "matmul_bt_bias_grouped: weight matrix size");
+        assert_eq!(bias.len(), n, "matmul_bt_bias_grouped: bias length mismatch");
+    }
+    if out.is_empty() {
+        return;
+    }
     out.par_chunks_mut(m * n).enumerate().for_each(|(g, out_g)| {
-        let w = weights[g];
-        let bias = biases[g];
-        debug_assert_eq!(w.len(), n * k);
-        debug_assert_eq!(bias.len(), n);
         let a_g = match a {
             GroupedA::Shared(s) => s,
             GroupedA::PerGroup(s) => &s[g * m * k..(g + 1) * m * k],
         };
         for row in out_g.chunks_exact_mut(n) {
-            row.copy_from_slice(bias);
+            row.copy_from_slice(biases[g]);
         }
         gemm(
-            false,
+            worth_forking(m, n, k),
             m,
             n,
             k,
             MatRef { data: a_g, rs: k, cs: 1 },
-            MatRef { data: w, rs: 1, cs: k },
+            MatRef { data: weights[g], rs: 1, cs: k },
             out_g,
         );
     });

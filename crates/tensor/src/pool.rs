@@ -66,15 +66,20 @@ pub fn maxpool2d_forward(input: &Tensor, spec: &MaxPool2dSpec) -> MaxPoolOutput 
     MaxPoolOutput { output: Tensor::from_vec(out, &[b, c, oh, ow]), argmax }
 }
 
-/// Values-only max pooling over one `(b, c, h, w)` slice — the inference
-/// variant used by the batched audit path, which never backpropagates and so
-/// skips the argmax bookkeeping. The window scan (`if v > best`, row-major
-/// within the window) is copied verbatim from [`maxpool2d_forward`]: pooling
-/// is pure selection, no arithmetic, so outputs are bit-identical to the
-/// training-path forward.
+/// Values-only max pooling of every `(c, h, w)` image in `input` — the
+/// inference form the batched scorer uses, which never backpropagates and so
+/// skips the argmax bookkeeping. `input` holds any number of images (a batch,
+/// or the `groups × batch` slab of a grouped launch: pooling does not look
+/// across images, so the group axis needs no code of its own); image `i`
+/// pools into `out[i*c*(h/k)*(w/k)..]`.
+///
+/// The window scan (`if v > best`, row-major within the window) is
+/// [`maxpool2d_forward`]'s: pooling is pure selection, no arithmetic, so the
+/// values are bit-identical to the training-path forward. Images are the
+/// parallel grain (disjoint output chunks), so one image batch is as
+/// parallel as eight models' and bits are the same at any `FG_THREADS`.
 pub fn maxpool2d_forward_values(
     input: &[f32],
-    b: usize,
     c: usize,
     h: usize,
     w: usize,
@@ -82,48 +87,28 @@ pub fn maxpool2d_forward_values(
     out: &mut [f32],
 ) {
     let (oh, ow) = (h / k, w / k);
-    debug_assert_eq!(input.len(), b * c * h * w);
-    debug_assert_eq!(out.len(), b * c * oh * ow);
-    for (plane, out_plane) in input.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for ky in 0..k {
-                    let row_off = (oy * k + ky) * w + ox * k;
-                    for kx in 0..k {
-                        let v = plane[row_off + kx];
-                        if v > best {
-                            best = v;
+    assert_eq!(input.len() % (c * h * w), 0, "maxpool2d_forward_values: input slab size");
+    let images = input.len() / (c * h * w);
+    assert_eq!(out.len(), images * c * oh * ow, "maxpool2d_forward_values: output slab size");
+    out.par_chunks_mut(c * oh * ow).enumerate().for_each(|(i, out_img)| {
+        let image = &input[i * c * h * w..(i + 1) * c * h * w];
+        for (plane, out_plane) in image.chunks_exact(h * w).zip(out_img.chunks_exact_mut(oh * ow)) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    for ky in 0..k {
+                        let row_off = (oy * k + ky) * w + ox * k;
+                        for kx in 0..k {
+                            let v = plane[row_off + kx];
+                            if v > best {
+                                best = v;
+                            }
                         }
                     }
+                    out_plane[oy * ow + ox] = best;
                 }
-                out_plane[oy * ow + ox] = best;
             }
         }
-    }
-}
-
-/// Grouped values-only max pooling: group `g` pools its `(b, c, h, w)` slab
-/// slice `input[g*b*c*h*w..]` into `out[g*b*c*(h/k)*(w/k)..]`. Groups fan
-/// out over the rayon shim into disjoint output chunks; each group runs
-/// [`maxpool2d_forward_values`], so bits match the sequential path at any
-/// `FG_THREADS`.
-pub fn maxpool2d_forward_grouped(
-    input: &[f32],
-    b: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    let in_len = b * c * h * w;
-    let out_len = b * c * (h / k) * (w / k);
-    assert_eq!(input.len() % in_len, 0, "maxpool2d_forward_grouped: input slab size");
-    let groups = input.len() / in_len;
-    assert_eq!(out.len(), groups * out_len, "maxpool2d_forward_grouped: output slab size");
-    out.par_chunks_mut(out_len).enumerate().for_each(|(g, out_g)| {
-        maxpool2d_forward_values(&input[g * in_len..(g + 1) * in_len], b, c, h, w, k, out_g);
     });
 }
 
