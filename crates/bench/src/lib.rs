@@ -87,11 +87,6 @@ pub fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))
 }
 
-/// Render a CSV line.
-pub fn csv_line<T: std::fmt::Display>(values: &[T]) -> String {
-    values.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,6 +128,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(row(&["a".into(), "b".into()]), "| a | b |");
-        assert_eq!(csv_line(&[1, 2, 3]), "1,2,3");
     }
 }

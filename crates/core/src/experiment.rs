@@ -13,8 +13,8 @@ use fg_data::LabelFlip;
 use fg_defenses::{SpectralConfig, SpectralDefense};
 use fg_fl::client::NoAttack;
 use fg_fl::{
-    AggregationStrategy, Client, CommStats, Compression, CvaeTrainConfig, FaultConfig, FaultPlan,
-    Federation, FederationConfig, ForensicsCollector, JsonlSink, LocalTrainConfig, MemoryCollector,
+    AggregationStrategy, Client, Compression, CvaeTrainConfig, FaultConfig, FaultPlan, Federation,
+    FederationConfig, ForensicsCollector, JsonlSink, LocalTrainConfig, MemoryCollector,
     ResiliencePolicy, RoundForensics, RoundObserver, RoundRecord, RoundTelemetry, Transport,
     UpdateInterceptor,
 };
@@ -390,21 +390,6 @@ impl ExperimentResult {
     /// Mean wall-clock seconds per round (Table V timing column).
     pub fn mean_round_secs(&self) -> f64 {
         mean_round_secs(&self.history)
-    }
-
-    /// Mean per-round communication (Table V bytes columns).
-    pub fn mean_round_comm(&self) -> CommStats {
-        if self.history.is_empty() {
-            return CommStats::default();
-        }
-        let mut acc = CommStats::default();
-        for r in &self.history {
-            acc.add(&r.comm);
-        }
-        CommStats {
-            upload_bytes: acc.upload_bytes / self.history.len() as u64,
-            download_bytes: acc.download_bytes / self.history.len() as u64,
-        }
     }
 
     /// Serialize to pretty JSON (for EXPERIMENTS.md regeneration).

@@ -7,7 +7,6 @@
 
 use crate::dataset::Dataset;
 use fg_tensor::rng::SeededRng;
-use rand_distr::{Dirichlet, Distribution};
 
 /// Assign every sample of `dataset` to one of `n_clients` partitions using
 /// per-class Dirichlet(α) proportions. Returns per-client index lists
@@ -30,12 +29,8 @@ pub fn dirichlet_partition(
         }
         rng.shuffle(&mut idx);
 
-        let proportions: Vec<f32> = if n_clients == 1 {
-            vec![1.0]
-        } else {
-            let dir = Dirichlet::new_with_size(alpha, n_clients).expect("valid Dirichlet");
-            dir.sample(rng.inner())
-        };
+        let proportions: Vec<f32> =
+            if n_clients == 1 { vec![1.0] } else { rng.next_dirichlet(alpha, n_clients) };
 
         // Convert proportions into contiguous index ranges (largest
         // remainder rounding so every sample lands somewhere).
@@ -212,5 +207,26 @@ mod tests {
         assert_eq!(parts.len(), 100);
         let empty = parts.iter().filter(|p| p.is_empty()).count();
         assert!(empty <= 2, "{empty} clients got no data");
+    }
+
+    /// The Dirichlet sampler's bits (Gamma draws, their order, the
+    /// normalisation) decide every client's shard; pin them.
+    #[test]
+    fn partition_fingerprint_is_pinned() {
+        let ds = generate_dataset(20, 1);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for alpha in [0.1f32, 10.0] {
+            let mut rng = SeededRng::new(42);
+            for part in dirichlet_partition(&ds, 7, alpha, 10, &mut rng) {
+                eat(part.len() as u64);
+                part.into_iter().for_each(|i| eat(i as u64));
+            }
+        }
+        assert_eq!(h, 0x5b06_ff12_0261_a4f1);
     }
 }

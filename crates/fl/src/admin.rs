@@ -78,13 +78,6 @@ impl OpsState {
         }
     }
 
-    /// Share an existing collector (e.g. one that also writes the JSONL)
-    /// instead of the internal one.
-    pub fn with_forensics(mut self, collector: ForensicsCollector) -> Self {
-        self.forensics = collector;
-        self
-    }
-
     pub fn forensics(&self) -> ForensicsCollector {
         self.forensics.clone()
     }

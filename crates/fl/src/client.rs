@@ -30,39 +30,13 @@ impl UpdateInterceptor for NoAttack {
     }
 }
 
-/// A stream of per-round datasets — the paper's "dynamic datasets" future
-/// work (§VI-C): instead of a static partition, the client sees a fresh
-/// chunk each round, and its CVAE must be retrained periodically to keep the
-/// decoder representative.
-pub struct DataStream {
-    /// Data chunk visible at round `r` is `chunks[r % chunks.len()]`.
-    pub chunks: Vec<Dataset>,
-    /// Retrain the CVAE every `cvae_refresh_every` rounds (1 = every round).
-    /// `usize::MAX` reproduces the paper's train-once behaviour on a stream.
-    pub cvae_refresh_every: usize,
-}
-
-impl DataStream {
-    pub fn new(chunks: Vec<Dataset>, cvae_refresh_every: usize) -> Self {
-        assert!(!chunks.is_empty(), "stream needs at least one chunk");
-        assert!(cvae_refresh_every > 0, "refresh period must be positive");
-        DataStream { chunks, cvae_refresh_every }
-    }
-
-    fn chunk(&self, round: usize) -> &Dataset {
-        &self.chunks[round % self.chunks.len()]
-    }
-}
-
 /// A federated client: private data partition plus local training state.
 ///
 /// Each round the client receives the global parameters `ψ₀`, trains the
 /// classifier for `local.epochs` epochs on its partition, and returns the
 /// trained `ψ`. When a CVAE configuration is present the client also trains
 /// its CVAE — once, since partitions are static (paper footnote 5) — and
-/// attaches the cached decoder `θ` to every update. With a [`DataStream`]
-/// installed, the visible data changes per round and the CVAE is refreshed
-/// on the stream's cadence instead.
+/// attaches the cached decoder `θ` to every update.
 pub struct Client {
     id: usize,
     data: Dataset,
@@ -71,8 +45,6 @@ pub struct Client {
     cvae: Option<CvaeTrainConfig>,
     cached_decoder: Option<Vec<f32>>,
     seed: u64,
-    stream: Option<DataStream>,
-    last_cvae_round: Option<usize>,
 }
 
 impl Client {
@@ -88,17 +60,7 @@ impl Client {
         cvae: Option<CvaeTrainConfig>,
         seed: u64,
     ) -> Self {
-        Client {
-            id,
-            data,
-            classifier_spec,
-            local,
-            cvae,
-            cached_decoder: None,
-            seed,
-            stream: None,
-            last_cvae_round: None,
-        }
+        Client { id, data, classifier_spec, local, cvae, cached_decoder: None, seed }
     }
 
     /// Construct client `id` exactly as a federation built for `config`
@@ -123,53 +85,13 @@ impl Client {
         )
     }
 
-    /// Install a data stream (§VI-C "dynamic datasets"). The static `data`
-    /// is replaced by the stream's chunk each round.
-    pub fn set_stream(&mut self, stream: DataStream) {
-        self.stream = Some(stream);
-        self.cached_decoder = None;
-        self.last_cvae_round = None;
-    }
-
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    pub fn num_samples(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn data(&self) -> &Dataset {
-        &self.data
-    }
-
-    /// Replace this client's dataset (used by data-poisoning setups to
-    /// install a label-flipped partition).
-    pub fn set_data(&mut self, data: Dataset) {
-        self.data = data;
-        self.cached_decoder = None; // decoder must be retrained on new data
-    }
-
-    /// Whether this client ships a CVAE decoder.
-    pub fn trains_cvae(&self) -> bool {
-        self.cvae.is_some()
     }
 
     /// One federated round of local work (Alg. 1 lines 22-27): train the
     /// classifier from the global parameters and return `(θ*, ψ*)`.
     pub fn train_round(&mut self, global_params: &[f32], round: usize) -> ModelUpdate {
-        // Streaming clients see a fresh chunk each round; invalidate the
-        // cached decoder when a refresh is due.
-        if let Some(stream) = &self.stream {
-            self.data = stream.chunk(round).clone();
-            let due = match self.last_cvae_round {
-                None => true,
-                Some(last) => round.saturating_sub(last) >= stream.cvae_refresh_every,
-            };
-            if due {
-                self.cached_decoder = None;
-            }
-        }
         let params = self.train_classifier(global_params, round);
         let (decoder, class_coverage) = if let Some(cfg) = &self.cvae {
             let n_classes = cfg.spec.n_classes;
@@ -228,7 +150,6 @@ impl Client {
         }
         let theta = cvae.decoder_params();
         self.cached_decoder = Some(theta.clone());
-        self.last_cvae_round = Some(round);
         theta
     }
 }
@@ -303,17 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn set_data_invalidates_decoder_cache() {
-        let mut c = toy_client(true);
-        let spec = ClassifierSpec::Mlp { hidden: 16 };
-        let global = Classifier::new(&spec, &mut SeededRng::new(0)).get_params();
-        let d1 = c.train_round(&global, 0).decoder.unwrap();
-        c.set_data(generate_dataset(5, 2));
-        let d2 = c.train_round(&global, 1).decoder.unwrap();
-        assert_ne!(d1, d2);
-    }
-
-    #[test]
     fn empty_client_returns_global_unchanged() {
         let mut c = Client::new(
             3,
@@ -328,54 +238,6 @@ mod tests {
         let update = c.train_round(&global, 0);
         assert_eq!(update.params, global);
         assert_eq!(update.num_samples, 0);
-    }
-
-    #[test]
-    fn streaming_client_sees_per_round_chunks() {
-        let mut c = toy_client(false);
-        let chunk0 = generate_dataset(2, 100);
-        let chunk1 = generate_dataset(3, 101);
-        c.set_stream(DataStream::new(vec![chunk0.clone(), chunk1.clone()], usize::MAX));
-        let spec = ClassifierSpec::Mlp { hidden: 16 };
-        let global = Classifier::new(&spec, &mut SeededRng::new(0)).get_params();
-        assert_eq!(c.train_round(&global, 0).num_samples, chunk0.len());
-        assert_eq!(c.train_round(&global, 1).num_samples, chunk1.len());
-        // Stream wraps around.
-        assert_eq!(c.train_round(&global, 2).num_samples, chunk0.len());
-    }
-
-    #[test]
-    fn stream_refresh_retrains_decoder_on_cadence() {
-        let mut c = toy_client(true);
-        let chunks = vec![generate_dataset(3, 200), generate_dataset(3, 201)];
-        c.set_stream(DataStream::new(chunks, 2));
-        let spec = ClassifierSpec::Mlp { hidden: 16 };
-        let global = Classifier::new(&spec, &mut SeededRng::new(0)).get_params();
-        let d0 = c.train_round(&global, 0).decoder.unwrap();
-        // Round 1: refresh not yet due -> cached decoder reused.
-        let d1 = c.train_round(&global, 1).decoder.unwrap();
-        assert_eq!(d0, d1);
-        // Round 2: refresh due -> retrained on the current chunk.
-        let d2 = c.train_round(&global, 2).decoder.unwrap();
-        assert_ne!(d0, d2);
-    }
-
-    #[test]
-    fn train_once_stream_never_refreshes() {
-        let mut c = toy_client(true);
-        let chunks = vec![generate_dataset(3, 300), generate_dataset(3, 301)];
-        c.set_stream(DataStream::new(chunks, usize::MAX));
-        let spec = ClassifierSpec::Mlp { hidden: 16 };
-        let global = Classifier::new(&spec, &mut SeededRng::new(0)).get_params();
-        let d0 = c.train_round(&global, 0).decoder.unwrap();
-        let d5 = c.train_round(&global, 5).decoder.unwrap();
-        assert_eq!(d0, d5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_stream_rejected() {
-        DataStream::new(vec![], 1);
     }
 
     #[test]

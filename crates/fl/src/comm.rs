@@ -92,19 +92,6 @@ impl CommStats {
         self.upload_bytes += other.upload_bytes;
         self.download_bytes += other.download_bytes;
     }
-
-    /// Megabytes (10⁶ bytes, as the paper reports).
-    pub fn upload_mb(&self) -> f64 {
-        self.upload_bytes as f64 / 1e6
-    }
-
-    pub fn download_mb(&self) -> f64 {
-        self.download_bytes as f64 / 1e6
-    }
-
-    pub fn total_mb(&self) -> f64 {
-        self.total() as f64 / 1e6
-    }
 }
 
 #[cfg(test)]

@@ -314,23 +314,6 @@ impl Federation {
         &self.history
     }
 
-    /// Mutable access to a client (e.g. to install a poisoned dataset).
-    ///
-    /// Panics unless the federation runs on the in-process
-    /// [`LocalTransport`] — remote clients are other processes.
-    pub fn client_mut(&mut self, id: usize) -> &mut Client {
-        self.transport
-            .as_any_mut()
-            .downcast_mut::<LocalTransport>()
-            .expect("client_mut requires the in-process LocalTransport")
-            .client_mut(id)
-    }
-
-    /// Which transport carries the rounds.
-    pub fn transport_kind(&self) -> crate::transport::TransportKind {
-        self.transport.kind()
-    }
-
     /// Register a telemetry observer after construction.
     pub fn add_observer(&mut self, observer: impl RoundObserver + 'static) {
         self.observers.push(Box::new(observer));

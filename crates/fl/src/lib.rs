@@ -35,7 +35,7 @@ pub mod update;
 pub mod wire;
 
 pub use admin::{AdminPlane, FlightRecTrigger, OpsObserver, OpsState};
-pub use client::{Client, DataStream, UpdateInterceptor};
+pub use client::{Client, UpdateInterceptor};
 pub use comm::CommStats;
 pub use compress::{CompressedBlob, CompressedUpdate, Compression, SparseUpdate};
 pub use config::{CvaeTrainConfig, FederationConfig, LocalTrainConfig, ResiliencePolicy};

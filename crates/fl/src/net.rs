@@ -52,7 +52,6 @@ use fg_obs::metrics::Counter;
 use fg_obs::span::span;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -569,10 +568,6 @@ impl Transport for TcpTransport {
             admin.poll();
         }
         events
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -88,30 +88,6 @@ impl StageTimings {
             ("evaluation", self.evaluation_secs),
         ]
     }
-
-    /// Element-wise accumulation (for averaging across rounds).
-    pub fn add(&mut self, other: &StageTimings) {
-        self.sampling_secs += other.sampling_secs;
-        self.local_training_secs += other.local_training_secs;
-        self.sanitize_secs += other.sanitize_secs;
-        self.synthesis_secs += other.synthesis_secs;
-        self.audit_secs += other.audit_secs;
-        self.aggregation_secs += other.aggregation_secs;
-        self.evaluation_secs += other.evaluation_secs;
-    }
-
-    /// Element-wise scaling (for averaging across rounds).
-    pub fn scaled(&self, factor: f64) -> StageTimings {
-        StageTimings {
-            sampling_secs: self.sampling_secs * factor,
-            local_training_secs: self.local_training_secs * factor,
-            sanitize_secs: self.sanitize_secs * factor,
-            synthesis_secs: self.synthesis_secs * factor,
-            audit_secs: self.audit_secs * factor,
-            aggregation_secs: self.aggregation_secs * factor,
-            evaluation_secs: self.evaluation_secs * factor,
-        }
-    }
 }
 
 /// One federated round, fully described: the structured event emitted to
@@ -229,19 +205,6 @@ impl MemoryCollector {
 
     pub fn is_empty(&self) -> bool {
         self.events.lock().is_empty()
-    }
-
-    /// Mean per-stage wall times across the captured rounds.
-    pub fn mean_stages(&self) -> StageTimings {
-        let events = self.events.lock();
-        if events.is_empty() {
-            return StageTimings::default();
-        }
-        let mut acc = StageTimings::default();
-        for e in events.iter() {
-            acc.add(&e.stages);
-        }
-        acc.scaled(1.0 / events.len() as f64)
     }
 }
 
@@ -450,8 +413,6 @@ mod tests {
         handle.on_round(&sample_event(1));
         assert_eq!(collector.len(), 2);
         assert_eq!(collector.events()[1].round, 1);
-        let mean = collector.mean_stages();
-        assert!((mean.local_training_secs - 0.5).abs() < 1e-12);
     }
 
     #[test]

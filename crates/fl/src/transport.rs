@@ -36,7 +36,6 @@ use crate::wire::{
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::sync::Arc;
 
 /// Which deployment carried a round's exchange; recorded in
@@ -219,10 +218,6 @@ pub trait Transport: Send {
     fn finish(&mut self) -> Vec<SessionEvent> {
         Vec::new()
     }
-
-    /// Downcast hook so callers holding a `Box<dyn Transport>` can reach
-    /// implementation-specific state (e.g. [`LocalTransport::client_mut`]).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl Transport for Box<dyn Transport> {
@@ -240,10 +235,6 @@ impl Transport for Box<dyn Transport> {
 
     fn finish(&mut self) -> Vec<SessionEvent> {
         (**self).finish()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        (**self).as_any_mut()
     }
 }
 
@@ -286,16 +277,6 @@ impl LocalTransport {
     /// The active wire-compression mode.
     pub fn compression(&self) -> Compression {
         self.compression
-    }
-
-    pub fn n_clients(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// Mutable access to a client (e.g. to install a poisoned dataset or a
-    /// [`DataStream`](crate::client::DataStream)).
-    pub fn client_mut(&mut self, id: usize) -> &mut Client {
-        self.clients[id].get_mut()
     }
 
     /// The reference model for a compressed round: the broadcast frame is
@@ -393,10 +374,6 @@ impl Transport for LocalTransport {
         arrivals.sort_by_key(IncomingUpdate::client_id);
         arrivals.into_iter().for_each(sink);
         ExchangeTail::default()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -572,15 +549,6 @@ mod tests {
         let exchange = t.exchange_round(&offer);
         assert!(exchange.updates[1].params.iter().all(|&x| x == 7.0));
         assert!(exchange.updates[0].params.iter().any(|&x| x != 7.0));
-    }
-
-    #[test]
-    fn client_mut_reaches_through_the_trait_object() {
-        let mut boxed: Box<dyn Transport> = Box::new(LocalTransport::honest(toy_clients(2)));
-        let local =
-            boxed.as_any_mut().downcast_mut::<LocalTransport>().expect("local transport downcasts");
-        assert_eq!(local.client_mut(1).id(), 1);
-        assert_eq!(local.n_clients(), 2);
     }
 
     #[test]

@@ -95,10 +95,6 @@ impl<'a> BatchedClassifier<'a> {
         BatchedClassifier { spec: *spec, models: models.to_vec() }
     }
 
-    pub fn num_models(&self) -> usize {
-        self.models.len()
-    }
-
     /// Accuracy of every model over `(x, y)`, evaluated in mini-batches of
     /// `batch` — bitwise equal to calling
     /// [`Classifier::evaluate`](super::Classifier::evaluate) per model, with

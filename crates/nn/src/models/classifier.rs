@@ -190,11 +190,6 @@ impl Classifier {
         params::flatten(&self.net)
     }
 
-    /// Overwrite parameters from a flat vector.
-    pub fn set_params(&mut self, flat: &[f32]) {
-        params::load(&mut self.net, flat);
-    }
-
     /// Raw class logits for a batch of flattened images `(batch, 784)`.
     pub fn logits(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.dim(1), self.spec.input_dim(), "classifier expects flattened 28x28 images");

@@ -33,14 +33,6 @@ pub fn load(module: &mut dyn Module, flat: &[f32]) {
     });
 }
 
-/// Concatenate all *gradients* of a module (useful for tests and for
-/// gradient-based defenses).
-pub fn flatten_grads(module: &dyn Module) -> Vec<f32> {
-    let mut out = Vec::with_capacity(module.num_params());
-    module.visit_params(&mut |p| out.extend_from_slice(p.grad.data()));
-    out
-}
-
 /// Size in bytes of a flat parameter vector on the simulated wire
 /// (f32 = 4 bytes, matching the paper's MB figures: 1,662,752 × 4 ≈ 6.65 MB).
 pub fn wire_bytes(num_params: usize) -> u64 {

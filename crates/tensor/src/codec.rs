@@ -169,17 +169,6 @@ pub fn topk_select(src: &[f32], k: usize, out: &mut Vec<u32>, keys: &mut Vec<u64
     out.sort_unstable();
 }
 
-/// Gather `src[idx]` for each selected index into `vals` (overwritten).
-pub fn gather_into(src: &[f32], idx: &[u32], vals: &mut Vec<f32>) {
-    vals.clear();
-    vals.resize(idx.len(), 0.0);
-    vals.par_chunks_mut(CODEC_SLAB).zip(idx.par_chunks(CODEC_SLAB)).for_each(|(vc, ic)| {
-        for (o, &i) in vc.iter_mut().zip(ic) {
-            *o = src[i as usize];
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,13 +325,5 @@ mod tests {
         assert_eq!(topk_count(100, 1.0), 100);
         assert_eq!(topk_count(100, 2.0), 100);
         assert_eq!(topk_count(3, 0.001), 1);
-    }
-
-    #[test]
-    fn gather_pulls_selected_values() {
-        let xs = [10.0f32, 11.0, 12.0, 13.0];
-        let mut vals = vec![99.0f32];
-        gather_into(&xs, &[1, 3], &mut vals);
-        assert_eq!(vals, vec![11.0, 13.0]);
     }
 }

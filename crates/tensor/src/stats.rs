@@ -19,15 +19,6 @@ pub fn std_dev(xs: &[f32]) -> f32 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32).sqrt()
 }
 
-/// Sample variance (n − 1 denominator); 0 for fewer than two samples.
-pub fn sample_variance(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / (xs.len() - 1) as f32
-}
-
 /// Median (average of middle two for even lengths). Panics on empty input.
 ///
 /// Uses `select_nth_unstable_by` partial selection — O(n) rather than the
@@ -107,7 +98,6 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(std_dev(&[1.0]), 0.0);
-        assert_eq!(sample_variance(&[]), 0.0);
     }
 
     #[test]

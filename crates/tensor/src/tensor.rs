@@ -2,8 +2,6 @@
 
 use crate::rng::SeededRng;
 use crate::shape::Shape;
-use rand::Rng;
-use rand_distr::{Distribution, Normal, Uniform};
 use serde::{Deserialize, Serialize};
 
 /// A dense, row-major tensor of `f32` values.
@@ -64,16 +62,16 @@ impl Tensor {
     /// Standard-normal random tensor, deterministic under the given RNG.
     pub fn randn(dims: &[usize], rng: &mut SeededRng) -> Self {
         let shape = Shape::new(dims);
-        let normal = Normal::new(0.0f32, 1.0).expect("valid normal");
-        let data = (0..shape.numel()).map(|_| normal.sample(rng.inner())).collect();
+        // `0.0 +` maps a `-0.0` draw to `+0.0`; the pinned streams are taken with it.
+        let data = (0..shape.numel()).map(|_| 0.0 + rng.next_normal()).collect();
         Tensor { data, shape }
     }
 
     /// Uniform random tensor in `[lo, hi)`.
     pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut SeededRng) -> Self {
         let shape = Shape::new(dims);
-        let dist = Uniform::new(lo, hi);
-        let data = (0..shape.numel()).map(|_| dist.sample(rng.inner())).collect();
+        assert!(lo < hi, "rand_uniform called with lo >= hi");
+        let data = (0..shape.numel()).map(|_| lo + (hi - lo) * rng.next_f32()).collect();
         Tensor { data, shape }
     }
 
@@ -81,17 +79,6 @@ impl Tensor {
     /// fan-in, as used for ReLU networks.
     pub fn kaiming_uniform(dims: &[usize], fan_in: usize, rng: &mut SeededRng) -> Self {
         let bound = (6.0 / fan_in as f32).sqrt();
-        Self::rand_uniform(dims, -bound, bound, rng)
-    }
-
-    /// Xavier/Glorot-uniform initialization (sigmoid/tanh friendly).
-    pub fn xavier_uniform(
-        dims: &[usize],
-        fan_in: usize,
-        fan_out: usize,
-        rng: &mut SeededRng,
-    ) -> Self {
-        let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
         Self::rand_uniform(dims, -bound, bound, rng)
     }
 
@@ -261,13 +248,6 @@ impl Tensor {
         Tensor { data, shape: self.shape.clone() }
     }
 
-    /// In-place map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Fill the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);
@@ -388,21 +368,6 @@ impl Tensor {
     pub fn randn_like(&self, rng: &mut SeededRng) -> Tensor {
         Tensor::randn(self.dims(), rng)
     }
-
-    /// Randomly permute the rows of a matrix in place (Fisher–Yates).
-    pub fn shuffle_rows(&mut self, rng: &mut SeededRng) {
-        assert_eq!(self.shape.rank(), 2);
-        let rows = self.dim(0);
-        let cols = self.dim(1);
-        for i in (1..rows).rev() {
-            let j = rng.inner().gen_range(0..=i);
-            if i != j {
-                let (lo, hi) = (i.min(j), i.max(j));
-                let (head, tail) = self.data.split_at_mut(hi * cols);
-                head[lo * cols..lo * cols + cols].swap_with_slice(&mut tail[..cols]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -518,19 +483,6 @@ mod tests {
         let t = Tensor::kaiming_uniform(&[100], 50, &mut rng);
         let bound = (6.0f32 / 50.0).sqrt();
         assert!(t.data().iter().all(|x| x.abs() <= bound));
-    }
-
-    #[test]
-    fn shuffle_rows_is_a_permutation() {
-        let mut rng = SeededRng::new(3);
-        let mut a = Tensor::from_vec((0..20).map(|x| x as f32).collect(), &[10, 2]);
-        let before: Vec<Vec<f32>> = (0..10).map(|r| a.row(r).to_vec()).collect();
-        a.shuffle_rows(&mut rng);
-        let mut after: Vec<Vec<f32>> = (0..10).map(|r| a.row(r).to_vec()).collect();
-        let mut sorted_before = before.clone();
-        sorted_before.sort_by(|x, y| x[0].partial_cmp(&y[0]).unwrap());
-        after.sort_by(|x, y| x[0].partial_cmp(&y[0]).unwrap());
-        assert_eq!(sorted_before, after);
     }
 
     #[test]

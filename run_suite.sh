@@ -4,7 +4,7 @@
 # Each stage prints a "[suite] stage <name>: <N>s" wall-clock line so
 # runtime regressions are visible across the stages.
 set -x
-cd /root/repo
+cd "$(dirname "$0")" || exit 1
 
 STAGE_T0=$(date +%s)
 stage_done() {
@@ -134,13 +134,13 @@ $B/fg_report --telemetry results/telemetry_ops/fedguard-sign-flipping-s42.jsonl 
 grep -q '"outcome": "success"' results/ops_report.json || exit 1
 stage_done ops
 
-$B/fig4 --preset fast --seed 42 > results/fig4.csv 2> results/fig4.log
-$B/table4 --preset fast --seed 42 > results/table4.md 2> results/table4.log
-$B/fig5 --preset fast --seed 42 > results/fig5.csv 2> results/fig5.log
-$B/table5 --preset fast --seed 42 --rounds 6 > results/table5.md 2> results/table5.log
-$B/ablation_budget --preset fast --seed 42 > results/ablation_budget.md 2> results/ablation_budget.log
-$B/ablation_inner --preset fast --seed 42 > results/ablation_inner.md 2> results/ablation_inner.log
-$B/ablation_heterogeneity --preset fast --seed 42 > results/ablation_heterogeneity.md 2> results/ablation_heterogeneity.log
-$B/ablation_faults --preset fast --seed 42 > results/ablation_faults.md 2> results/ablation_faults.log
+$B/fig4 --preset fast --seed 42 > results/fig4.csv 2> results/fig4.log || exit 1
+$B/table4 --preset fast --seed 42 > results/table4.md 2> results/table4.log || exit 1
+$B/fig5 --preset fast --seed 42 > results/fig5.csv 2> results/fig5.log || exit 1
+$B/table5 --preset fast --seed 42 --rounds 6 > results/table5.md 2> results/table5.log || exit 1
+$B/ablation_budget --preset fast --seed 42 > results/ablation_budget.md 2> results/ablation_budget.log || exit 1
+$B/ablation_inner --preset fast --seed 42 > results/ablation_inner.md 2> results/ablation_inner.log || exit 1
+$B/ablation_heterogeneity --preset fast --seed 42 > results/ablation_heterogeneity.md 2> results/ablation_heterogeneity.log || exit 1
+$B/ablation_faults --preset fast --seed 42 > results/ablation_faults.md 2> results/ablation_faults.log || exit 1
 stage_done figures
 echo ALL_RESULTS_DONE
