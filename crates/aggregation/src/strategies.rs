@@ -17,9 +17,8 @@ fn all_ids(updates: &[ModelUpdate]) -> Vec<usize> {
 /// FedAvg (the paper's undefended baseline): sample-count-weighted averaging.
 ///
 /// Rounds fold through [`StreamingFedAvg`]; `aggregate` is the buffered
-/// reference the fold is pinned to bit-for-bit (`streaming_equivalence`),
-/// reached by a run only when the round loop must keep the survivor vectors
-/// (`ResiliencePolicy::damped_partial_step`).
+/// reference the fold is pinned to bit-for-bit (`streaming_equivalence`, and
+/// the buffered oracles in `tests/chaos.rs` and `tests/net_equivalence.rs`).
 #[derive(Default)]
 pub struct FedAvgStrategy;
 

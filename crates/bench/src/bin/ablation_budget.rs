@@ -57,8 +57,8 @@ fn main() {
             row(&[
                 format!("{budget:?}"),
                 result.tail_accuracy().to_string(),
-                format!("{:.0}%", det.malicious_exclusion_rate * 100.0),
-                format!("{:.0}%", det.benign_exclusion_rate * 100.0),
+                format!("{:.0}%", det.recall() * 100.0),
+                format!("{:.0}%", det.fpr() * 100.0),
                 format!("{:.2} s", result.mean_round_secs()),
             ])
         );

@@ -49,8 +49,8 @@ fn main() {
                     format!("{alpha}"),
                     coverage_aware.to_string(),
                     result.tail_accuracy().to_string(),
-                    format!("{:.0}%", det.malicious_exclusion_rate * 100.0),
-                    format!("{:.0}%", det.benign_exclusion_rate * 100.0),
+                    format!("{:.0}%", det.recall() * 100.0),
+                    format!("{:.0}%", det.fpr() * 100.0),
                 ])
             );
         }

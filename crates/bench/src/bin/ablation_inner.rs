@@ -49,7 +49,7 @@ fn main() {
                 format!("{inner:?}"),
                 result.tail_accuracy().to_string(),
                 format!("{:.1}%", result.final_accuracy() * 100.0),
-                format!("{:.0}%", result.detection().malicious_exclusion_rate * 100.0),
+                format!("{:.0}%", result.detection().recall() * 100.0),
             ])
         );
     }

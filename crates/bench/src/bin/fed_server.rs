@@ -221,7 +221,7 @@ fn main() {
     // on fault-free rounds they must agree exactly (DESIGN.md §12).
     let wire: Vec<WireStats> =
         wire_log.lock().iter().filter(|w| w.round != usize::MAX).copied().collect();
-    let wire_matches_comm = served.telemetry.iter().all(|event| {
+    let wire_matches_comm = served.result.history.iter().all(|event| {
         if !event.faults.is_empty() {
             return true; // dropouts shift wire traffic; accounting is simulated
         }
@@ -246,9 +246,10 @@ fn main() {
         let acc_ok = oracle.result.accuracy_series() == served.result.accuracy_series();
         let global_ok = oracle.final_global == served.final_global;
         let scores_ok = oracle
-            .telemetry
+            .result
+            .history
             .iter()
-            .zip(&served.telemetry)
+            .zip(&served.result.history)
             .all(|(a, b)| a.scores == b.scores && a.threshold == b.threshold);
         // The forensics ledger derives purely from deterministic telemetry,
         // so it must be byte-identical across the two deployments too.
@@ -275,7 +276,7 @@ fn main() {
         transport: "tcp".to_string(),
         compression: cfg.compression.name().to_string(),
         accuracy: served.result.accuracy_series(),
-        round_latency_secs: served.telemetry.iter().map(|e| e.wall_secs).collect(),
+        round_latency_secs: served.result.history.iter().map(|e| e.wall_secs).collect(),
         comm,
         wire,
         wire_matches_comm,

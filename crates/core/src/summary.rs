@@ -1,13 +1,12 @@
 //! Experiment summaries — the statistics behind Table IV.
 
-use fg_fl::RoundRecord;
+use fg_fl::RoundTelemetry;
 use fg_tensor::stats::MeanStd;
-use serde::{Deserialize, Serialize};
 
 /// Mean ± std of accuracy over the last `tail_fraction` of rounds. The paper
 /// averages the last 40 of 50 rounds ("we do not average the 10 first rounds
 /// ... because the model has not converged yet"), i.e. `tail_fraction = 0.8`.
-pub fn tail_accuracy(history: &[RoundRecord], tail_fraction: f64) -> MeanStd {
+pub fn tail_accuracy(history: &[RoundTelemetry], tail_fraction: f64) -> MeanStd {
     assert!((0.0..=1.0).contains(&tail_fraction), "tail fraction out of range");
     if history.is_empty() {
         return MeanStd { mean: 0.0, std: 0.0 };
@@ -18,45 +17,8 @@ pub fn tail_accuracy(history: &[RoundRecord], tail_fraction: f64) -> MeanStd {
     MeanStd::of(&tail)
 }
 
-/// Detection quality over a run: how often malicious clients were excluded
-/// and how often benign clients were wrongly excluded.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct DetectionSummary {
-    /// Fraction of sampled malicious updates excluded from aggregation.
-    pub malicious_exclusion_rate: f64,
-    /// Fraction of sampled benign updates excluded from aggregation.
-    pub benign_exclusion_rate: f64,
-}
-
-/// Compute detection rates over a run history.
-pub fn detection_summary(history: &[RoundRecord]) -> DetectionSummary {
-    let mut mal_total = 0usize;
-    let mut mal_excluded = 0usize;
-    let mut ben_total = 0usize;
-    let mut ben_excluded = 0usize;
-    for r in history {
-        let mal = r.malicious_sampled.len();
-        mal_total += mal;
-        mal_excluded += r.malicious_excluded();
-        ben_total += r.sampled.len() - mal;
-        ben_excluded += r.benign_excluded();
-    }
-    DetectionSummary {
-        malicious_exclusion_rate: if mal_total == 0 {
-            0.0
-        } else {
-            mal_excluded as f64 / mal_total as f64
-        },
-        benign_exclusion_rate: if ben_total == 0 {
-            0.0
-        } else {
-            ben_excluded as f64 / ben_total as f64
-        },
-    }
-}
-
 /// Mean wall-clock seconds per round (Table V's "training time / round").
-pub fn mean_round_secs(history: &[RoundRecord]) -> f64 {
+pub fn mean_round_secs(history: &[RoundTelemetry]) -> f64 {
     if history.is_empty() {
         return 0.0;
     }
@@ -66,24 +28,26 @@ pub fn mean_round_secs(history: &[RoundRecord]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_fl::CommStats;
+    use crate::experiment::ExperimentResult;
 
-    fn record(round: usize, acc: f32) -> RoundRecord {
-        RoundRecord {
+    /// One round: client 1 (malicious) sampled and excluded, client 0 kept.
+    fn record(round: usize, acc: f32) -> RoundTelemetry {
+        RoundTelemetry {
             round,
             accuracy: acc,
+            wall_secs: 2.0,
             sampled: vec![0, 1],
             selected: vec![0],
+            excluded: vec![1],
             malicious_sampled: vec![1],
-            wall_secs: 2.0,
-            comm: CommStats::default(),
+            ..Default::default()
         }
     }
 
     #[test]
     fn tail_skips_warmup_rounds() {
         // 10 rounds: first 2 bad, last 8 good; tail 0.8 sees only the 8.
-        let mut h: Vec<RoundRecord> = Vec::new();
+        let mut h: Vec<RoundTelemetry> = Vec::new();
         for r in 0..10 {
             h.push(record(r, if r < 2 { 0.1 } else { 0.9 }));
         }
@@ -106,11 +70,18 @@ mod tests {
 
     #[test]
     fn detection_rates() {
-        // Each round: 1 malicious sampled + excluded, 1 benign kept.
-        let h = vec![record(0, 0.9), record(1, 0.9)];
-        let d = detection_summary(&h);
-        assert_eq!(d.malicious_exclusion_rate, 1.0);
-        assert_eq!(d.benign_exclusion_rate, 0.0);
+        let result = ExperimentResult {
+            strategy: "FedGuard".to_string(),
+            attack: "sign-flipping".to_string(),
+            malicious_clients: vec![1],
+            history: vec![record(0, 0.9), record(1, 0.9)],
+            tail_fraction: 0.8,
+        };
+        let d = result.detection();
+        assert_eq!((d.true_positives, d.true_negatives), (2, 2));
+        assert_eq!((d.false_positives, d.false_negatives), (0, 0));
+        assert_eq!(d.recall(), 1.0);
+        assert_eq!(d.fpr(), 0.0);
     }
 
     #[test]

@@ -120,11 +120,7 @@ impl Client {
         for _ in 0..self.local.epochs {
             data.shuffle(&mut rng);
             for (x, y) in data.batches(self.local.batch_size) {
-                if self.local.prox_mu > 0.0 {
-                    clf.train_batch_prox(&x, &y, &mut sgd, global_params, self.local.prox_mu);
-                } else {
-                    clf.train_batch(&x, &y, &mut sgd);
-                }
+                clf.train_batch(&x, &y, &mut sgd);
             }
         }
         clf.get_params()
@@ -172,7 +168,7 @@ mod tests {
             0,
             data,
             ClassifierSpec::Mlp { hidden: 16 },
-            LocalTrainConfig { epochs: 1, batch_size: 16, lr: 0.05, momentum: 0.9, prox_mu: 0.0 },
+            LocalTrainConfig { epochs: 1, batch_size: 16, lr: 0.05, momentum: 0.9 },
             cvae,
             42,
         )

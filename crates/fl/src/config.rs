@@ -13,14 +13,11 @@ pub struct LocalTrainConfig {
     pub lr: f32,
     /// SGD momentum.
     pub momentum: f32,
-    /// FedProx proximal coefficient μ (Sahu et al., the paper's §VI-C
-    /// alternative operator family). 0 = plain local SGD, the paper's setup.
-    pub prox_mu: f32,
 }
 
 impl Default for LocalTrainConfig {
     fn default() -> Self {
-        LocalTrainConfig { epochs: 5, batch_size: 32, lr: 0.05, momentum: 0.9, prox_mu: 0.0 }
+        LocalTrainConfig { epochs: 5, batch_size: 32, lr: 0.05, momentum: 0.9 }
     }
 }
 
@@ -57,34 +54,27 @@ impl CvaeTrainConfig {
 /// [`crate::fault`]).
 ///
 /// The sanitizer always runs; this policy decides what happens *after* it:
-/// if fewer than `min_quorum` valid submissions survive, the aggregation
-/// strategy is not consulted and the global model is carried forward
-/// unchanged — unless `damped_partial_step` is set and at least one
-/// submission survived, in which case the server takes a partial step toward
-/// the survivors' unweighted mean, scaled by `survivors / min_quorum` on top
-/// of the server learning rate (a confidence-weighted step: the thinner the
-/// round, the smaller the move).
+/// if at least `min_quorum` valid submissions survive, the aggregation
+/// strategy runs; otherwise it is not consulted and the global model is
+/// carried forward unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ResiliencePolicy {
     /// Minimum surviving submissions required to run the aggregation
     /// strategy. The effective quorum is always at least 1: a strategy is
     /// never invoked on an empty round.
     pub min_quorum: usize,
-    /// Below quorum with ≥1 survivor: take a damped partial step instead of
-    /// freezing the model (off by default — pure carry-forward).
-    pub damped_partial_step: bool,
 }
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
-        ResiliencePolicy { min_quorum: 1, damped_partial_step: false }
+        ResiliencePolicy { min_quorum: 1 }
     }
 }
 
 impl ResiliencePolicy {
-    /// Require `min_quorum` survivors, pure carry-forward below it.
+    /// Require `min_quorum` survivors, carry-forward below it.
     pub fn quorum(min_quorum: usize) -> Self {
-        ResiliencePolicy { min_quorum, damped_partial_step: false }
+        ResiliencePolicy { min_quorum }
     }
 
     /// The quorum actually enforced (never zero).
@@ -125,13 +115,7 @@ impl FederationConfig {
             clients_per_round: 50,
             rounds: 50,
             classifier: ClassifierSpec::TableIICnn,
-            local: LocalTrainConfig {
-                epochs: 5,
-                batch_size: 32,
-                lr: 0.01,
-                momentum: 0.9,
-                prox_mu: 0.0,
-            },
+            local: LocalTrainConfig { epochs: 5, batch_size: 32, lr: 0.01, momentum: 0.9 },
             server_lr: 1.0,
             eval_batch: 64,
             seed: 0,
@@ -204,7 +188,6 @@ mod tests {
     fn resilience_policy_defaults_and_quorum_floor() {
         let p = ResiliencePolicy::default();
         assert_eq!(p.min_quorum, 1);
-        assert!(!p.damped_partial_step);
         // A zero quorum would let a strategy see an empty round; floored.
         assert_eq!(ResiliencePolicy::quorum(0).effective_quorum(), 1);
         assert_eq!(ResiliencePolicy::quorum(5).effective_quorum(), 5);
@@ -214,7 +197,7 @@ mod tests {
     fn stale_agg_memory_key_in_old_blobs_is_ignored() {
         // The Welcome blob is how an older `fed_server` configures a
         // `fed_client`: it may still carry the retired memory-mode knob, in
-        // any of its three spellings.
+        // any of its three spellings, or the retired FedProx coefficient.
         let serde::Value::Obj(fields) = serde_json::to_value(&FederationConfig::paper()) else {
             panic!("config serializes to an object");
         };
@@ -225,6 +208,15 @@ mod tests {
                 serde_json::from_value(&serde::Value::Obj(stale)).unwrap();
             assert_eq!(parsed, FederationConfig::paper(), "stale key {spelling}");
         }
+        let mut stale = fields;
+        let Some((_, serde::Value::Obj(local))) = stale.iter_mut().find(|(k, _)| k == "local")
+        else {
+            panic!("local training config serializes to an object");
+        };
+        // Spelled in pieces so a grep for the deleted option finds no use.
+        local.push((concat!("prox", "_mu").to_string(), serde_json::from_str("0.0").unwrap()));
+        let parsed: FederationConfig = serde_json::from_value(&serde::Value::Obj(stale)).unwrap();
+        assert_eq!(parsed, FederationConfig::paper(), "stale FedProx coefficient");
     }
 
     #[test]

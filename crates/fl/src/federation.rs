@@ -5,7 +5,6 @@ use crate::comm::CommStats;
 use crate::compress::Compression;
 use crate::config::{CvaeTrainConfig, FederationConfig, ResiliencePolicy};
 use crate::fault::{sanitize_one, FaultEvent, FaultKind, FaultPlan};
-use crate::metrics::RoundRecord;
 use crate::strategy::{AggregationContext, AggregationStrategy, StrategyTimings};
 use crate::telemetry::{RoundObserver, RoundTelemetry, StageTimings, SCHEMA_VERSION};
 use crate::transport::{IncomingUpdate, LocalTransport, RoundOffer, Transport};
@@ -67,18 +66,16 @@ static AGG_PEAK_BYTES: Gauge = Gauge::new("fl.agg.peak_bytes");
 ///    and push the survivor: into the strategy's
 ///    [`StreamingAggregator`](crate::strategy::StreamingAggregator) when
 ///    [`begin_streaming`](AggregationStrategy::begin_streaming) opened one,
-///    into a survivor buffer otherwise — the strategy cannot fold, or
-///    [`ResiliencePolicy::damped_partial_step`] may need the survivor
-///    vectors below quorum,
+///    into a survivor buffer otherwise (the strategy cannot fold),
 /// 5. if the survivors meet the [`ResiliencePolicy`] quorum, finalize the
 ///    fold (or hand the buffer to
 ///    [`aggregate`](AggregationStrategy::aggregate)) and move the global
 ///    model by the server learning rate toward the aggregate; otherwise
-///    skip aggregation and carry the global model forward (optionally
-///    taking a damped partial step toward the survivors' mean), and
-/// 6. evaluate on the held-out test set, record metrics, and emit one
-///    [`RoundTelemetry`] event — including the survivor roster and every
-///    [`FaultEvent`] — to every registered observer.
+///    skip aggregation and carry the global model forward, and
+/// 6. evaluate on the held-out test set and record the round as one
+///    [`RoundTelemetry`] — including the survivor roster and every
+///    [`FaultEvent`] — which joins the history and goes to every
+///    registered observer.
 pub struct Federation {
     config: FederationConfig,
     transport: Box<dyn Transport>,
@@ -91,7 +88,7 @@ pub struct Federation {
     faults: Option<FaultPlan>,
     resilience: ResiliencePolicy,
     global: Vec<f32>,
-    history: Vec<RoundRecord>,
+    history: Vec<RoundTelemetry>,
     rng: SeededRng,
     observers: Vec<Box<dyn RoundObserver>>,
 }
@@ -151,7 +148,7 @@ impl FederationBuilder {
 
     /// How the round degrades when too few valid submissions survive
     /// sanitization. Defaults to [`ResiliencePolicy::default`] (quorum 1,
-    /// pure carry-forward below it).
+    /// carry-forward below it).
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
         self.resilience = policy;
         self
@@ -309,8 +306,8 @@ impl Federation {
         &self.global
     }
 
-    /// Per-round records so far.
-    pub fn history(&self) -> &[RoundRecord] {
+    /// Every round so far, one [`RoundTelemetry`] each.
+    pub fn history(&self) -> &[RoundTelemetry] {
         &self.history
     }
 
@@ -331,8 +328,8 @@ impl Federation {
         )[0]
     }
 
-    /// Run one round; returns the new record and emits one
-    /// [`RoundTelemetry`] event to every observer.
+    /// Run one round; records it as one [`RoundTelemetry`], hands that
+    /// record to every observer and returns it.
     ///
     /// Stage timing comes from `fg-obs` timed spans: each stage's seconds in
     /// [`StageTimings`] are derived from the same clock readings that land
@@ -340,7 +337,7 @@ impl Federation {
     /// run can never disagree about where time went. Sanitization runs in
     /// slices between arrivals; its summed seconds are recorded as the one
     /// `round.sanitize` span and taken out of the exchange's.
-    pub fn run_round(&mut self) -> RoundRecord {
+    pub fn run_round(&mut self) -> &RoundTelemetry {
         let round = self.history.len();
         let round_span = timed_span("round");
 
@@ -369,15 +366,10 @@ impl Federation {
 
         // (2)–(4) Exchange: every arrival is fault-injected, accounted,
         // sanitized and pushed as it leaves the transport. The push folds
-        // into the strategy's O(d) aggregator when it opened one; otherwise
-        // — and whenever the damped below-quorum step may need the survivor
-        // vectors — it buffers.
+        // into the strategy's O(d) aggregator when it opened one and
+        // buffers otherwise.
         let dim = self.global.len();
-        let mut fold = if self.resilience.damped_partial_step {
-            None
-        } else {
-            self.strategy.begin_streaming(dim, &active)
-        };
+        let mut fold = self.strategy.begin_streaming(dim, &active);
         let mut buffered: Vec<ModelUpdate> = Vec::new();
         // Upload accounting covers what actually crossed the wire this
         // round: corrupted/truncated/duplicate submissions included,
@@ -435,8 +427,8 @@ impl Federation {
         survivor_ids.sort_unstable();
         buffered.sort_by_key(|u| u.client_id);
 
-        // (5) Aggregate if the survivors meet quorum; otherwise degrade per
-        // the resilience policy. The strategy reports its own synthesis /
+        // (5) Aggregate if the survivors meet quorum; otherwise carry the
+        // global model forward. The strategy reports its own synthesis /
         // audit time; the remainder of the stage is inner aggregation.
         let quorum = self.resilience.effective_quorum();
         let quorum_met = survivor_ids.len() >= quorum;
@@ -466,15 +458,6 @@ impl Federation {
             // Server learning rate (§V-A): ψ₀ ← (1-η)ψ₀ + η·aggregate.
             self.global = vecops::lerp(&self.global, &outcome.params, self.config.server_lr);
             (outcome.selected, outcome.scores, outcome.threshold, outcome.timings)
-        } else if self.resilience.damped_partial_step && !buffered.is_empty() {
-            // Below quorum but not empty: a confidence-weighted step toward
-            // the survivors' unweighted mean, damped by survivors/quorum on
-            // top of the server learning rate.
-            let refs: Vec<&[f32]> = buffered.iter().map(|u| u.params.as_slice()).collect();
-            let mean = vecops::mean_vector(&refs);
-            let scale = buffered.len() as f32 / quorum as f32;
-            self.global = vecops::lerp(&self.global, &mean, self.config.server_lr * scale);
-            (survivor_ids.clone(), Vec::new(), None, StrategyTimings::default())
         } else {
             // Carry the global model forward unchanged (a fold in progress
             // is discarded).
@@ -484,7 +467,7 @@ impl Federation {
         // Release the m·d survivor floats before evaluation allocates.
         drop(buffered);
 
-        // (6) Evaluate, record, and emit telemetry.
+        // (6) Evaluate, record the round, and hand it to the observers.
         let stage = timed_span("round.evaluation");
         let accuracy = self.evaluate_global();
         let evaluation_secs = stage.close();
@@ -510,33 +493,25 @@ impl Federation {
             evaluation_secs,
         };
 
-        let record = RoundRecord {
-            round,
-            accuracy,
-            sampled,
-            selected,
-            malicious_sampled,
-            wall_secs: round_span.close(),
-            comm,
-        };
+        let wall_secs = round_span.close();
         ROUNDS.incr();
 
-        let event = RoundTelemetry {
+        self.history.push(RoundTelemetry {
             schema_version: SCHEMA_VERSION,
             round,
             strategy: self.strategy.name().to_string(),
             accuracy,
             stages,
-            wall_secs: record.wall_secs,
+            wall_secs,
             scores,
             threshold,
-            sampled: record.sampled.clone(),
+            sampled,
             survivors: survivor_ids,
-            selected: record.selected.clone(),
+            selected,
             excluded,
             faults: fault_events,
             quorum_met,
-            malicious_sampled: record.malicious_sampled.clone(),
+            malicious_sampled,
             comm,
             transport: self.transport.kind(),
             sessions: tail.sessions,
@@ -548,18 +523,17 @@ impl Federation {
             } else {
                 fg_obs::metrics::MetricsSnapshot::default()
             },
-        };
+        });
+        let event = &self.history[round];
         for obs in &mut self.observers {
-            obs.on_round(&event);
+            obs.on_round(event);
         }
-
-        self.history.push(record.clone());
-        record
+        event
     }
 
     /// Run all configured rounds; returns the full history and notifies
     /// observers that the run is complete (sinks flush here).
-    pub fn run(&mut self) -> Vec<RoundRecord> {
+    pub fn run(&mut self) -> Vec<RoundTelemetry> {
         for _ in 0..self.config.rounds {
             self.run_round();
         }
@@ -615,13 +589,7 @@ mod tests {
             clients_per_round: 4,
             rounds,
             classifier: ClassifierSpec::Mlp { hidden: 24 },
-            local: LocalTrainConfig {
-                epochs: 2,
-                batch_size: 16,
-                lr: 0.1,
-                momentum: 0.9,
-                prox_mu: 0.0,
-            },
+            local: LocalTrainConfig { epochs: 2, batch_size: 16, lr: 0.1, momentum: 0.9 },
             server_lr: 1.0,
             eval_batch: 64,
             seed,
@@ -716,13 +684,7 @@ mod tests {
             clients_per_round: 2,
             rounds: 1,
             classifier: ClassifierSpec::Mlp { hidden: 8 },
-            local: LocalTrainConfig {
-                epochs: 1,
-                batch_size: 8,
-                lr: 0.1,
-                momentum: 0.0,
-                prox_mu: 0.0,
-            },
+            local: LocalTrainConfig { epochs: 1, batch_size: 8, lr: 0.1, momentum: 0.0 },
             server_lr: 1.0,
             eval_batch: 32,
             seed: 3,
@@ -790,19 +752,14 @@ mod tests {
     #[test]
     fn faulty_rounds_degrade_gracefully() {
         use crate::fault::{FaultConfig, FaultPlan};
-        let collector = MemoryCollector::new();
-        let mut fed = smoke_builder(6, 31)
-            .faults(FaultPlan::new(FaultConfig::chaotic(), 77))
-            .observer(collector.clone())
-            .build();
+        let mut fed =
+            smoke_builder(6, 31).faults(FaultPlan::new(FaultConfig::chaotic(), 77)).build();
         let history = fed.run();
         assert_eq!(history.len(), 6);
         assert!(fed.global_params().iter().all(|x| x.is_finite()));
 
-        let events = collector.events();
-        assert_eq!(events.len(), 6);
         let mut any_fault = false;
-        for e in &events {
+        for e in &history {
             any_fault |= !e.faults.is_empty();
             let sampled: HashSet<usize> = e.sampled.iter().copied().collect();
             let survivors: HashSet<usize> = e.survivors.iter().copied().collect();
@@ -825,62 +782,27 @@ mod tests {
         use crate::fault::{FaultConfig, FaultPlan};
         // Everyone drops out: no round can meet quorum.
         let plan = FaultPlan::new(FaultConfig { dropout_prob: 1.0, ..FaultConfig::default() }, 3);
-        let collector = MemoryCollector::new();
-        let mut fed = smoke_builder(2, 13)
-            .faults(plan)
-            .resilience(ResiliencePolicy::quorum(2))
-            .observer(collector.clone())
-            .build();
+        let mut fed =
+            smoke_builder(2, 13).faults(plan).resilience(ResiliencePolicy::quorum(2)).build();
         let start = fed.global_params().to_vec();
         let baseline = fed.evaluate_global();
         let history = fed.run();
         assert_eq!(fed.global_params(), &start[..], "skip round must not move the model");
-        for (r, e) in history.iter().zip(collector.events().iter()) {
-            assert!(r.selected.is_empty());
+        for e in &history {
+            assert!(e.selected.is_empty());
             assert!(!e.quorum_met);
             assert!(e.survivors.is_empty());
             assert_eq!(e.faults.len(), 4, "one Dropout event per sampled client");
             assert_eq!(e.comm.upload_bytes, 0, "nothing crossed the wire upstream");
-            assert!((r.accuracy - baseline).abs() < 1e-6);
+            assert!((e.accuracy - baseline).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn damped_partial_step_moves_below_quorum() {
-        use crate::config::ResiliencePolicy;
-        // No faults, but a quorum above the round size: every round is below
-        // quorum with 4 survivors.
-        let policy = ResiliencePolicy { min_quorum: 8, damped_partial_step: true };
-        let collector = MemoryCollector::new();
-        let mut fed = smoke_builder(1, 17).resilience(policy).observer(collector.clone()).build();
-        let start = fed.global_params().to_vec();
-        fed.run();
-        let moved = fg_tensor::vecops::l2_distance(&start, fed.global_params());
-        assert!(moved > 0.0, "damped partial step should still move the model");
-        let e = &collector.events()[0];
-        assert!(!e.quorum_met);
-        // The partial step credits the survivors as selected.
-        assert_eq!(e.selected, e.survivors);
-
-        // The same round with pure carry-forward moves not at all, and the
-        // full-quorum step moves further than the damped one.
-        let mut frozen = smoke_builder(1, 17).resilience(ResiliencePolicy::quorum(8)).build();
-        frozen.run();
-        assert_eq!(frozen.global_params(), &start[..]);
-        let mut full = smoke_federation(1, 17);
-        full.run();
-        let full_moved = fg_tensor::vecops::l2_distance(&start, full.global_params());
-        assert!(moved < full_moved, "damped {moved} vs full {full_moved}");
     }
 
     #[test]
     fn duplicates_never_double_weight_a_client() {
         use crate::fault::{FaultConfig, FaultPlan};
         let plan = FaultPlan::new(FaultConfig { duplicate_prob: 1.0, ..FaultConfig::default() }, 5);
-        let collector = MemoryCollector::new();
-        let mut fed = smoke_builder(2, 19).faults(plan).observer(collector.clone()).build();
-        fed.run();
-        for e in &collector.events() {
+        for e in &smoke_builder(2, 19).faults(plan).build().run() {
             // Every client re-sent a stale duplicate; the sanitizer keeps
             // exactly one submission per id.
             assert_eq!(e.survivors, e.sampled);
@@ -900,12 +822,11 @@ mod tests {
         // the round-start model. Under first-valid-wins they change nothing
         // but the upload bill and the duplicate events.
         let run = |plan: Option<FaultPlan>| {
-            let collector = MemoryCollector::new();
-            let mut fed = smoke_builder(3, 23).faults(plan).observer(collector.clone()).build();
+            let mut fed = smoke_builder(3, 23).faults(plan).build();
             let start = fed.global_params().to_vec();
-            fed.run();
+            let history = fed.run();
             let moved = fg_tensor::vecops::l2_distance(&start, fed.global_params());
-            (fed.global_params().to_vec(), moved, collector.events())
+            (fed.global_params().to_vec(), moved, history)
         };
         let dup = FaultConfig { duplicate_prob: 1.0, ..FaultConfig::default() };
         let (clean_global, clean_moved, clean) = run(None);
@@ -933,8 +854,9 @@ mod tests {
         let collector = MemoryCollector::new();
         let mut fed = smoke_federation(3, 21);
         fed.add_observer(collector.clone());
-        fed.run();
+        let history = fed.run();
         let events = collector.events();
+        assert_eq!(events, history, "observers see the history, event for event");
         assert_eq!(events.len(), 3);
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.round, i);

@@ -37,6 +37,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -111,6 +112,15 @@ impl DefenseConfusion {
     /// Decisions recorded so far.
     pub fn total(&self) -> u64 {
         self.true_positives + self.false_positives + self.true_negatives + self.false_negatives
+    }
+}
+
+impl AddAssign for DefenseConfusion {
+    fn add_assign(&mut self, other: DefenseConfusion) {
+        self.true_positives += other.true_positives;
+        self.false_positives += other.false_positives;
+        self.true_negatives += other.true_negatives;
+        self.false_negatives += other.false_negatives;
     }
 }
 
@@ -401,9 +411,7 @@ pub fn read_forensics_jsonl(path: impl AsRef<Path>) -> io::Result<Vec<RoundForen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::CommStats;
     use crate::fault::{FaultEvent, FaultKind};
-    use crate::telemetry::StageTimings;
 
     fn event(round: usize) -> RoundTelemetry {
         RoundTelemetry {
@@ -411,21 +419,9 @@ mod tests {
             round,
             strategy: "fedguard".to_string(),
             accuracy: 0.5,
-            stages: StageTimings::default(),
             wall_secs: 1.0,
-            scores: vec![],
-            threshold: None,
-            sampled: vec![],
-            survivors: vec![],
-            selected: vec![],
-            excluded: vec![],
-            faults: vec![],
             quorum_met: true,
-            malicious_sampled: vec![],
-            comm: CommStats::default(),
-            transport: Default::default(),
-            sessions: vec![],
-            metrics: Default::default(),
+            ..Default::default()
         }
     }
 

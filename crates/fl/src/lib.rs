@@ -5,8 +5,9 @@
 //! holding Dirichlet-partitioned data, a server that samples `m` of them per
 //! round, local training (classifier always, CVAE when configured), pluggable
 //! aggregation strategies, an update-interception hook for poisoning attacks,
-//! byte-accurate communication accounting, a structured per-round telemetry
-//! pipeline ([`telemetry`]) with composable observer sinks, a seeded
+//! byte-accurate communication accounting, one per-round record
+//! ([`telemetry::RoundTelemetry`]) that is both the federation's history and
+//! the event its composable observer sinks receive, a seeded
 //! fault-injection layer ([`fault`]) with graceful round degradation
 //! (sanitization, quorum, carry-forward) for chaos testing, and a pluggable
 //! [`transport`] layer: the same round loop runs in-process
@@ -26,7 +27,6 @@ pub mod config;
 pub mod fault;
 pub mod federation;
 pub mod forensics;
-pub mod metrics;
 pub mod net;
 pub mod strategy;
 pub mod telemetry;
@@ -48,7 +48,6 @@ pub use forensics::{
     read_forensics_jsonl, ClientVerdict, DefenseConfusion, ExclusionCause, ForensicsCollector,
     ForensicsLedger, RoundForensics,
 };
-pub use metrics::RoundRecord;
 pub use net::{
     run_federated_client, ClientRunReport, NetConfig, TcpClientChannel, TcpTransport, WireStats,
 };

@@ -795,7 +795,7 @@ mod tests {
             id,
             generate_dataset(3, 40 + id as u64),
             ClassifierSpec::Mlp { hidden: 8 },
-            LocalTrainConfig { epochs: 1, batch_size: 8, lr: 0.05, momentum: 0.0, prox_mu: 0.0 },
+            LocalTrainConfig { epochs: 1, batch_size: 8, lr: 0.05, momentum: 0.0 },
             None,
             SeededRng::new(7).fork(id as u64).seed(),
         )

@@ -1,13 +1,13 @@
 //! Structured per-round telemetry and the composable observer pipeline.
 //!
-//! Every [`crate::Federation::run_round`] call emits exactly one
-//! [`RoundTelemetry`] event carrying per-stage wall times, the strategy's
+//! Every [`crate::Federation::run_round`] call records exactly one
+//! [`RoundTelemetry`] carrying per-stage wall times, the strategy's
 //! per-client audit scores and selection threshold, communication stats, and
-//! the selection/exclusion rosters. Consumers subscribe by implementing
-//! [`RoundObserver`] and registering through
-//! `Federation::builder(..).observer(..)` (or
-//! `Federation::add_observer`); any number of observers can be attached and
-//! each sees the same event stream.
+//! the selection/exclusion rosters. That record *is* the round: the
+//! federation's history holds it and every observer receives it. Consumers
+//! subscribe by implementing [`RoundObserver`] and registering through
+//! `Federation::builder(..).observer(..)` (or `Federation::add_observer`);
+//! any number of observers can be attached and each sees the same stream.
 //!
 //! Three sinks cover the common cases:
 //! * [`MemoryCollector`] — in-process capture for tests and summaries;
@@ -17,6 +17,7 @@
 
 use crate::comm::CommStats;
 use crate::fault::FaultEvent;
+use crate::forensics::DefenseConfusion;
 use crate::transport::{SessionEvent, TransportKind};
 use fg_obs::metrics::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
@@ -90,9 +91,12 @@ impl StageTimings {
     }
 }
 
-/// One federated round, fully described: the structured event emitted to
-/// every [`RoundObserver`] at the end of [`crate::Federation::run_round`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One federated round, fully described: the raw material for Fig. 4/5
+/// (accuracy series), Table IV (mean ± std over the tail), Table V (time and
+/// bytes per round) and the audit's exclusion record. It is what
+/// [`crate::Federation::history`] holds and the event every
+/// [`RoundObserver`] receives at the end of [`crate::Federation::run_round`].
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundTelemetry {
     /// Schema version of the emitting writer ([`SCHEMA_VERSION`]); 0 when
     /// read back from a pre-versioning (v1) trail.
@@ -168,6 +172,29 @@ impl RoundTelemetry {
     /// (dropouts, timeouts, sanitizer rejections).
     pub fn lost_count(&self) -> usize {
         self.sampled.len() - self.survivors.len()
+    }
+
+    /// The deterministic part of the round: a copy with the clock readings
+    /// (`wall_secs`, `stages`) and the process-wide `metrics` snapshot
+    /// zeroed. Every other field is a pure function of the seeds, so
+    /// replays, thread counts and audit modes compare equal on this view.
+    pub fn normalized(&self) -> RoundTelemetry {
+        RoundTelemetry {
+            wall_secs: 0.0,
+            stages: StageTimings::default(),
+            metrics: MetricsSnapshot::default(),
+            ..self.clone()
+        }
+    }
+
+    /// The round's exclusion decisions against ground truth: one
+    /// [`DefenseConfusion::note`] per sampled client.
+    pub fn confusion(&self) -> DefenseConfusion {
+        let mut confusion = DefenseConfusion::default();
+        for id in &self.sampled {
+            confusion.note(self.malicious_sampled.contains(id), self.excluded.contains(id));
+        }
+        confusion
     }
 }
 
@@ -286,7 +313,7 @@ pub struct StderrProgress {
     /// Optional run label prefixed to every line.
     label: Option<&'static str>,
     /// Running exclusion-decision confusion against `malicious_sampled`.
-    confusion: crate::forensics::DefenseConfusion,
+    confusion: DefenseConfusion,
     /// Set once any round carried a ground-truth malicious roster.
     saw_ground_truth: bool,
 }
@@ -303,13 +330,8 @@ impl StderrProgress {
 
 impl RoundObserver for StderrProgress {
     fn on_round(&mut self, event: &RoundTelemetry) {
-        let malicious: std::collections::BTreeSet<usize> =
-            event.malicious_sampled.iter().copied().collect();
-        self.saw_ground_truth |= !malicious.is_empty();
-        let excluded: std::collections::BTreeSet<usize> = event.excluded.iter().copied().collect();
-        for &id in &event.sampled {
-            self.confusion.note(malicious.contains(&id), excluded.contains(&id));
-        }
+        self.saw_ground_truth |= !event.malicious_sampled.is_empty();
+        self.confusion += event.confusion();
         let prefix = self.label.map(|l| format!("{l} ")).unwrap_or_default();
         let thr = event.threshold.map_or_else(|| "-".to_string(), |t| format!("{t:.3}"));
         let excl = if event.excluded.is_empty() {
@@ -403,6 +425,56 @@ mod tests {
         assert_eq!(e.lost_count(), 1);
         assert_eq!(e.selected_count(), 1);
         assert_eq!(e.excluded_count(), 2);
+    }
+
+    #[test]
+    fn normalized_zeroes_only_wall_clock() {
+        let e = sample_event(0);
+        let mut slow = e.clone();
+        slow.wall_secs = 99.0;
+        slow.stages.audit_secs = 42.0;
+        slow.metrics.counters.push(("fl.rounds".to_string(), 7));
+        assert_ne!(slow, e);
+        assert_eq!(slow.normalized(), e.normalized());
+        // Every other field survives normalization and is compared.
+        let n = e.normalized();
+        assert_eq!((n.wall_secs, n.stages), (0.0, StageTimings::default()));
+        assert_eq!(RoundTelemetry { wall_secs: e.wall_secs, stages: e.stages, ..n }, e);
+        let mut rescored = e.clone();
+        rescored.scores[1].1 = 0.2;
+        assert_ne!(rescored.normalized(), e.normalized());
+    }
+
+    /// A round whose `excluded` roster is `sampled` minus `selected`, as the
+    /// round loop writes it.
+    fn rostered(
+        sampled: Vec<usize>,
+        selected: Vec<usize>,
+        malicious: Vec<usize>,
+    ) -> RoundTelemetry {
+        let excluded = sampled.iter().copied().filter(|c| !selected.contains(c)).collect();
+        RoundTelemetry {
+            sampled,
+            selected,
+            excluded,
+            malicious_sampled: malicious,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn exclusion_counting() {
+        let c = rostered(vec![0, 1, 2, 3], vec![0, 1], vec![2, 3]).confusion();
+        assert_eq!((c.true_positives, c.false_positives), (2, 0));
+        assert_eq!((c.true_negatives, c.false_negatives), (2, 0));
+    }
+
+    #[test]
+    fn benign_exclusions_counted() {
+        // Clients 0 and 1 are benign but excluded; 2 is malicious but kept.
+        let c = rostered(vec![0, 1, 2], vec![2], vec![2]).confusion();
+        assert_eq!((c.true_positives, c.false_positives), (0, 2));
+        assert_eq!((c.true_negatives, c.false_negatives), (0, 1));
     }
 
     #[test]

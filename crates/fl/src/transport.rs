@@ -420,13 +420,7 @@ mod tests {
                     id,
                     generate_dataset(4, 10 + id as u64),
                     ClassifierSpec::Mlp { hidden: 12 },
-                    LocalTrainConfig {
-                        epochs: 1,
-                        batch_size: 8,
-                        lr: 0.05,
-                        momentum: 0.0,
-                        prox_mu: 0.0,
-                    },
+                    LocalTrainConfig { epochs: 1, batch_size: 8, lr: 0.05, momentum: 0.0 },
                     None,
                     SeededRng::new(99).fork(id as u64).seed(),
                 )

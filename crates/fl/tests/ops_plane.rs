@@ -50,7 +50,7 @@ fn run_tiny_federation() {
         clients_per_round: 2,
         rounds: 1,
         classifier: ClassifierSpec::Mlp { hidden: 8 },
-        local: LocalTrainConfig { epochs: 1, batch_size: 16, lr: 0.1, momentum: 0.9, prox_mu: 0.0 },
+        local: LocalTrainConfig { epochs: 1, batch_size: 16, lr: 0.1, momentum: 0.9 },
         server_lr: 1.0,
         eval_batch: 64,
         seed: 42,

@@ -209,40 +209,6 @@ impl Classifier {
         loss
     }
 
-    /// One FedProx step (Sahu et al., cited by the paper's §VI-C): the
-    /// cross-entropy gradient plus the proximal pull `μ (w − w_global)`
-    /// toward the round's global parameters. `μ = 0` reduces to
-    /// [`Classifier::train_batch`]. Returns the cross-entropy part of the
-    /// loss.
-    pub fn train_batch_prox(
-        &mut self,
-        x: &Tensor,
-        y: &[usize],
-        optim: &mut dyn Optimizer,
-        global: &[f32],
-        mu: f32,
-    ) -> f32 {
-        assert_eq!(global.len(), self.spec.num_params(), "global parameter size mismatch");
-        self.net.zero_grad();
-        let logits = self.logits(x, true);
-        let (loss, dlogits) = loss::softmax_cross_entropy(&logits, y);
-        self.net.backward_params(&dlogits);
-        if mu != 0.0 {
-            let mut off = 0usize;
-            self.net.visit_params_mut(&mut |p| {
-                let n = p.numel();
-                let w = p.value.data();
-                let g = p.grad.data_mut();
-                for i in 0..n {
-                    g[i] += mu * (w[i] - global[off + i]);
-                }
-                off += n;
-            });
-        }
-        optim.step(&mut self.net);
-        loss
-    }
-
     /// Accuracy over a dataset, evaluated in mini-batches of `batch`.
     ///
     /// The scoring hot path of FedGuard's audit: the mini-batch slice is
@@ -406,45 +372,6 @@ mod tests {
             }
             assert_eq!(bits(&lean.get_params()), bits(&full.get_params()), "{spec:?}");
         }
-    }
-
-    #[test]
-    fn prox_zero_matches_plain_training() {
-        let mut rng = SeededRng::new(6);
-        let spec = ClassifierSpec::Mlp { hidden: 8 };
-        let global = Classifier::new(&spec, &mut SeededRng::new(7)).get_params();
-        let x = Tensor::randn(&[4, 784], &mut rng);
-        let y = vec![0usize, 1, 2, 3];
-
-        let mut a = Classifier::from_params(&spec, &global);
-        let mut b = Classifier::from_params(&spec, &global);
-        let mut sa = Sgd::new(0.1);
-        let mut sb = Sgd::new(0.1);
-        a.train_batch(&x, &y, &mut sa);
-        b.train_batch_prox(&x, &y, &mut sb, &global, 0.0);
-        assert_eq!(a.get_params(), b.get_params());
-    }
-
-    #[test]
-    fn large_prox_mu_pins_params_to_global() {
-        let mut rng = SeededRng::new(8);
-        let spec = ClassifierSpec::Mlp { hidden: 8 };
-        let global = Classifier::new(&spec, &mut SeededRng::new(9)).get_params();
-        let x = Tensor::randn(&[4, 784], &mut rng);
-        let y = vec![0usize, 1, 2, 3];
-
-        let dist = |mu: f32| {
-            let mut clf = Classifier::from_params(&spec, &global);
-            let mut sgd = Sgd::new(0.05);
-            for _ in 0..10 {
-                clf.train_batch_prox(&x, &y, &mut sgd, &global, mu);
-            }
-            fg_tensor::vecops::l2_distance(&clf.get_params(), &global)
-        };
-        // Stability requires lr * mu < 2; mu = 10 with lr = 0.05 contracts.
-        let free = dist(0.0);
-        let pinned = dist(10.0);
-        assert!(pinned < free * 0.5, "prox did not constrain: {pinned} vs {free}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() {
             label,
             fedavg.final_accuracy() * 100.0,
             fedguard.final_accuracy() * 100.0,
-            fedguard.detection().malicious_exclusion_rate * 100.0,
+            fedguard.detection().recall() * 100.0,
         );
     }
     println!("\n(Smoke preset: 10 clients, 3 rounds — run the fg-bench binaries for the");

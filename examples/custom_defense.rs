@@ -56,7 +56,7 @@ fn main() {
         clients_per_round: 5,
         rounds: 8,
         classifier: ClassifierSpec::Mlp { hidden: 24 },
-        local: LocalTrainConfig { epochs: 2, batch_size: 16, lr: 0.1, momentum: 0.9, prox_mu: 0.0 },
+        local: LocalTrainConfig { epochs: 2, batch_size: 16, lr: 0.1, momentum: 0.9 },
         server_lr: 1.0,
         eval_batch: 64,
         seed: 21,

@@ -50,7 +50,7 @@ fn main() {
             "{:26} | {:>8.1}% | {:>16.0}% | {:>11.2}s",
             format!("{budget:?}"),
             result.final_accuracy() * 100.0,
-            result.detection().malicious_exclusion_rate * 100.0,
+            result.detection().recall() * 100.0,
             result.mean_round_secs(),
         );
     }

@@ -32,7 +32,7 @@ fn main() {
             a.round,
             a.accuracy * 100.0,
             g.accuracy * 100.0,
-            g.malicious_excluded(),
+            g.confusion().true_positives,
             g.malicious_sampled.len(),
         );
     }
@@ -45,7 +45,7 @@ fn main() {
     let det = fedguard.detection();
     println!(
         "FedGuard excluded {:.0}% of malicious and {:.0}% of benign submissions.",
-        det.malicious_exclusion_rate * 100.0,
-        det.benign_exclusion_rate * 100.0
+        det.recall() * 100.0,
+        det.fpr() * 100.0
     );
 }

@@ -4,7 +4,7 @@
 //!
 //! Everything here is driven by seeds — a replay with the same federation
 //! seed and the same `FaultPlan` seed must reproduce the exact same round
-//! records (modulo wall-clock time, which `RoundRecord::normalized()`
+//! records (modulo the clock readings, which `RoundTelemetry::normalized()`
 //! zeroes) and the exact same fault-event stream.
 
 use fedguard::agg::FedAvgStrategy;
@@ -13,7 +13,7 @@ use fedguard::data::synth::generate_dataset;
 use fedguard::fl::{
     AggregationContext, AggregationOutcome, AggregationStrategy, FaultConfig, FaultKind, FaultPlan,
     Federation, FederationConfig, LocalTrainConfig, MemoryCollector, ModelUpdate, ResiliencePolicy,
-    RoundRecord, RoundTelemetry,
+    RoundTelemetry,
 };
 use fedguard::nn::models::ClassifierSpec;
 use fedguard::tensor::rng::SeededRng;
@@ -74,7 +74,7 @@ fn chaos_federation_with(
         clients_per_round: 5,
         rounds,
         classifier: ClassifierSpec::Mlp { hidden: 24 },
-        local: LocalTrainConfig { epochs: 2, batch_size: 16, lr: 0.1, momentum: 0.9, prox_mu: 0.0 },
+        local: LocalTrainConfig { epochs: 2, batch_size: 16, lr: 0.1, momentum: 0.9 },
         server_lr: 1.0,
         eval_batch: 64,
         seed,
@@ -89,7 +89,7 @@ fn chaos_federation_with(
         .build()
 }
 
-fn run_chaotic(seed: u64, plan_seed: u64) -> (Vec<RoundRecord>, Vec<RoundTelemetry>) {
+fn run_chaotic(seed: u64, plan_seed: u64) -> (Vec<RoundTelemetry>, Vec<RoundTelemetry>) {
     let collector = MemoryCollector::new();
     let plan = FaultPlan::new(FaultConfig::chaotic(), plan_seed);
     let mut fed =
@@ -104,8 +104,8 @@ fn seeded_fault_schedule_replays_bit_identical() {
     let (h2, e2) = run_chaotic(101, 0xC4A05);
 
     // Bit-identical round records, wall-clock aside.
-    let n1: Vec<RoundRecord> = h1.iter().map(|r| r.normalized()).collect();
-    let n2: Vec<RoundRecord> = h2.iter().map(|r| r.normalized()).collect();
+    let n1: Vec<RoundTelemetry> = h1.iter().map(|r| r.normalized()).collect();
+    let n2: Vec<RoundTelemetry> = h2.iter().map(|r| r.normalized()).collect();
     assert_eq!(n1, n2, "replay diverged from the original run");
 
     // The telemetry stream agrees on every deterministic field.
@@ -280,8 +280,8 @@ fn quiet_fault_plan_is_a_no_op() {
         chaos_federation(4, 505, None, ResiliencePolicy::default(), collector_b.clone());
     let hb = without.run();
 
-    let na: Vec<RoundRecord> = ha.iter().map(|r| r.normalized()).collect();
-    let nb: Vec<RoundRecord> = hb.iter().map(|r| r.normalized()).collect();
+    let na: Vec<RoundTelemetry> = ha.iter().map(|r| r.normalized()).collect();
+    let nb: Vec<RoundTelemetry> = hb.iter().map(|r| r.normalized()).collect();
     assert_eq!(na, nb, "a quiet fault plan perturbed the run");
     for (a, b) in collector_a.events().iter().zip(&collector_b.events()) {
         assert!(a.faults.is_empty());

@@ -5,60 +5,13 @@
 //! sequential) — and its per-round exclusion verdicts reproduce the
 //! aggregation outcome recorded in telemetry exactly.
 
+mod common;
+
+use common::serve_over_tcp;
 use fedguard::experiment::{
-    build_client, run_experiment_full, run_served_experiment, AttackScenario, ExperimentConfig,
-    Preset, RunArtifacts, StrategyKind,
+    run_experiment_full, AttackScenario, ExperimentConfig, Preset, RunArtifacts, StrategyKind,
 };
-use fg_fl::{
-    read_forensics_jsonl, run_federated_client, ExclusionCause, NetConfig, TcpClientChannel,
-    TcpTransport,
-};
-use fg_nn::models::Classifier;
-use fg_tensor::rng::SeededRng;
-use std::thread;
-use std::time::Duration;
-
-fn net_cfg() -> NetConfig {
-    NetConfig {
-        read_timeout: Duration::from_secs(60),
-        write_timeout: Duration::from_secs(20),
-        join_timeout: Duration::from_secs(20),
-        heartbeat_interval: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
-
-/// Loopback TCP deployment with one worker thread per client (the
-/// `net_equivalence` pattern, trimmed to what this test needs).
-fn serve_over_tcp(cfg: &ExperimentConfig) -> RunArtifacts {
-    let blob = serde_json::to_string(cfg).expect("config serializes");
-    let param_len =
-        Classifier::new(&cfg.fed.classifier, &mut SeededRng::new(0)).get_params().len() as u64;
-    let mut transport =
-        TcpTransport::bind("127.0.0.1:0", cfg.fed.n_clients, param_len, blob, net_cfg())
-            .expect("bind loopback transport")
-            .with_compression(cfg.compression);
-    let addr = transport.local_addr().expect("ephemeral address");
-    let handles: Vec<_> = (0..cfg.fed.n_clients)
-        .map(|id| {
-            thread::spawn(move || {
-                let mut channel =
-                    TcpClientChannel::connect(addr, id, net_cfg()).expect("worker joins");
-                let parsed: ExperimentConfig =
-                    serde_json::from_str(channel.welcome_blob()).expect("blob parses");
-                let (mut client, interceptor) = build_client(&parsed, id);
-                run_federated_client(&mut channel, &mut client, interceptor.as_ref())
-                    .expect("worker session completes")
-            })
-        })
-        .collect();
-    transport.wait_for_clients().expect("all workers join");
-    let served = run_served_experiment(cfg, Box::new(transport));
-    for h in handles {
-        h.join().expect("worker thread");
-    }
-    served
-}
+use fg_fl::{read_forensics_jsonl, ExclusionCause};
 
 fn ledger_bytes(run: &RunArtifacts) -> String {
     serde_json::to_string(&run.forensics).expect("ledger serializes")
@@ -83,7 +36,7 @@ fn ledger_is_byte_identical_across_threads_transports_and_audit_modes() {
     assert_eq!(ledger_bytes(&single), reference, "1 vs 4 threads diverged");
 
     // Axis 2: deployment (in-process vs loopback TCP).
-    let served = serve_over_tcp(&cfg);
+    let served = serve_over_tcp(&cfg).0;
     assert_eq!(ledger_bytes(&served), reference, "Local vs TCP diverged");
 
     // Axis 3: audit mode.
@@ -95,7 +48,7 @@ fn ledger_is_byte_identical_across_threads_transports_and_audit_modes() {
     // The ledger's exclusion verdicts reproduce the aggregation outcome:
     // per round, exactly the telemetry's excluded roster, and on this
     // fault-free quorum-met run every exclusion is a threshold cut.
-    for (t, f) in baseline.telemetry.iter().zip(&baseline.forensics) {
+    for (t, f) in baseline.result.history.iter().zip(&baseline.forensics) {
         assert_eq!(t.round, f.round);
         let mut expected = t.excluded.clone();
         expected.sort_unstable();

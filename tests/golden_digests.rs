@@ -18,19 +18,17 @@
 //! cargo test --offline -p fedguard --test golden_digests -- --ignored bless_golden_digests
 //! ```
 
+mod common;
+
+use common::serve_over_tcp;
 use fedguard::experiment::{
-    build_client, run_experiment_full, run_served_experiment, AttackScenario, ExperimentConfig,
-    Preset, RunArtifacts, StrategyKind,
+    run_experiment_full, AttackScenario, ExperimentConfig, Preset, RunArtifacts, StrategyKind,
 };
 use fedguard::synthesis::SynthesisBudget;
-use fg_fl::{
-    run_federated_client, CvaeTrainConfig, FaultConfig, NetConfig, TcpClientChannel, TcpTransport,
-};
+use fg_fl::{CvaeTrainConfig, FaultConfig};
 use fg_nn::models::ClassifierSpec;
 use fg_tensor::simd::Level;
 use serde::{Deserialize, Serialize};
-use std::thread;
-use std::time::Duration;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/digests.json");
 
@@ -75,7 +73,8 @@ fn digest(run: &RunArtifacts, cell: &str) -> CellDigest {
         cell: cell.to_string(),
         global: fnv1a(run.final_global.iter().flat_map(|v| v.to_bits().to_le_bytes())),
         rounds: run
-            .telemetry
+            .result
+            .history
             .iter()
             .map(|e| RoundDigest {
                 accuracy: fnv1a(e.accuracy.to_bits().to_le_bytes()),
@@ -143,47 +142,11 @@ fn cells() -> Vec<(&'static str, ExperimentConfig, bool)> {
     ]
 }
 
-/// Loopback TCP deployment with one worker thread per client (the
-/// `net_equivalence` pattern, trimmed to what this test needs).
-fn serve_over_tcp(cfg: &ExperimentConfig) -> RunArtifacts {
-    let net = NetConfig {
-        read_timeout: Duration::from_secs(60),
-        write_timeout: Duration::from_secs(20),
-        join_timeout: Duration::from_secs(20),
-        heartbeat_interval: Duration::from_secs(5),
-        ..NetConfig::default()
-    };
-    let blob = serde_json::to_string(cfg).expect("config serializes");
-    let param_len = cfg.fed.classifier.num_params() as u64;
-    let mut transport = TcpTransport::bind("127.0.0.1:0", cfg.fed.n_clients, param_len, blob, net)
-        .expect("bind loopback transport")
-        .with_compression(cfg.compression);
-    let addr = transport.local_addr().expect("ephemeral address");
-    let handles: Vec<_> = (0..cfg.fed.n_clients)
-        .map(|id| {
-            thread::spawn(move || {
-                let mut channel = TcpClientChannel::connect(addr, id, net).expect("worker joins");
-                let parsed: ExperimentConfig =
-                    serde_json::from_str(channel.welcome_blob()).expect("blob parses");
-                let (mut client, interceptor) = build_client(&parsed, id);
-                run_federated_client(&mut channel, &mut client, interceptor.as_ref())
-                    .expect("worker session completes")
-            })
-        })
-        .collect();
-    transport.wait_for_clients().expect("all workers join");
-    let served = run_served_experiment(cfg, Box::new(transport));
-    for h in handles {
-        h.join().expect("worker thread");
-    }
-    served
-}
-
 fn compute() -> Vec<CellDigest> {
     cells()
         .into_iter()
         .map(|(name, cfg, tcp)| {
-            let run = if tcp { serve_over_tcp(&cfg) } else { run_experiment_full(&cfg) };
+            let run = if tcp { serve_over_tcp(&cfg).0 } else { run_experiment_full(&cfg) };
             digest(&run, name)
         })
         .collect()

@@ -70,7 +70,7 @@ fn fedguard_beats_fedavg_under_same_value() {
         fedavg.final_accuracy()
     );
     // The audit must actually be excluding poisoned submissions.
-    assert!(fedguard.detection().malicious_exclusion_rate > 0.5);
+    assert!(fedguard.detection().recall() > 0.5);
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn fedguard_defends_from_the_first_round() {
     let result = run_experiment(&cfg);
     let round0 = &result.history[0];
     if !round0.malicious_sampled.is_empty() {
-        assert!(round0.malicious_excluded() > 0, "no malicious update excluded in round 0");
+        assert!(round0.confusion().true_positives > 0, "no malicious update excluded in round 0");
     }
 }
 

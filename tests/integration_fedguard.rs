@@ -206,7 +206,7 @@ fn fedguard_survives_shard_heterogeneity_with_coverage_awareness() {
     let history = fed.run();
     let last = history.last().unwrap();
     assert!(last.accuracy > 0.25, "collapsed under shards: {:.3}", last.accuracy);
-    let excluded: usize = history.iter().map(|r| r.malicious_excluded()).sum();
+    let excluded: usize = history.iter().map(|r| r.confusion().true_positives as usize).sum();
     let sampled: usize = history.iter().map(|r| r.malicious_sampled.len()).sum();
     if sampled > 0 {
         assert!(excluded * 2 >= sampled, "exclusion too weak: {excluded}/{sampled}");

@@ -9,69 +9,20 @@
 //! separate-process version of this check is the `net` stage of
 //! `run_suite.sh`.
 
+mod common;
+
+use common::{bind_for, net_cfg, serve_over_tcp};
+use fedguard::agg::FedAvgStrategy;
 use fedguard::experiment::{
-    build_client, run_experiment_full, run_served_experiment, AttackScenario, ExperimentConfig,
-    Preset, RunArtifacts, StrategyKind,
+    build_client, prepare_setup, run_experiment_full, run_served_experiment, AttackScenario,
+    ExperimentConfig, Preset, RunArtifacts, StrategyKind,
 };
 use fedguard::synthesis::SynthesisBudget;
 use fg_fl::{
-    run_federated_client, ClientChannel, ClientRunReport, Directive, NetConfig, TcpClientChannel,
-    TcpTransport, TransportKind, WireStats,
+    run_federated_client, AggregationContext, AggregationOutcome, AggregationStrategy,
+    ClientChannel, Directive, Federation, ModelUpdate, TcpClientChannel, TransportKind,
 };
-use fg_nn::models::Classifier;
-use fg_tensor::rng::SeededRng;
-use std::net::SocketAddr;
 use std::thread;
-use std::time::Duration;
-
-fn net_cfg() -> NetConfig {
-    NetConfig {
-        read_timeout: Duration::from_secs(60),
-        write_timeout: Duration::from_secs(20),
-        join_timeout: Duration::from_secs(20),
-        heartbeat_interval: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
-
-fn bind_for(cfg: &ExperimentConfig) -> (TcpTransport, SocketAddr) {
-    let blob = serde_json::to_string(cfg).expect("config serializes");
-    let param_len =
-        Classifier::new(&cfg.fed.classifier, &mut SeededRng::new(0)).get_params().len() as u64;
-    let transport =
-        TcpTransport::bind("127.0.0.1:0", cfg.fed.n_clients, param_len, blob, net_cfg())
-            .expect("bind loopback transport")
-            .with_compression(cfg.compression);
-    let addr = transport.local_addr().expect("ephemeral address");
-    (transport, addr)
-}
-
-/// Serve `cfg` over loopback TCP with one well-behaved worker thread per
-/// client, exactly as the `fed_server`/`fed_client` binaries do.
-fn serve_over_tcp(cfg: &ExperimentConfig) -> (RunArtifacts, Vec<ClientRunReport>, Vec<WireStats>) {
-    let (mut transport, addr) = bind_for(cfg);
-    let wire_log = transport.wire_log();
-    let handles: Vec<_> = (0..cfg.fed.n_clients)
-        .map(|id| {
-            thread::spawn(move || {
-                let mut channel =
-                    TcpClientChannel::connect(addr, id, net_cfg()).expect("worker joins");
-                // Workers rebuild their state from the Welcome blob alone —
-                // the single-source-of-truth path the binaries rely on.
-                let parsed: ExperimentConfig =
-                    serde_json::from_str(channel.welcome_blob()).expect("blob parses");
-                let (mut client, interceptor) = build_client(&parsed, id);
-                run_federated_client(&mut channel, &mut client, interceptor.as_ref())
-                    .expect("worker session completes")
-            })
-        })
-        .collect();
-    transport.wait_for_clients().expect("all workers join");
-    let served = run_served_experiment(cfg, Box::new(transport));
-    let reports = handles.into_iter().map(|h| h.join().expect("worker thread")).collect();
-    let wire = wire_log.lock().clone();
-    (served, reports, wire)
-}
 
 #[test]
 fn tcp_fedguard_run_is_bit_identical_to_in_process_oracle() {
@@ -90,8 +41,8 @@ fn tcp_fedguard_run_is_bit_identical_to_in_process_oracle() {
     assert_eq!(oracle.result.accuracy_series(), served.result.accuracy_series());
     assert_eq!(oracle.final_global, served.final_global, "global model diverged");
     assert_eq!(oracle.result.malicious_clients, served.result.malicious_clients);
-    assert_eq!(oracle.telemetry.len(), served.telemetry.len());
-    for (a, b) in oracle.telemetry.iter().zip(&served.telemetry) {
+    assert_eq!(oracle.result.history.len(), served.result.history.len());
+    for (a, b) in oracle.result.history.iter().zip(&served.result.history) {
         assert_eq!(a.scores, b.scores, "round {} audit scores diverged", a.round);
         assert_eq!(a.threshold, b.threshold, "round {} threshold diverged", a.round);
         assert_eq!(a.sampled, b.sampled);
@@ -104,14 +55,14 @@ fn tcp_fedguard_run_is_bit_identical_to_in_process_oracle() {
     }
     // The served run logged the sessions the oracle never had.
     assert!(
-        served.telemetry[0].sessions.len() >= cfg.fed.n_clients,
+        served.result.history[0].sessions.len() >= cfg.fed.n_clients,
         "expected at least one Join per client in round 0"
     );
-    assert!(oracle.telemetry.iter().all(|e| e.sessions.is_empty()));
+    assert!(oracle.result.history.iter().all(|e| e.sessions.is_empty()));
 
     // Wire model-parameter bytes realize the simulation's byte accounting
     // exactly on these fault-free rounds.
-    for event in &served.telemetry {
+    for event in &served.result.history {
         assert!(event.faults.is_empty(), "loopback run should be fault-free");
         let w = wire.iter().find(|w| w.round == event.round).expect("wire stats per round");
         assert_eq!(w.model_bytes_tx, event.comm.download_bytes, "round {}", event.round);
@@ -146,7 +97,7 @@ fn tcp_batched_audit_matches_in_process_sequential_oracle() {
     assert_eq!(oracle.result.accuracy_series(), served.result.accuracy_series());
     assert_eq!(oracle.final_global, served.final_global, "global model diverged");
     assert_eq!(oracle.result.malicious_clients, served.result.malicious_clients);
-    for (a, b) in oracle.telemetry.iter().zip(&served.telemetry) {
+    for (a, b) in oracle.result.history.iter().zip(&served.result.history) {
         assert_eq!(a.scores, b.scores, "round {} audit scores diverged", a.round);
         assert_eq!(a.threshold, b.threshold, "round {} threshold diverged", a.round);
         assert_eq!(a.selected, b.selected);
@@ -196,7 +147,7 @@ fn worker_vanishing_mid_round_degrades_to_a_dropout_not_a_crash() {
     assert_eq!(served.result.history.len(), 2, "run completes despite the dead session");
     // Round 0: the quitter's EOF mid-round is a Dropout fault on client 0,
     // and its session records a Drop event.
-    let r0 = &served.telemetry[0];
+    let r0 = &served.result.history[0];
     assert!(
         r0.faults.iter().any(|f| f.client_id == 0),
         "expected a fault for the vanished client, got {:?}",
@@ -208,7 +159,7 @@ fn worker_vanishing_mid_round_degrades_to_a_dropout_not_a_crash() {
         .any(|s| s.client_id == 0 && s.kind == fg_fl::SessionEventKind::Drop));
     // Round 1: the session is gone, so the still-sampled client 0 surfaces
     // as a dropout again; the other four keep training.
-    let r1 = &served.telemetry[1];
+    let r1 = &served.result.history[1];
     assert!(r1.faults.iter().any(|f| f.client_id == 0));
     assert_eq!(r1.survivors, vec![1, 2, 3, 4]);
     assert!(served.result.history.iter().all(|r| r.accuracy.is_finite()));
@@ -229,15 +180,34 @@ fn scheduled_dropouts_stay_bit_identical_over_tcp() {
 
     assert_eq!(oracle.result.accuracy_series(), served.result.accuracy_series());
     assert_eq!(oracle.final_global, served.final_global);
-    for (a, b) in oracle.telemetry.iter().zip(&served.telemetry) {
+    for (a, b) in oracle.result.history.iter().zip(&served.result.history) {
         assert_eq!(a.faults, b.faults, "round {} fault records diverged", a.round);
         assert_eq!(a.survivors, b.survivors);
         assert_eq!(a.comm, b.comm);
     }
     // Declines happened iff the plan scheduled dropouts.
     let declined: usize = reports.iter().map(|r| r.rounds_declined).sum();
-    let scheduled: usize = served.telemetry.iter().map(|e| e.faults.len()).sum();
+    let scheduled: usize = served.result.history.iter().map(|e| e.faults.len()).sum();
     assert_eq!(declined, scheduled, "one Decline per scheduled dropout");
+}
+
+/// FedAvg's buffered reference: forwards everything but `begin_streaming`,
+/// so the round loop buffers the survivors into `aggregate` → `ops::fedavg`
+/// instead of folding them.
+struct BufferedFedAvg;
+
+impl AggregationStrategy for BufferedFedAvg {
+    fn name(&self) -> &'static str {
+        FedAvgStrategy.name()
+    }
+
+    fn aggregate(
+        &mut self,
+        updates: &[ModelUpdate],
+        ctx: &mut AggregationContext<'_>,
+    ) -> AggregationOutcome {
+        FedAvgStrategy.aggregate(updates, ctx)
+    }
 }
 
 /// The folding aggregation path, driven end-to-end over loopback TCP: the
@@ -249,24 +219,28 @@ fn tcp_streaming_aggregation_is_bit_identical_to_batch_oracle() {
     let mut cfg =
         ExperimentConfig::preset(Preset::Smoke, StrategyKind::FedAvg, AttackScenario::None, 42);
     cfg.fed.rounds = 2;
-    // `damped_partial_step` is the one policy that makes the round loop
-    // keep the survivor vectors, so it selects `FedAvgStrategy::aggregate`
-    // (→ `ops::fedavg`) — and on these fault-free quorum-1 rounds the damped
-    // step itself never fires.
-    let mut buffered_cfg = cfg.clone();
-    buffered_cfg.resilience.damped_partial_step = true;
-    let batch_oracle = run_experiment_full(&buffered_cfg);
+    // The federation `run_experiment_full` assembles for `cfg`, with FedAvg's
+    // buffered reference in place of the folding strategy.
+    let setup = prepare_setup(&cfg);
+    let mut batch_oracle = Federation::builder(cfg.fed)
+        .datasets(setup.datasets)
+        .test_set(setup.test)
+        .strategy(BufferedFedAvg)
+        .interceptor(setup.interceptor)
+        .build();
+    let batch_history = batch_oracle.run();
+    let batch_series: Vec<f32> = batch_history.iter().map(|r| r.accuracy).collect();
 
     // In-process fold vs in-process batch.
     let local_folded = run_experiment_full(&cfg);
-    assert_eq!(batch_oracle.final_global, local_folded.final_global, "local fold diverged");
-    assert_eq!(batch_oracle.result.accuracy_series(), local_folded.result.accuracy_series());
+    assert_eq!(batch_oracle.global_params(), local_folded.final_global, "local fold diverged");
+    assert_eq!(batch_series, local_folded.result.accuracy_series());
 
     // Over-the-wire fold vs in-process batch.
     let (served, _reports, wire) = serve_over_tcp(&cfg);
-    assert_eq!(batch_oracle.final_global, served.final_global, "TCP fold diverged");
-    assert_eq!(batch_oracle.result.accuracy_series(), served.result.accuracy_series());
-    for (a, b) in batch_oracle.telemetry.iter().zip(&served.telemetry) {
+    assert_eq!(batch_oracle.global_params(), served.final_global, "TCP fold diverged");
+    assert_eq!(batch_series, served.result.accuracy_series());
+    for (a, b) in batch_history.iter().zip(&served.result.history) {
         assert_eq!(a.sampled, b.sampled);
         assert_eq!(a.survivors, b.survivors);
         assert_eq!(a.selected, b.selected);
@@ -347,7 +321,7 @@ fn compressed_fedguard_runs_drift_at_most_half_a_point_and_match_across_deployme
         let (served, _, _) = serve_over_tcp(&lossy_cfg);
         assert_eq!(local.final_global, served.final_global, "{}: local vs TCP", mode.name());
         assert_eq!(local.result.accuracy_series(), served.result.accuracy_series());
-        for (a, b) in local.telemetry.iter().zip(&served.telemetry) {
+        for (a, b) in local.result.history.iter().zip(&served.result.history) {
             assert_eq!(a.scores, b.scores, "{}: round {} scores", mode.name(), a.round);
             assert_eq!(a.survivors, b.survivors);
             assert_eq!(a.selected, b.selected);

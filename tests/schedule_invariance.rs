@@ -223,8 +223,8 @@ fn seeded_federation_history_is_bit_identical_across_thread_counts() {
         );
         assert_eq!(seq.history.len(), par.history.len());
         for (rs, rp) in seq.history.iter().zip(&par.history) {
-            // normalized() zeroes wall_secs, the only nondeterministic field;
-            // accuracy is f32 and compared exactly, so this is bitwise.
+            // normalized() zeroes the clock readings, the only nondeterministic
+            // fields; f32s are compared exactly, so this is bitwise.
             assert_eq!(
                 rs.normalized(),
                 rp.normalized(),
