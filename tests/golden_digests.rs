@@ -25,7 +25,8 @@ use fedguard::experiment::{
     run_experiment_full, AttackScenario, ExperimentConfig, Preset, RunArtifacts, StrategyKind,
 };
 use fedguard::synthesis::SynthesisBudget;
-use fg_fl::{CvaeTrainConfig, FaultConfig};
+use fg_fl::compress::{DEFAULT_INT8_BLOCK, DEFAULT_TOPK_FRAC};
+use fg_fl::{Compression, CvaeTrainConfig, FaultConfig};
 use fg_nn::models::ClassifierSpec;
 use fg_tensor::simd::Level;
 use serde::{Deserialize, Serialize};
@@ -127,9 +128,16 @@ fn chaotic(mut cfg: ExperimentConfig) -> ExperimentConfig {
     cfg
 }
 
+fn compressed(mut cfg: ExperimentConfig, mode: Compression) -> ExperimentConfig {
+    cfg.compression = mode;
+    cfg
+}
+
 /// `(name, configuration, served over loopback TCP?)`.
 fn cells() -> Vec<(&'static str, ExperimentConfig, bool)> {
     use StrategyKind::{FedAvg, FedGuard};
+    let topk = Compression::TopK { frac: DEFAULT_TOPK_FRAC };
+    let int8 = Compression::Int8 { block: DEFAULT_INT8_BLOCK };
     vec![
         ("fedavg/mlp/local", mlp(FedAvg), false),
         ("fedguard/mlp/local", mlp(FedGuard), false),
@@ -139,6 +147,9 @@ fn cells() -> Vec<(&'static str, ExperimentConfig, bool)> {
         ("fedavg/cnn/local", cnn(FedAvg), false),
         ("fedguard/cnn/local", cnn(FedGuard), false),
         ("fedguard/cnn/tcp", cnn(FedGuard), true),
+        ("fedavg/mlp/local/topk", compressed(mlp(FedAvg), topk), false),
+        ("fedavg/mlp/local/topk/chaotic", chaotic(compressed(mlp(FedAvg), topk)), false),
+        ("fedguard/mlp/tcp/int8", compressed(mlp(FedGuard), int8), true),
     ]
 }
 
