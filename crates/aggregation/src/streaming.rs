@@ -23,7 +23,7 @@
 //! involved is [`vecops::fold_weighted_mean`], which is element-wise over
 //! disjoint blocks.
 
-use fg_fl::{AggregationOutcome, ModelUpdate, SparseUpdate, StreamingAggregator};
+use fg_fl::{AggregationOutcome, ModelUpdate, StreamingAggregator};
 use fg_tensor::vecops;
 use std::collections::BTreeMap;
 
@@ -72,59 +72,6 @@ impl StreamingFedAvg {
             fallback_count: 0,
             ids: Vec::new(),
             peak_bytes: 0,
-        }
-    }
-
-    /// Fold a sparse update — `base[i] + val` at the selected coordinates,
-    /// `base` unchanged elsewhere — without materializing the dense vector,
-    /// bit-identically to [`fold`](StreamingFedAvg::fold) of that vector.
-    ///
-    /// Bit-equality argument: the dense fold computes
-    /// `a[j] += frac·(x[j] − a[j])` with `x[j] = base[j]` off the selected
-    /// set and `x[i] = base[i] + δᵢ` (rounded once, when the vector was
-    /// materialized) on it. Here the selected coordinates are computed first
-    /// from the accumulator's *pre-fold* values with exactly that
-    /// expression, then `fold_weighted_mean(acc, base, frac)` runs the dense
-    /// expression for every coordinate, and the saved selected results
-    /// overwrite their slots — every coordinate ends up with the identical
-    /// sequence of IEEE operations.
-    fn fold_sparse(&mut self, base: &[f32], idx: &[u32], val: &[f32], n: usize) {
-        fn sparse_fold_into(a: &mut [f32], base: &[f32], idx: &[u32], val: &[f32], frac: f32) {
-            let sel: Vec<f32> = idx
-                .iter()
-                .zip(val)
-                .map(|(&i, &v)| {
-                    let ai = a[i as usize];
-                    let xi = base[i as usize] + v;
-                    ai + frac * (xi - ai)
-                })
-                .collect();
-            vecops::fold_weighted_mean(a, base, frac);
-            for (&i, &s) in idx.iter().zip(&sel) {
-                a[i as usize] = s;
-            }
-        }
-        if n == 0 {
-            if self.cum == 0 {
-                match &mut self.fallback {
-                    None => self.fallback = Some(sparse_to_dense(base, idx, val)),
-                    Some(f) => sparse_fold_into(
-                        f,
-                        base,
-                        idx,
-                        val,
-                        1.0 / (self.fallback_count as f32 + 1.0),
-                    ),
-                }
-                self.fallback_count += 1;
-            }
-            return;
-        }
-        self.fallback = None;
-        self.cum += n;
-        match &mut self.acc {
-            None => self.acc = Some(sparse_to_dense(base, idx, val)),
-            Some(a) => sparse_fold_into(a, base, idx, val, n as f32 / self.cum as f32),
         }
     }
 
@@ -193,17 +140,6 @@ impl StreamingFedAvg {
     }
 }
 
-/// The dense vector a [`SparseUpdate`] stands for: `base` with the decoded
-/// deltas added at the selected coordinates (a copy elsewhere — not
-/// `+ 0.0`, which would flush `-0.0` to `+0.0`).
-fn sparse_to_dense(base: &[f32], idx: &[u32], val: &[f32]) -> Vec<f32> {
-    let mut x = base.to_vec();
-    for (&i, &v) in idx.iter().zip(val) {
-        x[i as usize] = base[i as usize] + v;
-    }
-    x
-}
-
 impl StreamingAggregator for StreamingFedAvg {
     fn push(&mut self, update: &ModelUpdate) {
         assert_eq!(update.params.len(), self.dim, "streamed update has wrong dimension");
@@ -213,25 +149,6 @@ impl StreamingAggregator for StreamingFedAvg {
             self.advance_and_drain();
         } else {
             self.park(slot, update.params.clone(), update.num_samples);
-        }
-        self.note_peak();
-    }
-
-    /// An in-order arrival folds its (idx, val) pairs straight into the
-    /// accumulator — no dense vector is ever built for it. Only an
-    /// out-of-order arrival (which the in-tree transports never produce)
-    /// materializes densely, because the reorder buffer outlives the
-    /// caller's borrow of `base`.
-    fn push_sparse(&mut self, update: &SparseUpdate, base: &[f32]) {
-        assert_eq!(update.raw_len, self.dim, "streamed update has wrong dimension");
-        assert_eq!(base.len(), self.dim, "sparse base has wrong dimension");
-        let slot = self.claim_slot(update.client_id);
-        if slot == self.next_slot {
-            self.fold_sparse(base, &update.idx, &update.val, update.num_samples);
-            self.advance_and_drain();
-        } else {
-            let dense = sparse_to_dense(base, &update.idx, &update.val);
-            self.park(slot, dense, update.num_samples);
         }
         self.note_peak();
     }
@@ -253,108 +170,5 @@ impl StreamingAggregator for StreamingFedAvg {
         let params = acc.or(fallback)?;
         ids.sort_unstable();
         Some(AggregationOutcome::new(params, ids))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rayon::with_threads;
-
-    /// A sub-block size, and the Table II CNN's parameter count: 26
-    /// `PAR_LEN` blocks with a ragged tail, so the `fold_weighted_mean` pass
-    /// under the sparse fold actually fans out.
-    const DIMS: [usize; 2] = [257, 1_663_370];
-
-    /// A deterministic base vector with awkward values (including -0.0).
-    fn base_vec(dim: usize) -> Vec<f32> {
-        (0..dim).map(|i| if i == 7 { -0.0 } else { ((i * 31) % 97) as f32 * 0.013 - 0.6 }).collect()
-    }
-
-    fn sparse(id: usize, n: usize, seed: usize, dim: usize) -> SparseUpdate {
-        let idx: Vec<u32> =
-            (0..dim as u32).filter(|i| (i + seed as u32).is_multiple_of(9)).collect();
-        let val: Vec<f32> = idx.iter().map(|&i| (i as f32 + seed as f32) * 1e-3).collect();
-        SparseUpdate {
-            client_id: id,
-            num_samples: n,
-            raw_len: dim,
-            idx,
-            val,
-            decoder: None,
-            class_coverage: None,
-        }
-    }
-
-    fn dense_of(s: &SparseUpdate, base: &[f32]) -> ModelUpdate {
-        ModelUpdate {
-            client_id: s.client_id,
-            params: sparse_to_dense(base, &s.idx, &s.val),
-            num_samples: s.num_samples,
-            decoder: None,
-            class_coverage: None,
-        }
-    }
-
-    fn bits(params: &[f32]) -> Vec<u32> {
-        params.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn sparse_fold_matches_dense_fold_bitwise() {
-        for dim in DIMS {
-            let base = base_vec(dim);
-            let roster = vec![1, 4, 6, 9];
-            // Mixed weights, including a leading zero-weight (fallback path).
-            let updates: Vec<SparseUpdate> = [(1, 0), (4, 10), (6, 3), (9, 25)]
-                .iter()
-                .map(|&(id, n)| sparse(id, n, id, dim))
-                .collect();
-
-            let fold = |threads: usize| {
-                with_threads(threads, || {
-                    let mut s = StreamingFedAvg::new(dim, &roster);
-                    let mut d = StreamingFedAvg::new(dim, &roster);
-                    for u in &updates {
-                        s.push_sparse(u, &base);
-                        d.push(&dense_of(u, &base));
-                    }
-                    let s_out = Box::new(s).finalize().unwrap();
-                    let d_out = Box::new(d).finalize().unwrap();
-                    assert_eq!(bits(&s_out.params), bits(&d_out.params), "d={dim} t={threads}");
-                    assert_eq!(s_out.selected, d_out.selected);
-                    // -0.0 at an unselected coordinate survived as a copy.
-                    assert!(s_out.params.iter().all(|x| x.is_finite()));
-                    bits(&s_out.params)
-                })
-            };
-            assert_eq!(fold(1), fold(4), "d={dim}: sparse fold diverged across thread counts");
-        }
-    }
-
-    #[test]
-    fn sparse_fold_is_arrival_order_invariant() {
-        for dim in DIMS {
-            let base = base_vec(dim);
-            let roster = vec![0, 2, 5, 8];
-            let updates: Vec<SparseUpdate> = [(0, 4), (2, 9), (5, 1), (8, 16)]
-                .iter()
-                .map(|&(id, n)| sparse(id, n, id, dim))
-                .collect();
-
-            let mut in_order = StreamingFedAvg::new(dim, &roster);
-            for u in &updates {
-                in_order.push_sparse(u, &base);
-            }
-            // Reversed arrivals park in the reorder buffer (as dense vectors)
-            // and drain in slot order — same fold sequence.
-            let mut reversed = StreamingFedAvg::new(dim, &roster);
-            for u in updates.iter().rev() {
-                reversed.push_sparse(u, &base);
-            }
-            let a = Box::new(in_order).finalize().unwrap();
-            let b = Box::new(reversed).finalize().unwrap();
-            assert_eq!(bits(&a.params), bits(&b.params), "d={dim}");
-        }
     }
 }

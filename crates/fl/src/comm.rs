@@ -57,7 +57,7 @@ impl CommStats {
 
     /// Account only the server → clients broadcast of a round — the
     /// starting point the round loop then extends one arrival at a time
-    /// ([`push_bytes`](CommStats::push_bytes)), so no update list ever
+    /// ([`push_update`](CommStats::push_update)), so no update list ever
     /// needs to be materialized for accounting.
     pub fn for_broadcast(global_params: usize, m: usize) -> CommStats {
         let stats =
@@ -66,18 +66,13 @@ impl CommStats {
         stats
     }
 
-    /// Account one client upload as it arrives off the transport.
+    /// Account one client upload as it arrives off the transport, by its
+    /// logical model byte size ([`ModelUpdate::wire_bytes`]). Logical bytes
+    /// (4 per f32 parameter) keep this ledger mode-invariant under wire
+    /// compression; actual on-wire sizes live in the `fl.comm.wire_bytes`
+    /// counter and [`WireStats`](crate::net::WireStats).
     pub fn push_update(&mut self, update: &ModelUpdate) {
-        self.push_bytes(update.wire_bytes());
-    }
-
-    /// Account one client upload by its logical model byte size — the form
-    /// the round loop uses, since a sparse arrival never materializes a
-    /// [`ModelUpdate`]. Logical bytes (4 per f32 parameter) keep this
-    /// ledger mode-invariant under wire compression; actual on-wire sizes
-    /// live in the `fl.comm.wire_bytes` counter and
-    /// [`WireStats`](crate::net::WireStats).
-    pub fn push_bytes(&mut self, bytes: u64) {
+        let bytes = update.wire_bytes();
         self.upload_bytes += bytes;
         UPLOAD_BYTES.add(bytes);
     }

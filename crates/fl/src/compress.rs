@@ -10,8 +10,8 @@
 //! * [`CompressedBlob`] / [`CompressedUpdate`] — the in-memory form of the
 //!   `UploadCompressed` / `RoundStartCompressed` wire frames.
 //! * [`compress_update`] / [`decompress_update`] — the encode→decode pair
-//!   both transports share ([`crate::transport::LocalTransport`] runs it
-//!   in-process, so the oracle exercises the exact codec path TCP does).
+//!   both transports share, and [`broadcast`], the one place a round's
+//!   compressed downlink and its reference model are built.
 //!
 //! ## Delta coding and the reference model
 //!
@@ -35,12 +35,12 @@
 //! ## Determinism
 //!
 //! Every codec kernel is bit-deterministic at any `FG_THREADS` (see
-//! `fg_tensor::codec`), and both transports call the same
+//! `fg_tensor::codec`), and both transports call the same [`broadcast`] and
 //! [`decompress_update`]; the dequantized fold is therefore bit-identical
 //! across thread counts, arrival orders, and Local-vs-TCP deployments —
 //! asserted by `tests/net_equivalence.rs`.
 
-use crate::update::{ModelUpdate, UpdateRejection};
+use crate::update::ModelUpdate;
 use fg_obs::metrics::Counter;
 use fg_tensor::codec;
 use fg_tensor::workspace;
@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Logical (pre-codec) model-payload bytes pushed through [`compress_update`]
-/// / [`compress_global`], at 4 B per f32 — the numerator of the measured
+/// / [`broadcast`], at 4 B per f32 — the numerator of the measured
 /// compression ratio.
 static RAW_BYTES: Counter = Counter::new("fl.comm.raw_bytes");
 /// Encoded model-payload bytes the same calls produced — the denominator.
@@ -88,30 +88,31 @@ pub enum Compression {
 
 impl Compression {
     /// Parse a mode spec — the grammar of `fed_server --compress`:
-    /// `0`/`false`/`off`/`none` for dense frames; `bf16`; `int8[:block]`;
-    /// `topk[:frac]`. `None` for anything else (out-of-range arguments fall
-    /// back to the defaults).
+    /// `0`/`false`/`off`/`none` for dense frames; `bf16`; `int8[:block]`
+    /// with `block` in 1..=u32::MAX; `topk[:frac]` with `frac` in (0, 1].
+    /// `None` for anything else, a malformed or out-of-range argument
+    /// included — the values the `Welcome` frame's reader rejects.
     pub fn parse(spec: &str) -> Option<Compression> {
         let v = spec.to_ascii_lowercase();
         let (mode, arg) = match v.split_once(':') {
             Some((m, a)) => (m, Some(a)),
             None => (v.as_str(), None),
         };
-        match mode {
-            "0" | "false" | "off" | "none" => Some(Compression::None),
-            "bf16" => Some(Compression::Bf16),
-            "int8" => Some(Compression::Int8 {
-                block: arg
-                    .and_then(|a| a.parse().ok())
-                    .filter(|&b| b > 0)
-                    .unwrap_or(DEFAULT_INT8_BLOCK),
-            }),
-            "topk" => Some(Compression::TopK {
-                frac: arg
-                    .and_then(|a| a.parse().ok())
-                    .filter(|f: &f64| f.is_finite() && *f > 0.0 && *f <= 1.0)
-                    .unwrap_or(DEFAULT_TOPK_FRAC),
-            }),
+        match (mode, arg) {
+            ("0" | "false" | "off" | "none", None) => Some(Compression::None),
+            ("bf16", None) => Some(Compression::Bf16),
+            ("int8", None) => Some(Compression::Int8 { block: DEFAULT_INT8_BLOCK }),
+            ("int8", Some(a)) => a
+                .parse()
+                .ok()
+                .filter(|b| (1..=u32::MAX as usize).contains(b))
+                .map(|block| Compression::Int8 { block }),
+            ("topk", None) => Some(Compression::TopK { frac: DEFAULT_TOPK_FRAC }),
+            ("topk", Some(a)) => a
+                .parse()
+                .ok()
+                .filter(|f: &f64| *f > 0.0 && *f <= 1.0)
+                .map(|frac| Compression::TopK { frac }),
             _ => None,
         }
     }
@@ -216,74 +217,6 @@ impl CompressedUpdate {
     }
 }
 
-/// A top-k submission kept sparse all the way into the aggregation fold:
-/// `val[i]` is the decoded delta at `idx[i]` against the round's reference
-/// model; every unlisted coordinate is unchanged. Produced by
-/// [`sparse_update`] on the streaming path so no dense f32 vector is ever
-/// materialized for the update.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SparseUpdate {
-    pub client_id: usize,
-    pub num_samples: usize,
-    /// Length of the dense vector this update sparsifies.
-    pub raw_len: usize,
-    /// Selected coordinates, ascending and unique.
-    pub idx: Vec<u32>,
-    /// Decoded deltas, one per selected coordinate.
-    pub val: Vec<f32>,
-    pub decoder: Option<Vec<f32>>,
-    pub class_coverage: Option<Vec<u32>>,
-}
-
-impl SparseUpdate {
-    /// Logical model bytes (same basis as [`ModelUpdate::wire_bytes`]).
-    pub fn wire_bytes(&self) -> u64 {
-        (self.raw_len as u64 + self.decoder.as_ref().map_or(0, |d| d.len() as u64)) * 4
-    }
-
-    /// The checks [`ModelUpdate::validate`] runs, on the sparse form.
-    pub fn validate(&self, expected_len: usize) -> Result<(), UpdateRejection> {
-        if self.raw_len != expected_len {
-            return Err(UpdateRejection::WrongLength { got: self.raw_len, expected: expected_len });
-        }
-        if self.val.iter().any(|v| !v.is_finite()) {
-            return Err(UpdateRejection::NonFinite);
-        }
-        Ok(())
-    }
-
-    /// Strip a non-finite decoder and its coverage (mirror of
-    /// [`ModelUpdate::strip_non_finite_decoder`]); returns true if stripped.
-    pub fn strip_non_finite_decoder(&mut self) -> bool {
-        let bad = self.decoder.as_ref().is_some_and(|d| d.iter().any(|x| !x.is_finite()));
-        if bad {
-            self.decoder = None;
-            self.class_coverage = None;
-        }
-        bad
-    }
-
-    /// The dense update this stands for: `base` (the round's reference
-    /// model) with every selected coordinate moved by its delta —
-    /// bit-identical to [`decompress_update`] of the same submission. A
-    /// length mismatch cannot be re-based; the bare deltas then keep
-    /// `raw_len`, so the sanitizer still reports a wrong-length submission.
-    pub fn into_dense(self, base: &[f32]) -> ModelUpdate {
-        let mut params =
-            if self.raw_len == base.len() { base.to_vec() } else { vec![0.0; self.raw_len] };
-        for (&i, &v) in self.idx.iter().zip(&self.val) {
-            params[i as usize] += v;
-        }
-        ModelUpdate {
-            client_id: self.client_id,
-            params,
-            num_samples: self.num_samples,
-            decoder: self.decoder,
-            class_coverage: self.class_coverage,
-        }
-    }
-}
-
 /// Compress one f32 vector under `mode` (which must not be
 /// [`Compression::None`] — dense vectors stay on the dense frames).
 pub fn compress_vec(mode: Compression, data: &[f32]) -> CompressedBlob {
@@ -339,25 +272,20 @@ pub fn decompress_blob_into(blob: &CompressedBlob, dst: &mut Vec<f32>) {
     DEC_NS.add(t0.elapsed().as_nanos() as u64);
 }
 
-/// The reference model a round runs against: the broadcast global after the
-/// downlink codec. `None` means the downlink is dense and the reference is
-/// the global itself (no copy needed).
-pub fn reference_global(mode: Compression, global: &[f32]) -> Option<Vec<f32>> {
+/// A round's broadcast under `mode`: the compressed global for the
+/// `RoundStartCompressed` frame, and the reference model it decodes to —
+/// what every client trains on and encodes its delta against. `None` when
+/// the downlink is dense; the reference is then `global` itself.
+pub fn broadcast(mode: Compression, global: &[f32]) -> Option<(CompressedBlob, Vec<f32>)> {
     match mode.downlink() {
         Compression::None => None,
         downlink => {
             let blob = compress_vec(downlink, global);
             let mut reference = Vec::new();
             decompress_blob_into(&blob, &mut reference);
-            Some(reference)
+            Some((blob, reference))
         }
     }
-}
-
-/// Compress the global broadcast for the `RoundStartCompressed` frame.
-/// Only meaningful when `mode.downlink() != None`.
-pub fn compress_global(mode: Compression, global: &[f32]) -> CompressedBlob {
-    compress_vec(mode.downlink(), global)
 }
 
 /// Client side: compress a trained submission against the reference model
@@ -392,8 +320,7 @@ pub fn compress_update(
 /// Server side: reconstruct the dense [`ModelUpdate`] from a compressed
 /// one, adding the decoded delta back onto the same reference the client
 /// encoded against. Top-k leaves unselected coordinates exactly at the
-/// reference value (a copy, not a `+ 0.0`), so the dense reconstruction is
-/// bit-identical to the sparse fold's per-element arithmetic.
+/// reference value (a copy, not a `+ 0.0`, which would flush `-0.0`).
 ///
 /// A blob whose `raw_len` disagrees with the reference cannot be rebased;
 /// its raw delta is returned instead and the round sanitizer rejects it by
@@ -440,32 +367,6 @@ pub fn decompress_update(cu: &CompressedUpdate, reference: &[f32]) -> ModelUpdat
     }
 }
 
-/// The sparse view of a top-k submission, for the streaming fold — decoded
-/// deltas, never a dense vector. Returns `None` for dense blobs (the
-/// caller reconstructs densely instead).
-pub fn sparse_update(cu: &CompressedUpdate) -> Option<SparseUpdate> {
-    let CompressedBlob::TopK { raw_len, idx, val } = &cu.params else {
-        return None;
-    };
-    let t0 = Instant::now();
-    let vals: Vec<f32> = val.iter().map(|&v| codec::bf16_to_f32(v)).collect();
-    let decoder = cu.decoder.as_ref().map(|blob| {
-        let mut d = Vec::new();
-        decompress_blob_into(blob, &mut d);
-        d
-    });
-    DEC_NS.add(t0.elapsed().as_nanos() as u64);
-    Some(SparseUpdate {
-        client_id: cu.client_id,
-        num_samples: cu.num_samples,
-        raw_len: *raw_len as usize,
-        idx: idx.clone(),
-        val: vals,
-        decoder,
-        class_coverage: cu.class_coverage.clone(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,10 +390,15 @@ mod tests {
             ("bf16", Some(Compression::Bf16)),
             ("int8", Some(Compression::Int8 { block: DEFAULT_INT8_BLOCK })),
             ("int8:512", Some(Compression::Int8 { block: 512 })),
-            ("int8:junk", Some(Compression::Int8 { block: DEFAULT_INT8_BLOCK })),
             ("topk", Some(Compression::TopK { frac: DEFAULT_TOPK_FRAC })),
             ("topk:0.25", Some(Compression::TopK { frac: 0.25 })),
-            ("topk:7", Some(Compression::TopK { frac: DEFAULT_TOPK_FRAC })),
+            ("topk:1", Some(Compression::TopK { frac: 1.0 })),
+            // A present argument is never swapped for a default.
+            ("int8:junk", None),
+            ("int8:0", None),
+            ("topk:7", None),
+            ("topk:0", None),
+            ("topk:nan", None),
             ("garbage", None),
         ] {
             assert_eq!(Compression::parse(spec), want, "--compress {spec}");
@@ -549,8 +455,7 @@ mod tests {
     #[test]
     fn topk_keeps_reference_bits_off_the_selected_set() {
         // Unselected coordinates must be *copies* of the reference, not
-        // `ref + 0.0` (which would flush -0.0): that is the bit-equality
-        // contract between the dense reconstruction and the sparse fold.
+        // `ref + 0.0` (which would flush -0.0).
         let reference = vec![-0.0f32, 1.0, 2.0, 3.0];
         let params = vec![-0.0f32, 1.0, 2.0, 9.0]; // only index 3 changed
         let cu =
@@ -561,70 +466,19 @@ mod tests {
     }
 
     #[test]
-    fn sparse_view_matches_dense_reconstruction_bitwise() {
-        let reference = noise(5_000, 3);
-        let mut params = reference.clone();
-        for (i, p) in params.iter_mut().enumerate() {
-            if i % 7 == 0 {
-                *p += 0.05;
-            }
-        }
-        let cu = compress_update(
-            Compression::TopK { frac: 0.05 },
-            &update(params, Some(noise(64, 4))),
-            &reference,
-        );
-        let dense = decompress_update(&cu, &reference);
-        let sparse = sparse_update(&cu).expect("topk blob has a sparse view");
-        assert_eq!(sparse.raw_len, reference.len());
-        assert_eq!(sparse.validate(reference.len()), Ok(()));
-        assert_eq!(sparse.wire_bytes(), dense.wire_bytes());
-        assert_eq!(sparse.decoder.as_ref().map(|d| d.len()), Some(64));
-        let rebuilt = sparse.clone().into_dense(&reference);
-        let dense_bits: Vec<u32> = dense.params.iter().map(|x| x.to_bits()).collect();
-        let sparse_bits: Vec<u32> = rebuilt.params.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(dense_bits, sparse_bits);
-        assert_eq!((rebuilt.client_id, rebuilt.num_samples), (dense.client_id, dense.num_samples));
-        assert_eq!(rebuilt.decoder, dense.decoder);
-        // A base of the wrong length cannot be re-based onto; the result
-        // keeps the submission's own length for the sanitizer to reject.
-        assert_eq!(sparse.into_dense(&reference[..10]).params.len(), reference.len());
-    }
-
-    #[test]
-    fn sparse_update_validation_mirrors_dense_checks() {
-        let mut s = SparseUpdate {
-            client_id: 0,
-            num_samples: 1,
-            raw_len: 100,
-            idx: vec![5],
-            val: vec![1.0],
-            decoder: Some(vec![f32::NAN]),
-            class_coverage: None,
-        };
-        assert!(matches!(
-            s.validate(99),
-            Err(UpdateRejection::WrongLength { got: 100, expected: 99 })
-        ));
-        assert_eq!(s.validate(100), Ok(()));
-        assert!(s.strip_non_finite_decoder());
-        assert!(s.decoder.is_none());
-        s.val[0] = f32::INFINITY;
-        assert_eq!(s.validate(100), Err(UpdateRejection::NonFinite));
-    }
-
-    #[test]
-    fn reference_global_tracks_the_downlink_codec() {
+    fn broadcast_tracks_the_downlink_codec() {
         let global = noise(1_000, 5);
-        assert!(reference_global(Compression::None, &global).is_none());
-        assert!(reference_global(Compression::TopK { frac: 0.1 }, &global).is_none());
-        let bf = reference_global(Compression::Bf16, &global).unwrap();
-        let i8ref = reference_global(Compression::Int8 { block: 64 }, &global).unwrap();
-        // Int8 mode's downlink is bf16: both modes share the reference.
+        assert!(broadcast(Compression::None, &global).is_none());
+        assert!(broadcast(Compression::TopK { frac: 0.1 }, &global).is_none());
+        let (bf_blob, bf) = broadcast(Compression::Bf16, &global).unwrap();
+        let (i8_blob, i8ref) = broadcast(Compression::Int8 { block: 64 }, &global).unwrap();
+        // Int8 mode's downlink is bf16: both modes share the broadcast.
+        assert_eq!(bf_blob, i8_blob);
         let bf_bits: Vec<u32> = bf.iter().map(|x| x.to_bits()).collect();
         let i8_bits: Vec<u32> = i8ref.iter().map(|x| x.to_bits()).collect();
         assert_eq!(bf_bits, i8_bits);
-        // And it is exactly the bf16 round-trip of the global.
+        // The reference is what the blob decodes to: the bf16 round-trip of
+        // the global.
         for (&g, &r) in global.iter().zip(&bf) {
             assert_eq!(fg_tensor::codec::bf16_to_f32(fg_tensor::codec::f32_to_bf16(g)), r);
         }

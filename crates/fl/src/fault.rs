@@ -23,7 +23,6 @@
 //! Every incident — injected or observed — is recorded as a [`FaultEvent`]
 //! and lands in the round's [`RoundTelemetry`](crate::telemetry::RoundTelemetry).
 
-use crate::transport::IncomingUpdate;
 use crate::update::{ModelUpdate, UpdateRejection};
 use fg_tensor::rng::{derive_seed, SeededRng};
 use serde::{Deserialize, Serialize};
@@ -193,21 +192,19 @@ impl FaultPlan {
     /// deadline. Returns what reaches the server — the (possibly mangled)
     /// original unless it timed out, and the stale duplicate if one was
     /// scheduled, which the caller delivers after every original. `global`
-    /// is the round-start model: the duplicate's frozen payload, and the
-    /// base a faulted sparse arrival is densified against first.
+    /// is the round-start model, the duplicate's frozen payload.
     pub fn inject(
         &self,
         round: usize,
-        arrival: IncomingUpdate,
+        mut update: ModelUpdate,
         global: &[f32],
         events: &mut Vec<FaultEvent>,
-    ) -> (Option<IncomingUpdate>, Option<ModelUpdate>) {
-        let f = self.draw(round, arrival.client_id());
-        if f.is_clean() {
-            return (Some(arrival), None);
-        }
-        let mut update = arrival.into_dense(global);
+    ) -> (Option<ModelUpdate>, Option<ModelUpdate>) {
         let id = update.client_id;
+        let f = self.draw(round, id);
+        if f.is_clean() {
+            return (Some(update), None);
+        }
         if let Some(mode) = f.corrupt {
             FaultPlan::corrupt_params(&mut update, mode);
             events.push(FaultEvent::new(id, FaultKind::Corrupted { mode }));
@@ -236,7 +233,7 @@ impl FaultPlan {
             }
             events.push(FaultEvent::new(id, FaultKind::StragglerLate { delay_secs }));
         }
-        (Some(IncomingUpdate::Dense(update)), stale)
+        (Some(update), stale)
     }
 }
 
@@ -312,7 +309,7 @@ impl FaultKind {
     }
 }
 
-/// Server-side sanitization of one arrival, dense or sparse.
+/// Server-side sanitization of one arrival.
 ///
 /// Validates the update against the expected parameter length and
 /// finiteness (rejects emit [`FaultKind::RejectedNonFinite`] /
@@ -323,12 +320,12 @@ impl FaultKind {
 /// valid retransmission. Returns the arrival if it survives, having
 /// appended its id to `admitted`.
 pub fn sanitize_one(
-    mut arrival: IncomingUpdate,
+    mut arrival: ModelUpdate,
     expected_len: usize,
     admitted: &mut Vec<usize>,
     events: &mut Vec<FaultEvent>,
-) -> Option<IncomingUpdate> {
-    let id = arrival.client_id();
+) -> Option<ModelUpdate> {
+    let id = arrival.client_id;
     match arrival.validate(expected_len) {
         Err(UpdateRejection::NonFinite) => {
             events.push(FaultEvent::new(id, FaultKind::RejectedNonFinite));
@@ -361,12 +358,7 @@ pub fn sanitize_round(
     let mut admitted = Vec::with_capacity(arrived.len());
     let mut survivors = Vec::with_capacity(arrived.len());
     for update in arrived {
-        // A dense arrival stays dense through the sanitizer.
-        if let Some(IncomingUpdate::Dense(update)) =
-            sanitize_one(IncomingUpdate::Dense(update), expected_len, &mut admitted, events)
-        {
-            survivors.push(update);
-        }
+        survivors.extend(sanitize_one(update, expected_len, &mut admitted, events));
     }
     survivors.sort_by_key(|u| u.client_id);
     survivors
@@ -434,31 +426,21 @@ mod tests {
     #[test]
     fn inject_mangles_the_original_and_queues_a_stale_duplicate() {
         let global = vec![1.0, 2.0, 3.0, 4.0];
-        let sparse = || {
-            IncomingUpdate::Sparse(crate::compress::SparseUpdate {
-                client_id: 3,
-                num_samples: 1,
-                raw_len: 4,
-                idx: vec![1],
-                val: vec![0.5],
-                decoder: None,
-                class_coverage: None,
-            })
-        };
-        // Nothing scheduled: the arrival passes through as it came, sparse.
+        let arrival = || update(3, vec![1.0, 2.5, 3.0, 4.0]);
+        // Nothing scheduled: the arrival passes through as it came.
         let mut events = Vec::new();
         let quiet = FaultPlan::new(FaultConfig::default(), 1);
-        assert_eq!(quiet.inject(0, sparse(), &global, &mut events), (Some(sparse()), None));
+        assert_eq!(quiet.inject(0, arrival(), &global, &mut events), (Some(arrival()), None));
         assert!(events.is_empty());
 
-        // A late straggler is kept, densified against the round-start model.
+        // A late straggler is kept, untouched.
         let late = FaultConfig {
             straggler_prob: 1.0,
             round_deadline_secs: f64::INFINITY,
             ..FaultConfig::default()
         };
-        let (original, stale) = FaultPlan::new(late, 1).inject(0, sparse(), &global, &mut events);
-        assert_eq!(original, Some(IncomingUpdate::Dense(update(3, vec![1.0, 2.5, 3.0, 4.0]))));
+        let (original, stale) = FaultPlan::new(late, 1).inject(0, arrival(), &global, &mut events);
+        assert_eq!(original, Some(arrival()));
         assert_eq!(stale, None);
         assert!(matches!(events[..], [FaultEvent { kind: FaultKind::StragglerLate { .. }, .. }]));
 
@@ -473,7 +455,7 @@ mod tests {
             ..FaultConfig::default()
         };
         events.clear();
-        let (original, stale) = FaultPlan::new(all, 1).inject(0, sparse(), &global, &mut events);
+        let (original, stale) = FaultPlan::new(all, 1).inject(0, arrival(), &global, &mut events);
         assert_eq!(original, None);
         let stale = stale.expect("duplicate scheduled");
         assert_eq!(stale, update(3, global.clone()));

@@ -37,7 +37,7 @@ pub mod wire;
 pub use admin::{AdminPlane, FlightRecTrigger, OpsObserver, OpsState};
 pub use client::{Client, UpdateInterceptor};
 pub use comm::CommStats;
-pub use compress::{CompressedBlob, CompressedUpdate, Compression, SparseUpdate};
+pub use compress::{CompressedBlob, CompressedUpdate, Compression};
 pub use config::{CvaeTrainConfig, FederationConfig, LocalTrainConfig, ResiliencePolicy};
 pub use fault::{
     sanitize_one, sanitize_round, CorruptionMode, FaultConfig, FaultEvent, FaultKind, FaultPlan,
@@ -60,8 +60,8 @@ pub use telemetry::{
     StderrProgress,
 };
 pub use transport::{
-    ClientChannel, Directive, ExchangeTail, IncomingUpdate, LocalTransport, RoundExchange,
-    RoundOffer, SessionEvent, SessionEventKind, Transport, TransportKind,
+    ClientChannel, Directive, ExchangeTail, LocalTransport, RoundExchange, RoundOffer,
+    SessionEvent, SessionEventKind, Transport, TransportKind,
 };
 pub use update::{ModelUpdate, UpdateRejection};
 pub use wire::{Message, WireConfig, WireError};

@@ -34,13 +34,11 @@
 //! so they never touch the wire).
 
 use crate::client::Client;
-use crate::compress::{
-    compress_global, compress_update, decompress_update, reference_global, Compression,
-};
+use crate::compress::{broadcast, compress_update, decompress_update, Compression};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::transport::{
-    ClientChannel, Directive, ExchangeTail, IncomingUpdate, RoundOffer, SessionEvent,
-    SessionEventKind, Transport, TransportKind,
+    ClientChannel, Directive, ExchangeTail, RoundOffer, SessionEvent, SessionEventKind, Transport,
+    TransportKind,
 };
 use crate::update::ModelUpdate;
 use crate::wire::{
@@ -449,7 +447,7 @@ impl Transport for TcpTransport {
     fn exchange_round_streamed(
         &mut self,
         offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
+        sink: &mut dyn FnMut(ModelUpdate),
     ) -> ExchangeTail {
         let _span = span("net.exchange_round");
         self.poll_joins();
@@ -460,15 +458,12 @@ impl Transport for TcpTransport {
 
         // Fan the work order out to every sampled session. Both frame
         // variants are encoded once; the global model is never cloned.
-        // Under a compressed downlink the global is compressed once and the
-        // reference model (what every client will actually receive, i.e. the
-        // decoded broadcast) is reconstructed once for the whole round.
-        let downlink_blob = (self.compression.downlink() != Compression::None)
-            .then(|| compress_global(self.compression, offer.global));
-        let reference = reference_global(self.compression, offer.global);
-        let reference: &[f32] = reference.as_deref().unwrap_or(offer.global);
-        let (frame_active, frame_idle) = match &downlink_blob {
-            Some(blob) => (
+        // Under a compressed downlink the global is encoded once, and its
+        // decoding is the reference model (what every client will actually
+        // receive) for the whole round.
+        let downlink = broadcast(self.compression, offer.global);
+        let (frame_active, frame_idle) = match &downlink {
+            Some((blob, _)) => (
                 encode_round_start_compressed(offer.round as u64, true, blob),
                 encode_round_start_compressed(offer.round as u64, false, blob),
             ),
@@ -477,6 +472,7 @@ impl Transport for TcpTransport {
                 encode_round_start(offer.round as u64, false, offer.global),
             ),
         };
+        let reference = downlink.as_ref().map_or(offer.global, |(_, reference)| reference);
         let model_bytes = offer.global.len() as u64 * 4;
         let mut notified: Vec<usize> = Vec::with_capacity(offer.sampled.len());
         for &id in offer.sampled {
@@ -521,7 +517,7 @@ impl Transport for TcpTransport {
                 &mut exchange.sessions,
             );
             if let Some(update) = update {
-                sink(IncomingUpdate::Dense(update));
+                sink(update);
             }
             if !alive {
                 self.sessions.remove(&id);
@@ -915,8 +911,7 @@ mod tests {
         let sampled = vec![0usize, 1, 2]; // 1 never joined: a transport-observed dropout
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
         let mut seen = Vec::new();
-        let tail = server.exchange_round_streamed(&offer, &mut |arrival| {
-            let IncomingUpdate::Dense(update) = arrival else { panic!("tcp delivers dense") };
+        let tail = server.exchange_round_streamed(&offer, &mut |update| {
             assert_eq!(update.params, global);
             if update.client_id == 0 {
                 sink_saw_first.send(()).expect("client 2 is waiting");

@@ -1,6 +1,5 @@
 //! The pluggable aggregation-strategy interface.
 
-use crate::compress::SparseUpdate;
 use crate::update::ModelUpdate;
 use fg_tensor::rng::SeededRng;
 
@@ -139,20 +138,6 @@ pub trait StreamingAggregator: Send {
     /// Fold one sanitized update into the accumulator.
     fn push(&mut self, update: &ModelUpdate);
 
-    /// Fold one sanitized **sparse** update (a top-k compressed submission's
-    /// decoded deltas against `base`, the round's reference model): the
-    /// coordinate `idx[i]` holds `base[idx[i]] + val[i]`, every other
-    /// coordinate holds `base` unchanged. Must produce bit-identical state
-    /// to [`push`](StreamingAggregator::push) of the dense reconstruction.
-    ///
-    /// The default materializes that reconstruction and pushes it — correct
-    /// for any aggregator; O(d)-fold implementations override it to fold the
-    /// (idx, val) pairs directly without a dense intermediate.
-    fn push_sparse(&mut self, update: &SparseUpdate, base: &[f32]) {
-        assert_eq!(update.raw_len, base.len(), "sparse update/base length mismatch");
-        self.push(&update.clone().into_dense(base));
-    }
-
     /// High-water mark of the aggregator's transient residency in bytes
     /// (accumulators + any out-of-order reorder buffer), for the
     /// `fl.agg.peak_bytes` gauge.
@@ -243,46 +228,6 @@ mod tests {
         assert!(plain.scores.is_empty());
         assert_eq!(plain.threshold, None);
         assert_eq!(plain.timings, StrategyTimings::default());
-    }
-
-    /// Records what it is pushed; inherits the default `push_sparse`.
-    #[derive(Default)]
-    struct Recorder(Vec<ModelUpdate>);
-
-    impl StreamingAggregator for Recorder {
-        fn push(&mut self, update: &ModelUpdate) {
-            self.0.push(update.clone());
-        }
-
-        fn peak_bytes(&self) -> u64 {
-            0
-        }
-
-        fn finalize(self: Box<Self>) -> Option<AggregationOutcome> {
-            None
-        }
-    }
-
-    #[test]
-    fn default_push_sparse_pushes_the_dense_reconstruction() {
-        let base = [1.0f32, -0.0, 3.0, 4.0];
-        let sparse = SparseUpdate {
-            client_id: 5,
-            num_samples: 9,
-            raw_len: base.len(),
-            idx: vec![0, 3],
-            val: vec![0.5, -1.0],
-            decoder: None,
-            class_coverage: None,
-        };
-        let mut agg = Recorder::default();
-        agg.push_sparse(&sparse, &base);
-        let [pushed] = agg.0.as_slice() else { panic!("exactly one push") };
-        assert_eq!((pushed.client_id, pushed.num_samples), (5, 9));
-        // Selected coordinates carry base + delta; the rest are copies of
-        // the base, sign of zero included.
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&pushed.params), bits(&[1.5, -0.0, 3.0, 3.0]));
     }
 
     #[test]

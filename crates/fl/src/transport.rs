@@ -2,8 +2,8 @@
 //!
 //! [`Federation::run_round`](crate::Federation::run_round) no longer touches
 //! clients directly: it hands the round's work order (a [`RoundOffer`]) and
-//! a sink to a [`Transport`], which pushes each trained submission (an
-//! [`IncomingUpdate`]) into the sink as it arrives.
+//! a sink to a [`Transport`], which pushes each trained submission (a
+//! [`ModelUpdate`]) into the sink as it arrives.
 //! Everything else — sampling, the seeded fault schedule, transit-fault
 //! injection, sanitization, aggregation — stays on the server side of the
 //! trait, identical across deployments. That split is what makes the
@@ -23,16 +23,10 @@
 //! whatever carries the frames.
 
 use crate::client::{Client, NoAttack, UpdateInterceptor};
-use crate::compress::{
-    compress_global, compress_update, decompress_blob_into, decompress_update, sparse_update,
-    CompressedUpdate, Compression, SparseUpdate,
-};
+use crate::compress::{broadcast, compress_update, decompress_update, Compression};
 use crate::fault::FaultEvent;
-use crate::update::{ModelUpdate, UpdateRejection};
-use crate::wire::{
-    self, encode_round_start, encode_round_start_compressed, encode_upload_compressed, Message,
-    WireConfig, WireError,
-};
+use crate::update::ModelUpdate;
+use crate::wire::WireError;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -129,62 +123,6 @@ pub struct ExchangeTail {
     pub sessions: Vec<SessionEvent>,
 }
 
-/// One submission leaving an exchange. Most arrive dense; a top-k
-/// compressed submission on the in-process path stays sparse (the decoded
-/// deltas against the round's reference model, which for top-k is the
-/// offer's global — its downlink stays dense) so a folding aggregator never
-/// materializes a full f32 vector for it. A transport that reconstructs
-/// densely (TCP today) simply never emits `Sparse` — the fold result is
-/// bit-identical either way (see
-/// [`StreamingAggregator::push_sparse`](crate::strategy::StreamingAggregator::push_sparse)).
-#[derive(Clone, Debug, PartialEq)]
-pub enum IncomingUpdate {
-    Dense(ModelUpdate),
-    Sparse(SparseUpdate),
-}
-
-impl IncomingUpdate {
-    /// The submitting client.
-    pub fn client_id(&self) -> usize {
-        match self {
-            IncomingUpdate::Dense(u) => u.client_id,
-            IncomingUpdate::Sparse(s) => s.client_id,
-        }
-    }
-
-    /// Logical model bytes the submission occupies on the wire.
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            IncomingUpdate::Dense(u) => u.wire_bytes(),
-            IncomingUpdate::Sparse(s) => s.wire_bytes(),
-        }
-    }
-
-    /// The server's admission check (see [`ModelUpdate::validate`]).
-    pub fn validate(&self, expected_len: usize) -> Result<(), UpdateRejection> {
-        match self {
-            IncomingUpdate::Dense(u) => u.validate(expected_len),
-            IncomingUpdate::Sparse(s) => s.validate(expected_len),
-        }
-    }
-
-    /// See [`ModelUpdate::strip_non_finite_decoder`].
-    pub fn strip_non_finite_decoder(&mut self) -> bool {
-        match self {
-            IncomingUpdate::Dense(u) => u.strip_non_finite_decoder(),
-            IncomingUpdate::Sparse(s) => s.strip_non_finite_decoder(),
-        }
-    }
-
-    /// The dense update, reconstructing a sparse one against `base`.
-    pub fn into_dense(self, base: &[f32]) -> ModelUpdate {
-        match self {
-            IncomingUpdate::Dense(u) => u,
-            IncomingUpdate::Sparse(s) => s.into_dense(base),
-        }
-    }
-}
-
 /// Server-side transport: delivers the global model to the round's clients
 /// and collects their submissions. Implementations must deliver updates in
 /// ascending client id, each active client at most once, and must not
@@ -200,16 +138,16 @@ pub trait Transport: Send {
     fn exchange_round_streamed(
         &mut self,
         offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
+        sink: &mut dyn FnMut(ModelUpdate),
     ) -> ExchangeTail;
 
     /// [`exchange_round_streamed`](Transport::exchange_round_streamed)
-    /// collected into a [`RoundExchange`] of dense updates — for callers
-    /// that want the whole round in hand (tests, benches).
+    /// collected into a [`RoundExchange`] — for callers that want the whole
+    /// round in hand (tests, benches).
     fn exchange_round(&mut self, offer: &RoundOffer<'_>) -> RoundExchange {
         let mut updates = Vec::with_capacity(offer.active.len());
         let ExchangeTail { faults, sessions } =
-            self.exchange_round_streamed(offer, &mut |u| updates.push(u.into_dense(offer.global)));
+            self.exchange_round_streamed(offer, &mut |u| updates.push(u));
         RoundExchange { updates, faults, sessions }
     }
 
@@ -228,7 +166,7 @@ impl Transport for Box<dyn Transport> {
     fn exchange_round_streamed(
         &mut self,
         offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
+        sink: &mut dyn FnMut(ModelUpdate),
     ) -> ExchangeTail {
         (**self).exchange_round_streamed(offer, sink)
     }
@@ -242,11 +180,10 @@ impl Transport for Box<dyn Transport> {
 /// parallel on the worker pool, and the attack interceptor runs right after
 /// each client's training — exactly the classic simulation loop.
 ///
-/// With a wire-compression mode set, the oracle routes every model payload
-/// through the **real wire frames** — encode → [`wire::decode`] on both the
-/// downlink broadcast and each uplink submission — so a compressed
-/// in-process run exercises byte-for-byte the codec path a TCP deployment
-/// runs, and stays bit-identical to it.
+/// With a wire-compression mode set, clients train on the round's
+/// [`broadcast`] reference and every submission makes the codec round trip
+/// ([`compress_update`] → [`decompress_update`]) against it, exactly as over
+/// TCP, where frames carry the blobs losslessly.
 pub struct LocalTransport {
     clients: Vec<Mutex<Client>>,
     interceptor: Arc<dyn UpdateInterceptor>,
@@ -268,7 +205,7 @@ impl LocalTransport {
     }
 
     /// Set the wire-compression mode. Every round's broadcast and every
-    /// submission then travel through real encode→decode wire frames.
+    /// submission then make the codec round trip.
     pub fn with_compression(mut self, compression: Compression) -> Self {
         self.compression = compression;
         self
@@ -277,56 +214,6 @@ impl LocalTransport {
     /// The active wire-compression mode.
     pub fn compression(&self) -> Compression {
         self.compression
-    }
-
-    /// The reference model for a compressed round: the broadcast frame is
-    /// actually encoded and decoded (kind 10 when the mode compresses the
-    /// downlink, the dense kind 3 otherwise — top-k rides a dense downlink),
-    /// and what comes out is what every client trains on *and* the base its
-    /// delta is encoded against — exactly the TCP client's view. `None`
-    /// when no compression is configured (the dense path stays untouched).
-    fn wire_reference(&self, offer: &RoundOffer<'_>) -> Option<Vec<f32>> {
-        if self.compression == Compression::None {
-            return None;
-        }
-        let frame = match self.compression.downlink() {
-            Compression::None => encode_round_start(offer.round as u64, true, offer.global),
-            _ => {
-                let blob = compress_global(self.compression, offer.global);
-                encode_round_start_compressed(offer.round as u64, true, &blob)
-            }
-        };
-        let (msg, _) = wire::decode(&frame, &WireConfig::default())
-            .expect("oracle-encoded round-start frame decodes");
-        match msg {
-            Message::RoundStart { global, .. } => Some(global),
-            Message::RoundStartCompressed { blob, .. } => {
-                let mut global = Vec::new();
-                decompress_blob_into(&blob, &mut global);
-                Some(global)
-            }
-            _ => unreachable!("round-start frame decodes to a round-start message"),
-        }
-    }
-
-    /// Push one trained submission through the real uplink wire frame:
-    /// compress against `reference`, encode the kind-9 frame, decode it
-    /// back. Returns the compressed update exactly as a TCP server's
-    /// `collect_response` would hold it.
-    fn wire_roundtrip_update(
-        mode: Compression,
-        round: usize,
-        update: &ModelUpdate,
-        reference: &[f32],
-    ) -> CompressedUpdate {
-        let compressed = compress_update(mode, update, reference);
-        let frame = encode_upload_compressed(round as u64, &compressed);
-        let (msg, _) = wire::decode(&frame, &WireConfig::default())
-            .expect("oracle-encoded upload frame decodes");
-        match msg {
-            Message::UploadCompressed { update, .. } => update,
-            _ => unreachable!("upload frame decodes to an upload message"),
-        }
     }
 }
 
@@ -338,40 +225,35 @@ impl Transport for LocalTransport {
     fn exchange_round_streamed(
         &mut self,
         offer: &RoundOffer<'_>,
-        sink: &mut dyn FnMut(IncomingUpdate),
+        sink: &mut dyn FnMut(ModelUpdate),
     ) -> ExchangeTail {
         // Parallel local training + attack interception. Each client trains
         // from its own forked RNG stream, so the result is bit-identical at
         // any thread count; the sort restores the canonical order the sink
         // is owed. When a compression mode is active, clients train on the
-        // wire-decoded reference and every submission round-trips the real
-        // uplink frame; a top-k submission stays sparse.
+        // decoded broadcast and every submission makes the codec round trip
+        // against it.
         let mode = self.compression;
-        let reference = self.wire_reference(offer);
-        let trained_on: &[f32] = reference.as_deref().unwrap_or(offer.global);
+        let reference = broadcast(mode, offer.global).map(|(_, reference)| reference);
+        let reference = reference.as_deref().unwrap_or(offer.global);
         let clients = &self.clients;
         let interceptor = &self.interceptor;
-        let mut arrivals: Vec<IncomingUpdate> = offer
+        let mut arrivals: Vec<ModelUpdate> = offer
             .active
             .par_iter()
             .map(|&id| {
                 let _span = fg_obs::span::span("client.train");
                 let mut client = clients[id].lock();
-                let mut update = client.train_round(trained_on, offer.round);
+                let mut update = client.train_round(reference, offer.round);
                 interceptor.intercept(&mut update, offer.round);
-                match &reference {
-                    Some(reference) => {
-                        let cu = Self::wire_roundtrip_update(mode, offer.round, &update, reference);
-                        match sparse_update(&cu) {
-                            Some(s) => IncomingUpdate::Sparse(s),
-                            None => IncomingUpdate::Dense(decompress_update(&cu, reference)),
-                        }
-                    }
-                    None => IncomingUpdate::Dense(update),
+                if mode == Compression::None {
+                    update
+                } else {
+                    decompress_update(&compress_update(mode, &update, reference), reference)
                 }
             })
             .collect();
-        arrivals.sort_by_key(IncomingUpdate::client_id);
+        arrivals.sort_by_key(|u| u.client_id);
         arrivals.into_iter().for_each(sink);
         ExchangeTail::default()
     }
@@ -459,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_exchange_round_trips_the_real_wire_frames() {
+    fn compressed_exchange_round_trips_the_codec() {
         let global = toy_global();
         let sampled = vec![0, 1, 2];
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
@@ -489,37 +371,23 @@ mod tests {
     }
 
     #[test]
-    fn topk_streamed_exchange_stays_sparse_and_reconstructs_bitwise() {
+    fn topk_exchange_reconstructs_against_the_dense_downlink_bitwise() {
+        // Top-k rides a dense downlink, so the plain and the top-k exchange
+        // train on the same global: each top-k arrival is the codec round
+        // trip of the plain update against it, bit for bit.
         let mode = Compression::TopK { frac: 0.2 };
         let global = toy_global();
         let sampled = vec![0, 1, 2];
         let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
-        let batch =
+        let plain = LocalTransport::honest(toy_clients(3)).exchange_round(&offer);
+        let topk =
             LocalTransport::honest(toy_clients(3)).with_compression(mode).exchange_round(&offer);
-        // The sink must see every top-k submission sparse; its dense
-        // reconstruction (reference + deltas at idx) must match the update
-        // the collected exchange reports bit-for-bit.
-        let mut sparse = Vec::new();
-        LocalTransport::honest(toy_clients(3)).with_compression(mode).exchange_round_streamed(
-            &offer,
-            &mut |u| match u {
-                IncomingUpdate::Sparse(s) => sparse.push(s),
-                IncomingUpdate::Dense(u) => {
-                    panic!("top-k streamed dense for client {}", u.client_id)
-                }
-            },
-        );
-        assert_eq!(sparse.len(), batch.updates.len());
-        for (s, dense) in sparse.iter().zip(&batch.updates) {
-            assert_eq!(s.client_id, dense.client_id);
-            assert_eq!(s.raw_len, dense.params.len());
-            // Top-k rides a dense downlink, so the reference is the global.
-            let mut rebuilt = global.clone();
-            for (&i, &v) in s.idx.iter().zip(&s.val) {
-                rebuilt[i as usize] = global[i as usize] + v;
-            }
-            let same = rebuilt.iter().zip(&dense.params).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "sparse reconstruction diverged for client {}", s.client_id);
+        assert_eq!(topk.updates.len(), plain.updates.len());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (got, dense) in topk.updates.iter().zip(&plain.updates) {
+            let want = decompress_update(&compress_update(mode, dense, &global), &global);
+            assert_eq!(*got, want);
+            assert_eq!(bits(&got.params), bits(&want.params), "client {}", got.client_id);
         }
     }
 

@@ -83,8 +83,7 @@ fn every_registered_metric_appears_exactly_once_in_a_scrape() {
 
     // 2. Codec counters: one encode/decode pair bumps `fl.codec.*_ns`.
     let global: Vec<f32> = (0..512).map(|i| (i as f32).sin()).collect();
-    let blob = fg_fl::compress::compress_global(Compression::Bf16, &global);
-    let _ = fg_fl::compress::reference_global(Compression::Bf16, &global);
+    let (blob, _) = fg_fl::compress::broadcast(Compression::Bf16, &global).expect("bf16 downlink");
     assert!(blob.encoded_bytes() < global.len() as u64 * 4);
 
     // 3. Span-ring overflow: completing more spans than the ring holds

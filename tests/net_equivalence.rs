@@ -267,8 +267,8 @@ fn tcp_streaming_aggregation_is_bit_identical_to_batch_oracle() {
 ///   the same place),
 /// * be bit-identical across worker-pool sizes (1 vs 4 threads), and
 /// * be bit-identical between the in-process deployment and loopback TCP —
-///   the in-process oracle routes compressed payloads through the same
-///   encode→decode wire frames the TCP deployment uses.
+///   two code paths that share only `broadcast` and the codec pair: the
+///   in-process oracle never builds a frame, the TCP run crosses real ones.
 ///
 /// The smoke preset's 200-sample test split quantizes accuracy in 0.5pp
 /// steps, so the gate run widens the eval split to 1 000 samples (0.1pp
