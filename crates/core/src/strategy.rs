@@ -48,7 +48,7 @@ impl InnerAggregator {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AuditMode {
     /// One grouped kernel launch per layer across all audited models,
-    /// sharing the validation batch's im2col — the fast path.
+    /// every model reading the same validation batch — the fast path.
     #[default]
     Batched,
     /// Per-model `Classifier::from_params` + `evaluate` — the oracle.
@@ -196,7 +196,7 @@ impl AggregationStrategy for FedGuardStrategy {
 
         // (3) Audit every client on the identical synthetic set. The
         // batched scorer (default) drives one grouped kernel launch per
-        // layer across all models, sharing the validation batch's im2col;
+        // layer across all models, each reading the same validation batch;
         // the sequential path reconstructs and scores one model at a time
         // and is kept as the bitwise oracle.
         let stage = timed_span("round.audit");

@@ -1,4 +1,4 @@
-//! Convolution layer wrapping the im2col kernels of `fg-tensor`.
+//! Convolution layer wrapping the implicit-GEMM kernels of `fg-tensor`.
 
 use crate::layer::{cache_tensor, Layer, Module, Parameter};
 use fg_tensor::conv::{

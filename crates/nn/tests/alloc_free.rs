@@ -1,10 +1,10 @@
 //! Steady-state allocation-freedom of the conv/linear hot paths and of a
 //! whole CVAE train step.
 //!
-//! The blocked GEMM and the im2col convolution draw all scratch — packed
-//! panels, lowered patch matrices, gradient staging — from the thread-local
-//! [`fg_tensor::workspace`] pool, and the layers recycle their cached-input
-//! tensors via `cache_tensor`. After one warm-up iteration populates the
+//! The blocked GEMM and the implicit-GEMM convolution draw all scratch —
+//! packed panels and filter banks, padded image copies, column gradients —
+//! from the thread-local [`fg_tensor::workspace`] pool, and the layers
+//! recycle their cached-input tensors via `cache_tensor`. After one warm-up iteration populates the
 //! pool, further train iterations on the same shapes must never touch the
 //! allocator for scratch: the instrumented [`workspace::alloc_events`]
 //! counter has to stay flat.

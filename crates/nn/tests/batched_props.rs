@@ -211,8 +211,7 @@ fn layer_list_reproduces_param_counts_and_the_flatten_order() {
 #[test]
 fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
     use fg_tensor::conv::{
-        conv2d_forward, conv2d_forward_cols_grouped, conv2d_forward_grouped, im2col_batch,
-        Conv2dSpec,
+        conv2d_forward, conv2d_forward_grouped, conv2d_forward_shared, Conv2dSpec,
     };
     use fg_tensor::kernels::{matmul_bt_bias, matmul_bt_bias_grouped, GroupedA};
     use fg_tensor::pool::{maxpool2d_forward, maxpool2d_forward_values, MaxPool2dSpec};
@@ -220,7 +219,7 @@ fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
     let mut rng = SeededRng::new(17);
     let (groups, b) = (3usize, 5usize);
 
-    // Convolution: per-group activations, and shared pre-lowered columns.
+    // Convolution: per-group activations, and images every group shares.
     let spec = Conv2dSpec { in_ch: 2, out_ch: 4, kh: 3, kw: 3, pad: 1 };
     let (h, w) = (6, 7);
     let (img, out_img) = (spec.in_ch * h * w, spec.out_ch * h * w);
@@ -234,10 +233,8 @@ fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
 
     let mut grouped = vec![0.0f32; groups * b * out_img];
     conv2d_forward_grouped(x.data(), b, h, w, &spec, &wv, &bv, &mut grouped);
-    let mut cols = vec![0.0f32; b * h * w * spec.patch_len()];
-    im2col_batch(&x.data()[..b * img], b, h, w, &spec, &mut cols);
     let mut shared = vec![0.0f32; groups * b * out_img];
-    conv2d_forward_cols_grouped(&cols, b, h, w, &spec, &wv, &bv, &mut shared);
+    conv2d_forward_shared(&x.data()[..b * img], b, h, w, &spec, &wv, &bv, &mut shared);
     for g in 0..groups {
         let own = Tensor::from_vec(
             x.data()[g * b * img..(g + 1) * b * img].to_vec(),

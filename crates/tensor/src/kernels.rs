@@ -32,6 +32,13 @@
 //!   into `C` from those registers. The AVX-512 tile spans two adjacent `B`
 //!   panels (4×32).
 //!
+//! The public layouts hand the driver strided views. The convolution
+//! ([`crate::conv`]) hands it two other operand sources that yield the same
+//! panels: an operand packed once ([`prepack_a`]/[`prepack_b`], a filter
+//! bank shared by every image of a call) and read in place, and a
+//! [`Patches`] source that packs an image's patch matrix straight from its
+//! zero-padded copy, so the matrix is never built.
+//!
 //! Packed panels and all other scratch come from the thread-local
 //! [`crate::workspace`] pool, so steady-state calls perform no heap
 //! allocation beyond the returned output tensor.
@@ -105,6 +112,177 @@ pub(crate) struct MatRef<'a> {
     pub data: &'a [f32],
     pub rs: usize,
     pub cs: usize,
+}
+
+/// Where the driver reads `A` (m×k) from.
+#[derive(Clone, Copy)]
+pub(crate) enum ASource<'a> {
+    /// A strided view, packed one `(MC, KC)` block at a time as the driver
+    /// reaches it.
+    View(MatRef<'a>),
+    /// [`prepack_a`]'s output: every block packed already, read in place.
+    Packed(&'a [f32]),
+}
+
+impl<'a> From<MatRef<'a>> for ASource<'a> {
+    fn from(view: MatRef<'a>) -> Self {
+        ASource::View(view)
+    }
+}
+
+/// Where the driver reads `B` (k×n) from.
+#[derive(Clone, Copy)]
+pub(crate) enum BSource<'a> {
+    /// A strided view, packed one `(KC, NC)` slab at a time.
+    View(MatRef<'a>),
+    /// One image's patch matrix, packed slab by slab straight from the
+    /// image's zero-padded copy.
+    Patches(Patches<'a>),
+    /// [`prepack_b`]'s output: every slab packed already, read in place.
+    Packed(&'a [f32]),
+}
+
+impl<'a> From<MatRef<'a>> for BSource<'a> {
+    fn from(view: MatRef<'a>) -> Self {
+        BSource::View(view)
+    }
+}
+
+/// Which way round a [`Patches`] source presents the patch matrix as `B`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Orient {
+    /// `B(tap, pos)`, the convolution forward's `W · colsᵀ`: a panel's lanes
+    /// are consecutive output positions.
+    TapPos,
+    /// `B(pos, tap)`, the weight gradient's `d_out · cols`: a panel's lanes
+    /// are consecutive taps.
+    PosTap,
+}
+
+/// The `(out_plane, patch_len)` patch (im2col) matrix of one image,
+/// never materialised: output position `(oy, ox)` × tap `(c, ky, kx)` is
+/// `padded[c·ph·pw + (oy+ky)·pw + ox+kx]`, read from the image's
+/// `(channels, ph, pw)` copy with its zero border in place (stride 1).
+#[derive(Clone, Copy)]
+pub(crate) struct Patches<'a> {
+    pub padded: &'a [f32],
+    pub ph: usize,
+    pub pw: usize,
+    pub kh: usize,
+    pub kw: usize,
+    pub orient: Orient,
+}
+
+impl Patches<'_> {
+    /// `out[i]`: where output position `first + i`'s window starts in a
+    /// padded plane, `oy·pw + ox`.
+    fn origins(&self, first: usize, out: &mut [usize]) {
+        let ow = self.pw - self.kw + 1;
+        let (mut oy, mut ox) = (first / ow, first % ow);
+        for o in out {
+            *o = oy * self.pw + ox;
+            ox += 1;
+            if ox == ow {
+                (oy, ox) = (oy + 1, 0);
+            }
+        }
+    }
+
+    /// `out[i]`: where tap `first + i` sits from its window's start,
+    /// `c·ph·pw + ky·pw + kx`.
+    fn taps(&self, first: usize, out: &mut [usize]) {
+        let area = self.kh * self.kw;
+        let (mut c, mut ky, mut kx) = (first / area, first % area / self.kw, first % self.kw);
+        for o in out {
+            *o = c * self.ph * self.pw + ky * self.pw + kx;
+            kx += 1;
+            if kx == self.kw {
+                (ky, kx) = (ky + 1, 0);
+                if ky == self.kh {
+                    (c, ky) = (c + 1, 0);
+                }
+            }
+        }
+    }
+
+    /// [`pack_b`] of this matrix in its orientation, value for value:
+    /// element `(row, col)` is `padded[rows[row] + lanes[col]]`, one offset
+    /// table per axis filled once per slab, so a depth step is one load per
+    /// lane (a fixed 16-wide loop on every panel but a tail; on the Table II
+    /// shapes that beats copying the lanes' contiguous runs, which are at
+    /// most 5 floats long in the weight gradient). Lanes past `nc` are zero
+    /// as in every pack.
+    fn pack_b(&self, row0: usize, kc: usize, col0: usize, nc: usize, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), nc.div_ceil(NR) * kc * NR);
+        let (mut rows, mut lanes) = ([0usize; KC], [0usize; NC]);
+        let (rows, lanes) = (&mut rows[..kc], &mut lanes[..nc]);
+        match self.orient {
+            Orient::TapPos => {
+                self.taps(row0, rows);
+                self.origins(col0, lanes);
+            }
+            Orient::PosTap => {
+                self.origins(row0, rows);
+                self.taps(col0, lanes);
+            }
+        }
+        for (panel, lanes) in out.chunks_exact_mut(kc * NR).zip(lanes.chunks(NR)) {
+            match <&[usize; NR]>::try_from(lanes) {
+                Ok(full) => gather_panel(self.padded, rows, full, panel),
+                Err(_) => gather_panel(self.padded, rows, lanes, panel),
+            }
+        }
+    }
+}
+
+/// One `B` panel of a [`Patches`] pack: depth step `p` lane `l` is
+/// `padded[rows[p] + lanes[l]]`, lanes past `lanes.len()` zero. Inlined so a
+/// full panel's fixed-length `lanes` unrolls.
+#[inline(always)]
+fn gather_panel(padded: &[f32], rows: &[usize], lanes: &[usize], panel: &mut [f32]) {
+    for (dst, &row) in panel.chunks_exact_mut(NR).zip(rows) {
+        let src = &padded[row..];
+        for (d, &off) in dst.iter_mut().zip(lanes) {
+            *d = src[off];
+        }
+        dst[lanes.len()..].fill(0.0);
+    }
+}
+
+/// Floats [`prepack_a`] writes for an `m×k` `A`.
+pub(crate) fn packed_a_len(m: usize, k: usize) -> usize {
+    m.next_multiple_of(MR) * k
+}
+
+/// Floats [`prepack_b`] writes for a `k×n` `B`.
+pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
+    n.next_multiple_of(NR) * k
+}
+
+/// Pack all of `a` (m×k) once, for an operand many products share: `KC`
+/// slab `pc` is [`pack_a`] of every row at `out[pc·m̄..]` (`m̄` = `m`
+/// rounded up to `MR`). `MC` is a multiple of `MR`, so the driver finds row
+/// block `ib` of that slab `ib·MC·kc` further on, exactly as it would have
+/// packed it.
+pub(crate) fn prepack_a(a: MatRef<'_>, m: usize, k: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), packed_a_len(m, k), "prepack_a: output size");
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        pack_a(a, 0, m, pc, kc, &mut out[pc * m.next_multiple_of(MR)..][..packed_a_len(m, kc)]);
+    }
+}
+
+/// [`prepack_a`] for `B` (k×n): `KC` slab `pc` is [`pack_b`] of every
+/// column at `out[pc·n̄..]`, and its `NC` column slab `jc` starts `jc·kc`
+/// further on.
+pub(crate) fn prepack_b(b: MatRef<'_>, k: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), packed_b_len(k, n), "prepack_b: output size");
+    let level = Level::detect();
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        let slab = &mut out[pc * n.next_multiple_of(NR)..][..packed_b_len(kc, n)];
+        pack_b(level, b, pc, kc, 0, n, slab);
+    }
 }
 
 /// Stand-in source for the rows/columns a tail panel does not have, so the
@@ -457,21 +635,23 @@ fn sweep_tiles(
     }
 }
 
-/// Blocked GEMM driver: `out += A · B` for strided views of `A` (m×k) and
-/// `B` (k×n), with `out` a row-major m×n buffer whose initial contents act
-/// as the additive epilogue (zeros for a plain product, a broadcast bias for
-/// the fused layer forward, existing gradients for accumulation).
+/// Blocked GEMM driver: `out += A · B` for `A` (m×k) and `B` (k×n) read from
+/// strided views, pre-packed operands or (for `B`) a convolution's patches,
+/// with `out` a row-major m×n buffer whose initial contents act as the
+/// additive epilogue (zeros for a plain product, a broadcast bias for the
+/// fused layer forward, existing gradients for accumulation). Every source
+/// yields the same packed panels, so the source never changes a bit.
 ///
 /// `parallel` gates rayon fan-out over `MC` row-blocks; it never changes the
 /// arithmetic (each output element is owned by one task and the `KC` slabs
 /// are consumed in increasing-`k` order either way).
-pub(crate) fn gemm(
+pub(crate) fn gemm<'a>(
     parallel: bool,
     m: usize,
     n: usize,
     k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
+    a: impl Into<ASource<'a>>,
+    b: impl Into<BSource<'a>>,
     out: &mut [f32],
 ) {
     gemm_with(Level::detect(), parallel, m, n, k, a, b, out)
@@ -479,20 +659,27 @@ pub(crate) fn gemm(
 
 /// [`gemm`] at an explicit [`Level`] (the per-level bit-identity tests).
 #[allow(clippy::too_many_arguments)]
-fn gemm_with(
+fn gemm_with<'a>(
     level: Level,
     parallel: bool,
     m: usize,
     n: usize,
     k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
+    a: impl Into<ASource<'a>>,
+    b: impl Into<BSource<'a>>,
     out: &mut [f32],
 ) {
+    let (a, b) = (a.into(), b.into());
     assert!(level <= Level::detect(), "{level:?} is not available on this CPU");
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
+    }
+    if let ASource::Packed(p) = a {
+        assert_eq!(p.len(), packed_a_len(m, k), "pre-packed A size");
+    }
+    if let BSource::Packed(p) = b {
+        assert_eq!(p.len(), packed_b_len(k, n), "pre-packed B size");
     }
     GEMM_CALLS.incr();
     GEMM_FLOPS.add(2 * (m as u64) * (n as u64) * (k as u64));
@@ -502,15 +689,35 @@ fn gemm_with(
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            let mut packed_b = workspace::take_uninit(nc.div_ceil(NR) * kc * NR);
-            pack_b(level, b, pc, kc, jc, nc, &mut packed_b);
-            let pb = &packed_b[..];
+            let b_len = nc.div_ceil(NR) * kc * NR;
+            let mut packed_b = None;
+            let pb: &[f32] = match b {
+                BSource::Packed(p) => &p[pc * n.next_multiple_of(NR) + jc * kc..][..b_len],
+                BSource::View(v) => {
+                    let s = packed_b.insert(workspace::take_uninit(b_len));
+                    pack_b(level, v, pc, kc, jc, nc, s);
+                    s
+                }
+                BSource::Patches(p) => {
+                    let s = packed_b.insert(workspace::take_uninit(b_len));
+                    p.pack_b(pc, kc, jc, nc, s);
+                    s
+                }
+            };
             let body = |ib: usize, rows: &mut [f32]| {
                 let row0 = ib * MC;
                 let mc = MC.min(m - row0);
-                let mut packed_a = workspace::take_uninit(mc.div_ceil(MR) * kc * MR);
-                pack_a(a, row0, mc, pc, kc, &mut packed_a);
-                sweep_tiles(level, rows, n, mc, kc, jc, nc, &packed_a, pb);
+                let a_len = mc.div_ceil(MR) * kc * MR;
+                let mut packed_a = None;
+                let pa: &[f32] = match a {
+                    ASource::Packed(p) => &p[pc * m.next_multiple_of(MR) + row0 * kc..][..a_len],
+                    ASource::View(v) => {
+                        let s = packed_a.insert(workspace::take_uninit(a_len));
+                        pack_a(v, row0, mc, pc, kc, s);
+                        s
+                    }
+                };
+                sweep_tiles(level, rows, n, mc, kc, jc, nc, pa, pb);
             };
             if fan_out {
                 out.par_chunks_mut(MC * n).enumerate().for_each(|(ib, rows)| body(ib, rows));
@@ -1016,6 +1223,82 @@ mod tests {
                         "pack_b rs={rs} cs={cs} kc={kc} nc={nc} at {level:?}"
                     );
                 }
+            }
+        }
+
+        // A patch source equals the strided pack of the im2col matrix it
+        // never builds: a 3×5×7 image, 3×4 windows (non-square, to catch a
+        // kh/kw swap), one zero pixel of border, so 30 positions on 6-wide
+        // output rows × 36 taps in 12-tap channels. Slabs straddle output
+        // rows, window rows, channels, the border and panel tails.
+        let spec = crate::conv::Conv2dSpec { in_ch: 3, out_ch: 1, kh: 3, kw: 4, pad: 1 };
+        let (h, w) = (5, 7);
+        let (ph, pw) = (h + 2, w + 2);
+        let image = Tensor::randn(&[spec.in_ch * h * w], &mut rng);
+        let mut padded = vec![0.0f32; spec.in_ch * ph * pw];
+        for (i, &v) in image.data().iter().enumerate() {
+            let (c, y, x) = (i / (h * w), i % (h * w) / w, i % w);
+            padded[c * ph * pw + (y + 1) * pw + x + 1] = v;
+        }
+        let (oh, ow) = spec.out_size(h, w);
+        let (plane, patch) = (oh * ow, spec.patch_len());
+        let mut cols = vec![0.0f32; plane * patch];
+        crate::conv::im2col(image.data(), h, w, &spec, &mut cols);
+        for (orient, (rs, cs), slabs) in [
+            (
+                Orient::TapPos,
+                (1, patch),
+                [(0, 36, 0, 30), (5, 13, 4, 20), (11, 25, 23, 7), (35, 1, 29, 1)],
+            ),
+            (
+                Orient::PosTap,
+                (patch, 1),
+                [(0, 30, 0, 36), (4, 13, 3, 20), (17, 13, 30, 6), (29, 1, 35, 1)],
+            ),
+        ] {
+            let mat = MatRef { data: &cols, rs, cs };
+            let patches = Patches { padded: &padded, ph, pw, kh: spec.kh, kw: spec.kw, orient };
+            for (row0, kc, col0, nc) in slabs {
+                let want = pack_b_oracle(mat, row0, kc, col0, nc);
+                let mut got = vec![f32::NAN; want.len()];
+                patches.pack_b(row0, kc, col0, nc, &mut got);
+                let what = format!("{orient:?} row0={row0} kc={kc} col0={col0} nc={nc}");
+                assert_eq!(bits(&got), bits(&want), "{what}");
+                for level in Level::offered() {
+                    let mut strided = vec![f32::NAN; want.len()];
+                    pack_b(level, mat, row0, kc, col0, nc, &mut strided);
+                    assert_eq!(bits(&got), bits(&strided), "{what} vs pack_b at {level:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_operands_read_the_slabs_the_driver_packs() {
+        // Shapes that cut A into two row blocks and B into two column slabs,
+        // both over three depth slabs with a tail, at every level.
+        let mut rng = SeededRng::new(21);
+        let (m, k, n) = (MC + 5, 2 * KC + 9, NC + 21);
+        let a = Tensor::randn(&[m * k], &mut rng);
+        let b = Tensor::randn(&[k * n], &mut rng);
+        let seed = Tensor::randn(&[m * n], &mut rng);
+        let a = MatRef { data: a.data(), rs: k, cs: 1 };
+        let b = MatRef { data: b.data(), rs: 1, cs: k };
+        let mut pa = vec![f32::NAN; packed_a_len(m, k)];
+        prepack_a(a, m, k, &mut pa);
+        let mut pb = vec![f32::NAN; packed_b_len(k, n)];
+        prepack_b(b, k, n, &mut pb);
+        for level in Level::offered() {
+            let mut want = seed.data().to_vec();
+            gemm_with(level, false, m, n, k, a, b, &mut want);
+            for (a, b) in [
+                (ASource::Packed(&pa), BSource::View(b)),
+                (ASource::View(a), BSource::Packed(&pb)),
+                (ASource::Packed(&pa), BSource::Packed(&pb)),
+            ] {
+                let mut got = seed.data().to_vec();
+                gemm_with(level, true, m, n, k, a, b, &mut got);
+                assert_eq!(bits(&got), bits(&want), "pre-packed operands at {level:?}");
             }
         }
     }

@@ -1,18 +1,19 @@
 //! # fg-tensor
 //!
 //! Dense, row-major `f32` tensors and the compute kernels used throughout the
-//! FedGuard reproduction: blocked matrix multiplication, im2col convolution
-//! (forward and backward), max pooling, reductions, vector algebra over raw
-//! parameter slices, and deterministic seeded random-number utilities.
+//! FedGuard reproduction: blocked matrix multiplication, implicit-GEMM
+//! convolution (forward and backward), max pooling, reductions, vector
+//! algebra over raw parameter slices, and deterministic seeded random-number
+//! utilities.
 //!
 //! The crate is deliberately small and dependency-light: it is the substrate
 //! that replaces the role PyTorch plays in the original paper. The GEMM
 //! family is a cache-blocked, panel-packed kernel (MC/KC/NC blocking with an
 //! MR×NR register-tile microkernel — see [`kernels`]); all per-call scratch
-//! — packed panels, im2col patch matrices, gradient staging — comes from a
-//! thread-local [`workspace`] pool, so the conv/linear hot paths perform no
-//! heap allocation in steady state beyond their returned tensors. Outer
-//! loops are parallelized where the problem size warrants it, via the
+//! — packed panels and filter banks, padded image copies, column gradients —
+//! comes from a thread-local [`workspace`] pool, so the conv/linear hot paths
+//! perform no heap allocation in steady state beyond their returned tensors.
+//! Outer loops are parallelized where the problem size warrants it, via the
 //! repo's rayon shim — a real fork-join worker pool sized by `FG_THREADS`
 //! (default: all cores). Parallelism is only ever over disjoint output
 //! blocks and the shim's split tree depends only on the input size, never

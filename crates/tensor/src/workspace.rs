@@ -1,11 +1,12 @@
 //! Thread-local scratch workspace for the compute kernels.
 //!
-//! The blocked GEMM ([`crate::kernels`]) and the im2col convolution path
+//! The blocked GEMM ([`crate::kernels`]) and the convolution path
 //! ([`crate::conv`]) need short-lived `f32` buffers on every call: packed
-//! `A`/`B` panels, lowered patch matrices, gradient staging. Allocating those
-//! per call put a `vec![0.0; ..]` (and its page-zeroing) on every hot-path
-//! invocation — per *image* in the conv case. This module replaces that with
-//! a per-thread pool of reusable buffers:
+//! `A`/`B` panels and filter banks, zero-padded image copies, column
+//! gradients. Allocating those per call put a `vec![0.0; ..]` (and its
+//! page-zeroing) on every hot-path invocation — per *image* in the conv
+//! case. This module replaces that with a per-thread pool of reusable
+//! buffers:
 //!
 //! * [`take_uninit`] / [`take_zeroed`] hand out a [`Scratch`] guard backed by
 //!   a recycled `Vec<f32>` when one of sufficient capacity is available, and
