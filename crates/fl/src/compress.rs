@@ -7,22 +7,27 @@
 //!
 //! * [`Compression`] — the experiment knob, negotiated in the Join/Welcome
 //!   handshake so one server-side config drives every client process.
-//! * [`CompressedBlob`] / [`CompressedUpdate`] — the in-memory form of the
-//!   `UploadCompressed` / `RoundStartCompressed` wire frames.
+//! * [`CompressedBlob`] / [`CompressedUpdate`] — the model payloads of the
+//!   `RoundStart` / `Upload` messages under every mode; dense is a codec
+//!   ([`CompressedBlob::Dense`]: raw values, never delta-coded).
 //! * [`compress_update`] / [`decompress_update`] — the encode→decode pair
 //!   both transports share, and [`broadcast`], the one place a round's
-//!   compressed downlink and its reference model are built.
+//!   coded downlink and its reference model are built.
+//! * [`broadcast_frames`], [`accept_broadcast`], [`upload_frame`],
+//!   [`CompressedUpdate::is_coded_by`] — one call per TCP round step for
+//!   every mode: this module picks the payload family, `crate::net` only
+//!   moves payloads, and both ends reject one off the negotiated codec.
 //!
 //! ## Delta coding and the reference model
 //!
-//! Uplink compression never quantizes raw parameter vectors: every uplink
-//! blob encodes the **delta** `Δ = ψ_j − ref`, where `ref` is exactly the
-//! global model the client received this round — i.e. the broadcast *after*
-//! the downlink codec. Deltas are small relative to the weights, so the
-//! quantization error that survives is proportional to the per-round step,
-//! not to the weight magnitude — that is what keeps the lossy modes inside
-//! the ≤ 0.5 pp accuracy-drift gate. The server reconstructs the same `ref`
-//! (it knows what it broadcast), so both sides agree bit-for-bit.
+//! Uplink compression never quantizes raw parameter vectors: every coded
+//! uplink blob encodes the **delta** `Δ = ψ_j − ref`, where `ref` is exactly
+//! the global model the client received this round — i.e. the broadcast
+//! *after* the downlink codec. Deltas are small relative to the weights, so
+//! the quantization error that survives is proportional to the per-round
+//! step, not to the weight magnitude — that is what keeps the lossy modes
+//! inside the ≤ 0.5 pp accuracy-drift gate. The server reconstructs the same
+//! `ref` (it knows what it broadcast), so both sides agree bit-for-bit.
 //!
 //! Per-mode downlink policy: `Bf16` and `Int8` broadcast `bf16(ψ₀)` (the
 //! broadcast is the shared reference every client must rebuild — int8
@@ -36,20 +41,22 @@
 //!
 //! Every codec kernel is bit-deterministic at any `FG_THREADS` (see
 //! `fg_tensor::codec`), and both transports call the same [`broadcast`] and
-//! [`decompress_update`]; the dequantized fold is therefore bit-identical
-//! across thread counts, arrival orders, and Local-vs-TCP deployments —
-//! asserted by `tests/net_equivalence.rs`.
+//! codec pair; the dequantized fold is therefore bit-identical across
+//! thread counts, arrival orders, and Local-vs-TCP deployments — asserted
+//! by `tests/net_equivalence.rs`.
 
 use crate::update::ModelUpdate;
+use crate::wire::{encode, encode_round_start, encode_upload, Message, WireError};
 use fg_obs::metrics::Counter;
 use fg_tensor::codec;
 use fg_tensor::workspace;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Logical (pre-codec) model-payload bytes pushed through [`compress_update`]
 /// / [`broadcast`], at 4 B per f32 — the numerator of the measured
-/// compression ratio.
+/// compression ratio. Dense payloads book nothing.
 static RAW_BYTES: Counter = Counter::new("fl.comm.raw_bytes");
 /// Encoded model-payload bytes the same calls produced — the denominator.
 /// The ratio is measured from real encodes, never assumed from the format.
@@ -68,7 +75,8 @@ pub const DEFAULT_TOPK_FRAC: f64 = 0.1;
 /// Wire-compression mode for model payloads; the `ExperimentConfig` knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum Compression {
-    /// Dense f32 frames — bit-identical to the pre-compression protocol.
+    /// The dense codec: raw f32 payloads ([`CompressedBlob::Dense`]) —
+    /// bit-identical to the pre-compression protocol.
     #[default]
     None,
     /// bf16 round-to-nearest-even (2 B/param, ≈ 2× reduction).
@@ -146,11 +154,14 @@ impl Compression {
     }
 }
 
-/// One compressed f32 vector, in memory exactly as it travels in a frame.
-/// Top-k values are stored as bf16 bits (the canonical wire form), so a
-/// decoded blob re-encodes byte-identically.
+/// One model vector under a codec, in memory exactly as it travels in a
+/// frame. Top-k values are stored as bf16 bits (the canonical wire form), so
+/// a decoded blob re-encodes byte-identically.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CompressedBlob {
+    /// Raw f32 values — the [`Compression::None`] codec. Never delta-coded;
+    /// travels untagged in the dense frame kinds.
+    Dense(Vec<f32>),
     /// bf16 bits, one per source element.
     Bf16 { raw_len: u32, data: Vec<u16> },
     /// Per-block scales plus one signed byte per source element.
@@ -164,6 +175,7 @@ impl CompressedBlob {
     /// Length of the vector this blob reconstructs to.
     pub fn raw_len(&self) -> usize {
         match self {
+            CompressedBlob::Dense(values) => values.len(),
             CompressedBlob::Bf16 { raw_len, .. }
             | CompressedBlob::Int8 { raw_len, .. }
             | CompressedBlob::TopK { raw_len, .. } => *raw_len as usize,
@@ -175,10 +187,12 @@ impl CompressedBlob {
         self.raw_len() as u64 * 4
     }
 
-    /// Exact encoded payload bytes of this blob on the wire (tag byte
-    /// included) — what `fl.comm.wire_bytes` accounts.
+    /// Exact encoded payload bytes of this blob on the wire (count prefix
+    /// or tag byte included) — what `fl.comm.wire_bytes` accounts for coded
+    /// blobs.
     pub fn encoded_bytes(&self) -> u64 {
         match self {
+            CompressedBlob::Dense(values) => 8 + values.len() as u64 * 4,
             CompressedBlob::Bf16 { raw_len, .. } => 1 + 4 + *raw_len as u64 * 2,
             CompressedBlob::Int8 { raw_len, scales, .. } => {
                 1 + 4 + 4 + scales.len() as u64 * 4 + *raw_len as u64
@@ -188,12 +202,40 @@ impl CompressedBlob {
             }
         }
     }
+
+    /// Whether this is the dense codec's raw vector.
+    pub fn is_dense(&self) -> bool {
+        matches!(self, CompressedBlob::Dense(_))
+    }
+
+    /// Whether `mode`'s codec produces this blob: the same family and, for
+    /// int8, the same block size.
+    pub fn is_coded_by(&self, mode: Compression) -> bool {
+        match (self, mode) {
+            (CompressedBlob::Dense(_), Compression::None)
+            | (CompressedBlob::Bf16 { .. }, Compression::Bf16)
+            | (CompressedBlob::TopK { .. }, Compression::TopK { .. }) => true,
+            (CompressedBlob::Int8 { block, .. }, Compression::Int8 { block: negotiated }) => {
+                *block as usize == negotiated
+            }
+            _ => false,
+        }
+    }
+
+    /// [`decompress_blob`] by value: a dense blob is moved out, not copied.
+    pub fn into_vec(self) -> Vec<f32> {
+        match self {
+            CompressedBlob::Dense(values) => values,
+            coded => decompress_blob(&coded),
+        }
+    }
 }
 
-/// A client's round submission in compressed form — the payload of the
-/// `UploadCompressed` wire frame. `params` encodes the delta against the
-/// round's reference model; `decoder` (when the strategy audits decoders)
-/// is compressed directly.
+/// A client's round submission under the session's codec — the payload of
+/// the `Upload` wire message. Under a coded mode `params` encodes the delta
+/// against the round's reference model and `decoder` (when the strategy
+/// audits decoders) is coded directly; under [`Compression::None`] both are
+/// [`CompressedBlob::Dense`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompressedUpdate {
     pub client_id: usize,
@@ -215,10 +257,26 @@ impl CompressedUpdate {
     pub fn encoded_model_bytes(&self) -> u64 {
         self.params.encoded_bytes() + self.decoder.as_ref().map_or(0, |d| d.encoded_bytes())
     }
+
+    /// Whether this is what a client under `mode` uploads: params under
+    /// `mode`'s codec, the decoder under [`Compression::decoder_codec`].
+    pub fn is_coded_by(&self, mode: Compression) -> bool {
+        self.params.is_coded_by(mode)
+            && self.decoder.as_ref().is_none_or(|d| d.is_coded_by(mode.decoder_codec()))
+    }
+
+    /// [`decompress_update`] by value: a dense payload is moved into the
+    /// reconstructed update, not copied.
+    pub fn into_update(self, reference: &[f32]) -> ModelUpdate {
+        let CompressedUpdate { client_id, num_samples, params, decoder, class_coverage } = self;
+        let params = if params.is_dense() { params.into_vec() } else { rebase(&params, reference) };
+        let decoder = decoder.map(CompressedBlob::into_vec);
+        ModelUpdate { client_id, params, num_samples, decoder, class_coverage }
+    }
 }
 
-/// Compress one f32 vector under `mode` (which must not be
-/// [`Compression::None`] — dense vectors stay on the dense frames).
+/// Compress one f32 vector under `mode`. [`Compression::None`] is the dense
+/// codec: it copies the values and books nothing.
 pub fn compress_vec(mode: Compression, data: &[f32]) -> CompressedBlob {
     assert!(
         data.len() <= u32::MAX as usize,
@@ -227,7 +285,7 @@ pub fn compress_vec(mode: Compression, data: &[f32]) -> CompressedBlob {
     let t0 = Instant::now();
     let raw_len = data.len() as u32;
     let blob = match mode {
-        Compression::None => unreachable!("Compression::None never builds a blob"),
+        Compression::None => return CompressedBlob::Dense(data.to_vec()),
         Compression::Bf16 => {
             let mut packed = Vec::new();
             codec::bf16_pack_into(data, &mut packed);
@@ -253,15 +311,15 @@ pub fn compress_vec(mode: Compression, data: &[f32]) -> CompressedBlob {
 }
 
 /// Decode a blob into the dense vector it directly encodes (for top-k:
-/// zeros off the selected set). `dst` is overwritten and resized.
-pub fn decompress_blob_into(blob: &CompressedBlob, dst: &mut Vec<f32>) {
+/// zeros off the selected set).
+pub fn decompress_blob(blob: &CompressedBlob) -> Vec<f32> {
     let t0 = Instant::now();
-    dst.clear();
-    dst.resize(blob.raw_len(), 0.0);
+    let mut dst = vec![0.0; blob.raw_len()];
     match blob {
-        CompressedBlob::Bf16 { data, .. } => codec::bf16_unpack_into(data, dst),
+        CompressedBlob::Dense(values) => dst.copy_from_slice(values),
+        CompressedBlob::Bf16 { data, .. } => codec::bf16_unpack_into(data, &mut dst),
         CompressedBlob::Int8 { block, scales, q, .. } => {
-            codec::int8_dequantize_into(q, scales, *block as usize, dst)
+            codec::int8_dequantize_into(q, scales, *block as usize, &mut dst)
         }
         CompressedBlob::TopK { idx, val, .. } => {
             for (&i, &v) in idx.iter().zip(val) {
@@ -270,28 +328,83 @@ pub fn decompress_blob_into(blob: &CompressedBlob, dst: &mut Vec<f32>) {
         }
     }
     DEC_NS.add(t0.elapsed().as_nanos() as u64);
+    dst
 }
 
-/// A round's broadcast under `mode`: the compressed global for the
-/// `RoundStartCompressed` frame, and the reference model it decodes to —
-/// what every client trains on and encodes its delta against. `None` when
-/// the downlink is dense; the reference is then `global` itself.
+/// A round's coded broadcast under `mode`: the blob for the `RoundStart`
+/// frame, and the reference model it decodes to — what every client trains
+/// on and encodes its delta against. `None` when the downlink is dense; the
+/// reference is then `global` itself.
 pub fn broadcast(mode: Compression, global: &[f32]) -> Option<(CompressedBlob, Vec<f32>)> {
     match mode.downlink() {
         Compression::None => None,
         downlink => {
             let blob = compress_vec(downlink, global);
-            let mut reference = Vec::new();
-            decompress_blob_into(&blob, &mut reference);
+            let reference = decompress_blob(&blob);
             Some((blob, reference))
         }
     }
 }
 
+/// Server side: a round's `RoundStart` frames under `mode` (participating,
+/// sitting out) and the reference model they decode to. A dense downlink is
+/// written from the borrowed global, which is then the reference itself.
+pub fn broadcast_frames(
+    mode: Compression,
+    round: u64,
+    global: &[f32],
+) -> ([Vec<u8>; 2], Cow<'_, [f32]>) {
+    let Some((blob, reference)) = broadcast(mode, global) else {
+        let frames =
+            [true, false].map(|participate| encode_round_start(round, participate, global));
+        return (frames, Cow::Borrowed(global));
+    };
+    let mut start = Message::RoundStart { round, participate: true, global: blob };
+    let active = encode(&start);
+    if let Message::RoundStart { participate, .. } = &mut start {
+        *participate = false;
+    }
+    ([active, encode(&start)], Cow::Owned(reference))
+}
+
+/// Client side: decode a broadcast under the negotiated `mode` into the
+/// global to train on, keeping in `reference` what this round's upload is
+/// delta-coded against (dense uploads need none). Off-codec is malformed.
+pub fn accept_broadcast(
+    mode: Compression,
+    global: CompressedBlob,
+    reference: &mut Vec<f32>,
+) -> Result<Vec<f32>, WireError> {
+    if !global.is_coded_by(mode.downlink()) {
+        return Err(WireError::Malformed("broadcast off the negotiated codec"));
+    }
+    let global = global.into_vec();
+    if mode != Compression::None {
+        reference.clone_from(&global);
+    }
+    Ok(global)
+}
+
+/// Client side: the `Upload` frame for a submission under `mode` — dense
+/// straight from the borrowed update, coded against `reference`.
+pub fn upload_frame(
+    mode: Compression,
+    round: u64,
+    update: &ModelUpdate,
+    reference: &[f32],
+) -> Vec<u8> {
+    match mode {
+        Compression::None => encode_upload(round, update),
+        coded => {
+            encode(&Message::Upload { round, update: compress_update(coded, update, reference) })
+        }
+    }
+}
+
 /// Client side: compress a trained submission against the reference model
-/// the client received this round. The params blob encodes
-/// `Δ = params − reference`; the decoder (if any) is compressed directly
-/// under [`Compression::decoder_codec`].
+/// the client received this round: coded params carry `Δ = params −
+/// reference`, the decoder (if any) is coded under
+/// [`Compression::decoder_codec`], and the dense codec copies both as is.
 pub fn compress_update(
     mode: Compression,
     update: &ModelUpdate,
@@ -302,11 +415,15 @@ pub fn compress_update(
         reference.len(),
         "compress_update: params/reference length mismatch"
     );
-    let mut delta = workspace::take_uninit(update.params.len());
-    for ((d, &p), &r) in delta.iter_mut().zip(&update.params).zip(reference) {
-        *d = p - r;
-    }
-    let params = compress_vec(mode, &delta);
+    let params = if mode == Compression::None {
+        CompressedBlob::Dense(update.params.clone())
+    } else {
+        let mut delta = workspace::take_uninit(update.params.len());
+        for ((d, &p), &r) in delta.iter_mut().zip(&update.params).zip(reference) {
+            *d = p - r;
+        }
+        compress_vec(mode, &delta)
+    };
     let decoder = update.decoder.as_ref().map(|d| compress_vec(mode.decoder_codec(), d));
     CompressedUpdate {
         client_id: update.client_id,
@@ -319,52 +436,41 @@ pub fn compress_update(
 
 /// Server side: reconstruct the dense [`ModelUpdate`] from a compressed
 /// one, adding the decoded delta back onto the same reference the client
-/// encoded against. Top-k leaves unselected coordinates exactly at the
-/// reference value (a copy, not a `+ 0.0`, which would flush `-0.0`).
-///
-/// A blob whose `raw_len` disagrees with the reference cannot be rebased;
-/// its raw delta is returned instead and the round sanitizer rejects it by
-/// length — decoding stays total without an error channel.
+/// encoded against (a dense payload is taken as it is).
+/// [`CompressedUpdate::into_update`] is the same by value.
 pub fn decompress_update(cu: &CompressedUpdate, reference: &[f32]) -> ModelUpdate {
-    let params = if cu.params.raw_len() == reference.len() {
-        match &cu.params {
-            CompressedBlob::TopK { idx, val, .. } => {
-                let t0 = Instant::now();
-                let mut params = reference.to_vec();
-                for (&i, &v) in idx.iter().zip(val) {
-                    params[i as usize] = reference[i as usize] + codec::bf16_to_f32(v);
-                }
-                DEC_NS.add(t0.elapsed().as_nanos() as u64);
-                params
-            }
-            dense => {
-                let mut delta = Vec::new();
-                decompress_blob_into(dense, &mut delta);
-                let t0 = Instant::now();
-                for (d, &r) in delta.iter_mut().zip(reference) {
-                    *d += r;
-                }
-                DEC_NS.add(t0.elapsed().as_nanos() as u64);
-                delta
-            }
-        }
-    } else {
-        let mut delta = Vec::new();
-        decompress_blob_into(&cu.params, &mut delta);
-        delta
-    };
-    let decoder = cu.decoder.as_ref().map(|blob| {
-        let mut d = Vec::new();
-        decompress_blob_into(blob, &mut d);
-        d
-    });
     ModelUpdate {
         client_id: cu.client_id,
-        params,
+        params: rebase(&cu.params, reference),
         num_samples: cu.num_samples,
-        decoder,
+        decoder: cu.decoder.as_ref().map(decompress_blob),
         class_coverage: cu.class_coverage.clone(),
     }
+}
+
+/// The params a blob stands for: a dense blob's values, or a coded delta
+/// added back onto `reference` (top-k copies the reference off the selected
+/// set: `+ 0.0` would flush `-0.0`). A delta of another length than the
+/// reference is returned raw, for the sanitizer to reject by length.
+fn rebase(params: &CompressedBlob, reference: &[f32]) -> Vec<f32> {
+    if params.is_dense() || params.raw_len() != reference.len() {
+        return decompress_blob(params);
+    }
+    let mut out = match params {
+        CompressedBlob::TopK { .. } => reference.to_vec(),
+        coded => decompress_blob(coded),
+    };
+    let t0 = Instant::now();
+    match params {
+        CompressedBlob::TopK { idx, val, .. } => {
+            for (&i, &v) in idx.iter().zip(val) {
+                out[i as usize] = reference[i as usize] + codec::bf16_to_f32(v);
+            }
+        }
+        _ => out.iter_mut().zip(reference).for_each(|(d, &r)| *d += r),
+    }
+    DEC_NS.add(t0.elapsed().as_nanos() as u64);
+    out
 }
 
 #[cfg(test)]
@@ -442,6 +548,7 @@ mod tests {
             let cu = compress_update(mode, &update(params.clone(), None), &reference);
             assert_eq!(cu.model_bytes(), params.len() as u64 * 4);
             let back = decompress_update(&cu, &reference);
+            assert_eq!(back, cu.clone().into_update(&reference), "{}: by value", mode.name());
             assert_eq!(back.client_id, 3);
             assert_eq!(back.params.len(), params.len());
             // The reconstruction error is bounded by the codec's error on
@@ -450,6 +557,50 @@ mod tests {
                 params.iter().zip(&back.params).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
             assert!(worst < 1e-3, "{}: worst abs error {worst}", mode.name());
         }
+    }
+
+    #[test]
+    fn dense_codec_carries_raw_values_bit_for_bit() {
+        let reference = noise(64, 7);
+        let mut params = noise(64, 8);
+        params[3] = f32::from_bits(0x7FC0_1234);
+        params[5] = -0.0;
+        let u = update(params, Some(noise(16, 9)));
+        let cu = compress_update(Compression::None, &u, &reference);
+        assert!(cu.params.is_dense() && cu.decoder.as_ref().is_some_and(CompressedBlob::is_dense));
+        assert!(cu.is_coded_by(Compression::None));
+        assert_eq!(cu.model_bytes(), u.wire_bytes());
+        assert_eq!(cu.encoded_model_bytes(), 8 + 64 * 4 + 8 + 16 * 4);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for back in [decompress_update(&cu, &reference), cu.clone().into_update(&reference)] {
+            assert_eq!(bits(&back.params), bits(&u.params));
+            assert_eq!(bits(back.decoder.as_deref().unwrap()), bits(u.decoder.as_deref().unwrap()));
+        }
+    }
+
+    #[test]
+    fn payloads_are_accepted_only_under_their_own_codec() {
+        let data = noise(100, 10);
+        let modes = [
+            Compression::None,
+            Compression::Bf16,
+            Compression::Int8 { block: 64 },
+            Compression::TopK { frac: 0.1 },
+        ];
+        for made_by in modes {
+            let blob = compress_vec(made_by, &data);
+            for mode in modes {
+                assert_eq!(blob.is_coded_by(mode), made_by == mode, "{made_by:?} under {mode:?}");
+            }
+        }
+        let int8 = compress_vec(Compression::Int8 { block: 64 }, &data);
+        assert!(!int8.is_coded_by(Compression::Int8 { block: 32 }), "int8 block is negotiated");
+        // The decoder must be under the mode's decoder codec (bf16 for top-k).
+        let topk = Compression::TopK { frac: 0.1 };
+        let mut cu = compress_update(topk, &update(data.clone(), Some(noise(20, 11))), &data);
+        assert!(cu.is_coded_by(topk));
+        cu.decoder = Some(compress_vec(topk, &noise(20, 11)));
+        assert!(!cu.is_coded_by(topk));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use fg_fl::compress::compress_vec;
 use fg_fl::wire::{decode, encode, HEADER_BYTES, MAGIC};
-use fg_fl::{CompressedUpdate, Compression, Message, ModelUpdate, WireConfig, WireError};
+use fg_fl::{CompressedUpdate, Compression, Message, WireConfig, WireError};
 use proptest::prelude::*;
 
 fn f32s(bits: &[u32]) -> Vec<f32> {
@@ -13,71 +13,50 @@ fn f32s(bits: &[u32]) -> Vec<f32> {
     bits.iter().map(|&b| f32::from_bits(b)).collect()
 }
 
-/// Derive a lossy codec from fuzz inputs (compressed frames carry exactly
-/// one of the three blob layouts; `None` never reaches a blob).
+/// Derive a codec from fuzz inputs: model payloads come in exactly one of
+/// four families — dense, bf16, int8, top-k.
 fn fuzz_codec(b: u64) -> Compression {
-    match b % 3 {
-        0 => Compression::Bf16,
-        1 => Compression::Int8 { block: (b % 1000) as usize + 1 },
+    match b % 4 {
+        0 => Compression::None,
+        1 => Compression::Bf16,
+        2 => Compression::Int8 { block: (b % 1000) as usize + 1 },
         _ => Compression::TopK { frac: ((b % 99) as f64 + 1.0) / 100.0 },
     }
 }
 
-/// Build one of the ten message kinds from raw fuzz inputs (the shimmed
+/// Build one of the eight message kinds from raw fuzz inputs (the shimmed
 /// proptest has no `prop_oneof`, so the selector is an explicit argument).
-/// Compressed payloads go through the canonical [`compress_vec`] encoder,
-/// so every generated blob is internally consistent (bitmap popcount,
-/// block counts) while its f32 source still ranges over NaN/Inf/denormals.
+/// Model payloads go through the canonical [`compress_vec`] encoder, so
+/// every generated blob is internally consistent (bitmap popcount, block
+/// counts) while its f32 source still ranges over NaN/Inf/denormals.
 fn build_message(sel: u64, a: u64, b: u64, bits: &[u32], cov: &[u32]) -> Message {
-    match sel % 10 {
+    let codec = fuzz_codec(b);
+    match sel % 8 {
         0 => Message::Join { client_id: a, protocol: b as u32 },
-        1 => Message::Welcome {
-            param_len: a,
-            compression: match b % 4 {
-                0 => Compression::None,
-                _ => fuzz_codec(b),
-            },
-            blob: format!("cfg-{b:016x}"),
+        1 => Message::Welcome { param_len: a, compression: codec, blob: format!("cfg-{b:016x}") },
+        2 => Message::RoundStart {
+            round: a,
+            participate: b.is_multiple_of(2),
+            global: compress_vec(codec, &f32s(bits)),
         },
-        2 => Message::RoundStart { round: a, participate: b.is_multiple_of(2), global: f32s(bits) },
         3 => Message::Upload {
             round: a,
-            update: ModelUpdate {
+            update: CompressedUpdate {
                 client_id: (a % 1000) as usize,
-                params: f32s(bits),
                 num_samples: (b % 10_000) as usize + 1,
-                decoder: b
-                    .is_multiple_of(3)
-                    .then(|| cov.iter().map(|&x| f32::from_bits(x.rotate_left(7))).collect()),
+                params: compress_vec(codec, &f32s(bits)),
+                decoder: b.is_multiple_of(3).then(|| {
+                    let data: Vec<f32> =
+                        cov.iter().map(|&x| f32::from_bits(x.rotate_left(7))).collect();
+                    compress_vec(codec.decoder_codec(), &data)
+                }),
                 class_coverage: b.is_multiple_of(5).then(|| cov.to_vec()),
             },
         },
         4 => Message::Decline { round: a },
         5 => Message::Heartbeat { client_id: a },
         6 => Message::Leave { client_id: a },
-        7 => Message::Shutdown,
-        8 => {
-            let codec = fuzz_codec(b);
-            Message::UploadCompressed {
-                round: a,
-                update: CompressedUpdate {
-                    client_id: (a % 1000) as usize,
-                    num_samples: (b % 10_000) as usize + 1,
-                    params: compress_vec(codec, &f32s(bits)),
-                    decoder: b.is_multiple_of(3).then(|| {
-                        let data: Vec<f32> =
-                            cov.iter().map(|&x| f32::from_bits(x.rotate_left(7))).collect();
-                        compress_vec(codec.decoder_codec(), &data)
-                    }),
-                    class_coverage: b.is_multiple_of(5).then(|| cov.to_vec()),
-                },
-            }
-        }
-        _ => Message::RoundStartCompressed {
-            round: a,
-            participate: b.is_multiple_of(2),
-            blob: compress_vec(fuzz_codec(b), &f32s(bits)),
-        },
+        _ => Message::Shutdown,
     }
 }
 
@@ -100,7 +79,7 @@ proptest! {
     /// NaNs included.
     #[test]
     fn encode_decode_round_trips_bitwise(
-        sel in 0u64..10,
+        sel in 0u64..8,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         bits in collection::vec(0u32..u32::MAX, 0..64),
@@ -122,7 +101,7 @@ proptest! {
     /// as `Truncated`, never a panic, never a bogus success.
     #[test]
     fn truncated_prefixes_never_decode(
-        sel in 0u64..10,
+        sel in 0u64..8,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         bits in collection::vec(0u32..u32::MAX, 0..64),
@@ -145,7 +124,7 @@ proptest! {
     /// but it must stay total and in-bounds.)
     #[test]
     fn mutated_frames_never_panic(
-        sel in 0u64..10,
+        sel in 0u64..8,
         a in 0u64..u64::MAX,
         bits in collection::vec(0u32..u32::MAX, 0..48),
         pos_seed in 0u64..u64::MAX,
