@@ -210,11 +210,6 @@ impl LocalTransport {
         self.compression = compression;
         self
     }
-
-    /// The active wire-compression mode.
-    pub fn compression(&self) -> Compression {
-        self.compression
-    }
 }
 
 impl Transport for LocalTransport {
@@ -350,7 +345,7 @@ mod tests {
             [Compression::Bf16, Compression::Int8 { block: 64 }, Compression::TopK { frac: 0.25 }]
         {
             let mut t = LocalTransport::honest(toy_clients(3)).with_compression(mode);
-            assert_eq!(t.compression(), mode);
+            assert_eq!(t.compression, mode);
             let exchange = t.exchange_round(&offer);
             let ids: Vec<usize> = exchange.updates.iter().map(|u| u.client_id).collect();
             assert_eq!(ids, sampled, "{}: id order", mode.name());
