@@ -161,8 +161,9 @@ pub struct ExperimentConfig {
     pub fedguard_inner: crate::strategy::InnerAggregator,
     /// Coverage-aware synthesis (§VI-B extension).
     pub fedguard_coverage_aware: bool,
-    /// Audit scorer implementation: the batched fast path (default) or the
-    /// sequential per-model oracle — bitwise identical either way.
+    /// Audit models per launch: the batched fast path (default) or one
+    /// model at a time through the same engine — bitwise identical either
+    /// way.
     /// `#[serde(default)]` keeps config blobs from older deployments
     /// parseable.
     #[serde(default)]

@@ -37,21 +37,22 @@ impl InnerAggregator {
     }
 }
 
-/// Which scorer implementation the audit stage (Alg. 1 line 5) runs.
+/// How many models the audit stage (Alg. 1 line 5) puts in one launch.
 ///
-/// Both produce **bitwise identical** scores — the batched path issues, per
-/// model, the same kernel calls as the sequential one and fans the model
-/// axis into disjoint output slabs (`fg_nn::models::BatchedClassifier`);
+/// Both run the one classifier engine and produce **bitwise identical**
+/// scores: a kernel's one-group call is its grouped call's first group, and
+/// groups write disjoint output slabs (`fg_nn::models::BatchedClassifier`);
 /// `tests/schedule_invariance.rs` and `crates/nn/tests/batched_props.rs`
-/// pin the equality. `Sequential` is kept as the oracle the fast path is
-/// cross-checked against.
+/// pin the equality. `Sequential` is the same engine at one model per
+/// launch, not an independent oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AuditMode {
     /// One grouped kernel launch per layer across all audited models,
     /// every model reading the same validation batch — the fast path.
     #[default]
     Batched,
-    /// Per-model `Classifier::from_params` + `evaluate` — the oracle.
+    /// Per-model `Classifier::from_params` + `evaluate`: one model per
+    /// launch.
     Sequential,
 }
 
@@ -198,7 +199,7 @@ impl AggregationStrategy for FedGuardStrategy {
         // batched scorer (default) drives one grouped kernel launch per
         // layer across all models, each reading the same validation batch;
         // the sequential path reconstructs and scores one model at a time
-        // and is kept as the bitwise oracle.
+        // through the same engine, to the same bits.
         let stage = timed_span("round.audit");
         let eval_batch = self.config.eval_batch;
         let classifier = self.config.classifier;

@@ -23,10 +23,6 @@ impl Module for ReLU {
 }
 
 impl Layer for ReLU {
-    fn name(&self) -> &'static str {
-        "relu"
-    }
-
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if train {
             let mask = self.mask.get_or_insert_with(Vec::new);
@@ -69,10 +65,6 @@ impl Module for Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn name(&self) -> &'static str {
-        "sigmoid"
-    }
-
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = input.map(Sigmoid::apply);
         if train {

@@ -1,12 +1,14 @@
 //! # fg-nn
 //!
-//! The neural-network layer library of the FedGuard reproduction: layers with
+//! The neural-network library of the FedGuard reproduction: layers with
 //! explicit forward/backward passes, classification and variational losses,
 //! SGD/Adam optimizers, and the exact models from the paper —
 //!
 //! * the Table II MNIST classifier (two padded 5×5 convolutions with 2×2 max
 //!   pooling, a 512-unit fully connected layer and a 10-way output;
-//!   1,662,752 weight parameters as counted by the paper),
+//!   1,662,752 weight parameters as counted by the paper), stated once as a
+//!   layer list that one engine walks to train a client's model and to score
+//!   the server's cohorts,
 //! * the Table III Conditional Variational AutoEncoder (794-400 encoder with
 //!   twin 20-unit heads, 30-400-794 decoder; 664,834 parameters),
 //! * an MLP classifier and a reduced CVAE used by the CPU-budget presets.
@@ -25,15 +27,12 @@
 //! ```
 
 pub mod activations;
-pub mod conv_layer;
 pub mod layer;
 pub mod linear;
 pub mod loss;
 pub mod models;
 pub mod optim;
 pub mod params;
-pub mod pool_layer;
-pub mod sequential;
 
 pub use layer::{Layer, Module, Parameter};
 
@@ -44,4 +43,3 @@ pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 pub use optim::{Adam, Optimizer, Sgd};
-pub use sequential::Sequential;

@@ -1,7 +1,7 @@
 //! Fully connected layer.
 
 use crate::layer::{cache_tensor, Layer, Module, Parameter};
-use fg_tensor::kernels::{matmul, matmul_at_acc, matmul_bt_bias};
+use fg_tensor::kernels::{matmul, matmul_at_into, matmul_bt_bias};
 use fg_tensor::rng::SeededRng;
 use fg_tensor::Tensor;
 
@@ -9,8 +9,6 @@ use fg_tensor::Tensor;
 pub struct Linear {
     pub weight: Parameter,
     pub bias: Parameter,
-    in_features: usize,
-    out_features: usize,
     cached_input: Option<Tensor>,
 }
 
@@ -20,21 +18,7 @@ impl Linear {
         let weight = Tensor::kaiming_uniform(&[out_features, in_features], in_features, rng);
         let bound = 1.0 / (in_features as f32).sqrt();
         let bias = Tensor::rand_uniform(&[out_features], -bound, bound, rng);
-        Linear {
-            weight: Parameter::new(weight),
-            bias: Parameter::new(bias),
-            in_features,
-            out_features,
-            cached_input: None,
-        }
-    }
-
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    pub fn out_features(&self) -> usize {
-        self.out_features
+        Linear { weight: Parameter::new(weight), bias: Parameter::new(bias), cached_input: None }
     }
 }
 
@@ -51,13 +35,9 @@ impl Module for Linear {
 }
 
 impl Layer for Linear {
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.shape().rank(), 2, "Linear expects (batch, features)");
-        assert_eq!(input.dim(1), self.in_features, "Linear: feature dim mismatch");
+        assert_eq!(input.dim(1), self.weight.value.dim(1), "Linear: feature dim mismatch");
         // Bias is folded into the GEMM epilogue; no separate bias pass.
         let out = matmul_bt_bias(input, &self.weight.value, &self.bias.value);
         if train {
@@ -74,14 +54,22 @@ impl Layer for Linear {
 
     fn backward_params(&mut self, grad_output: &Tensor) {
         let input = self.cached_input.as_ref().expect("Linear::backward before forward");
-        // dW += gᵀ · x   (out, in), accumulated straight into the gradient
-        // tensor; db += column sums of g.
-        matmul_at_acc(grad_output, input, &mut self.weight.grad);
-        let db = self.bias.grad.data_mut();
-        for r in 0..grad_output.dim(0) {
-            for (d, &g) in db.iter_mut().zip(grad_output.row(r)) {
-                *d += g;
-            }
+        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        accumulate_param_grads(input.data(), grad_output.data(), dw, db);
+    }
+}
+
+/// The parameter half of a linear backward, for a `(batch, in)` input `x`
+/// and its `(batch, out)` upstream gradient `g`: `dW += gᵀ · x` `(out, in)`
+/// accumulated straight into the gradient, and `db +=` the column sums of
+/// `g`, row by row. Every linear layer of the crate, the classifier's
+/// included, backpropagates its parameters through this one function.
+pub(crate) fn accumulate_param_grads(x: &[f32], g: &[f32], dw: &mut [f32], db: &mut [f32]) {
+    let (outputs, inputs) = (db.len(), dw.len() / db.len());
+    matmul_at_into(outputs, inputs, g.len() / outputs, g, x, dw);
+    for row in g.chunks_exact(outputs) {
+        for (d, &v) in db.iter_mut().zip(row) {
+            *d += v;
         }
     }
 }

@@ -71,11 +71,6 @@ impl CvaeSpec {
         (self.dec_in() * self.hidden + self.hidden)
             + (self.hidden * self.dec_out() + self.dec_out())
     }
-
-    /// Scalar parameter count of the encoder.
-    pub fn encoder_params(&self) -> usize {
-        (self.enc_in() * self.hidden + self.hidden) + 2 * (self.hidden * self.latent + self.latent)
-    }
 }
 
 /// The detachable decoder `D_θ` — the object FedGuard clients ship to the
@@ -254,18 +249,6 @@ impl Cvae {
         optim.step(self);
         recon_loss + kl_loss
     }
-
-    /// Evaluate the ELBO loss on a batch without updating parameters (uses
-    /// the posterior mean, no sampling noise).
-    pub fn eval_loss(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let y = one_hot(labels, self.spec.n_classes);
-        let xy = x.concat_cols(&y);
-        let (mu, logvar) = self.encode(x, labels, false);
-        let logits = self.decoder.logits(&mu, &y, false);
-        let (recon, _) = loss::bce_with_logits(&logits, &xy);
-        let (kl, _, _) = loss::kl_gaussian(&mu, &logvar);
-        recon + kl
-    }
 }
 
 impl Module for Cvae {
@@ -289,6 +272,28 @@ mod tests {
     use super::*;
     use crate::bits;
     use crate::optim::Adam;
+
+    impl CvaeSpec {
+        /// Scalar parameter count of the encoder.
+        fn encoder_params(&self) -> usize {
+            (self.enc_in() * self.hidden + self.hidden)
+                + 2 * (self.hidden * self.latent + self.latent)
+        }
+    }
+
+    impl Cvae {
+        /// The ELBO loss on a batch without updating parameters (uses the
+        /// posterior mean, no sampling noise).
+        fn eval_loss(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
+            let y = one_hot(labels, self.spec.n_classes);
+            let xy = x.concat_cols(&y);
+            let (mu, logvar) = self.encode(x, labels, false);
+            let logits = self.decoder.logits(&mu, &y, false);
+            let (recon, _) = loss::bce_with_logits(&logits, &xy);
+            let (kl, _, _) = loss::kl_gaussian(&mu, &logvar);
+            recon + kl
+        }
+    }
 
     #[test]
     fn table_iii_parameter_counts() {

@@ -3,11 +3,12 @@
 //! * [`Classifier`] — the federated MNIST classifier `f_ψ`. The
 //!   [`ClassifierSpec::TableIICnn`] variant is the paper's exact Table II
 //!   architecture; [`ClassifierSpec::Mlp`] is the reduced architecture the
-//!   CPU-budget presets use.
+//!   CPU-budget presets use. It trains and scores through the engine in
+//!   `batched`, with itself as the only group.
 //! * [`BatchedClassifier`] — `m` borrowed parameter sets of one
-//!   architecture scored together through grouped per-layer kernel
-//!   launches, bitwise equal to `m` sequential [`Classifier::evaluate`]
-//!   calls (the server-side audit fast path).
+//!   architecture scored together through that engine's grouped per-layer
+//!   kernel launches, bitwise equal to `m` one-model
+//!   [`Classifier::evaluate`] calls (the server's audit and evaluation).
 //! * [`Cvae`] / [`CvaeDecoder`] — the Conditional Variational AutoEncoder of
 //!   Table III and the detachable decoder `D_θ` that FedGuard clients ship
 //!   to the server.

@@ -15,21 +15,20 @@ pub trait Optimizer {
     fn step(&mut self, module: &mut dyn Module);
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Stochastic gradient descent with optional momentum.
 pub struct Sgd {
     pub lr: f32,
     pub momentum: f32,
-    pub weight_decay: f32,
     velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
     pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
     }
 
     pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum, velocity: Vec::new() }
     }
 }
 
@@ -38,7 +37,6 @@ impl Optimizer for Sgd {
         let mut idx = 0usize;
         let lr = self.lr;
         let momentum = self.momentum;
-        let wd = self.weight_decay;
         let velocity = &mut self.velocity;
         module.visit_params_mut(&mut |p| {
             if velocity.len() <= idx {
@@ -50,13 +48,12 @@ impl Optimizer for Sgd {
             let grad = p.grad.data();
             if momentum > 0.0 {
                 for ((w, &g), vel) in value.iter_mut().zip(grad).zip(v.iter_mut()) {
-                    let g = g + wd * *w;
                     *vel = momentum * *vel + g;
                     *w -= lr * *vel;
                 }
             } else {
                 for (w, &g) in value.iter_mut().zip(grad) {
-                    *w -= lr * (g + wd * *w);
+                    *w -= lr * g;
                 }
             }
             idx += 1;
@@ -119,14 +116,13 @@ mod tests {
     use crate::layer::Layer;
     use crate::linear::Linear;
     use crate::loss::softmax_cross_entropy;
-    use crate::sequential::Sequential;
     use fg_tensor::rng::SeededRng;
     use fg_tensor::Tensor;
 
     fn train_toy(optim: &mut dyn Optimizer, steps: usize) -> f32 {
         // Learn to classify two well-separated gaussian blobs.
         let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new().push(Linear::new(2, 2, &mut rng));
+        let mut net = Linear::new(2, 2, &mut rng);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..40 {
@@ -170,7 +166,7 @@ mod tests {
     #[test]
     fn sgd_step_moves_against_gradient() {
         let mut rng = SeededRng::new(1);
-        let mut net = Sequential::new().push(Linear::new(1, 1, &mut rng));
+        let mut net = Linear::new(1, 1, &mut rng);
         let before: Vec<f32> = {
             let mut v = Vec::new();
             net.visit_params(&mut |p| v.extend_from_slice(p.value.data()));

@@ -43,19 +43,17 @@ pub fn wire_bytes(num_params: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::linear::Linear;
-    use crate::sequential::Sequential;
+    use crate::models::{Classifier, ClassifierSpec};
     use fg_tensor::rng::SeededRng;
 
     #[test]
     fn flatten_load_round_trip() {
-        let mut rng = SeededRng::new(0);
-        let net =
-            Sequential::new().push(Linear::new(3, 4, &mut rng)).push(Linear::new(4, 2, &mut rng));
+        let spec = ClassifierSpec::Mlp { hidden: 4 };
+        let net = Classifier::new(&spec, &mut SeededRng::new(0));
         let flat = flatten(&net);
         assert_eq!(flat.len(), net.num_params());
 
-        let mut net2 =
-            Sequential::new().push(Linear::new(3, 4, &mut rng)).push(Linear::new(4, 2, &mut rng));
+        let mut net2 = Classifier::new(&spec, &mut SeededRng::new(1));
         load(&mut net2, &flat);
         assert_eq!(flatten(&net2), flat);
     }
@@ -64,7 +62,7 @@ mod tests {
     #[should_panic]
     fn load_rejects_wrong_length() {
         let mut rng = SeededRng::new(1);
-        let mut net = Sequential::new().push(Linear::new(2, 2, &mut rng));
+        let mut net = Linear::new(2, 2, &mut rng);
         load(&mut net, &[0.0; 3]);
     }
 

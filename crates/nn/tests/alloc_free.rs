@@ -1,13 +1,15 @@
-//! Steady-state allocation-freedom of the conv/linear hot paths and of a
-//! whole CVAE train step.
+//! Steady-state allocation-freedom of the classifier's train step, of a
+//! whole CVAE train step and of the warm scoring paths.
 //!
 //! The blocked GEMM and the implicit-GEMM convolution draw all scratch —
 //! packed panels and filter banks, padded image copies, column gradients —
-//! from the thread-local [`fg_tensor::workspace`] pool, and the layers
-//! recycle their cached-input tensors via `cache_tensor`. After one warm-up iteration populates the
-//! pool, further train iterations on the same shapes must never touch the
-//! allocator for scratch: the instrumented [`workspace::alloc_events`]
-//! counter has to stay flat.
+//! from the thread-local [`fg_tensor::workspace`] pool, and so do the
+//! classifier engine's activation slabs, the ones its training forward
+//! keeps for the backward walk included; the CVAE's layers recycle their
+//! cached-input tensors via `cache_tensor`. After one warm-up iteration
+//! populates the pool, further train iterations on the same shapes must
+//! never touch the allocator for scratch: the instrumented
+//! [`workspace::alloc_events`] counter has to stay flat.
 //!
 //! (Output tensors returned to the caller are per-call allocations by API
 //! design and are not counted; the contract covers workspace scratch.)
@@ -16,9 +18,8 @@
 //! `with_threads(1)` keeps every workspace request of a measured region on
 //! that thread, so sibling tests cannot move the reading.
 
-use fg_nn::conv_layer::Conv2d;
-use fg_nn::linear::Linear;
-use fg_nn::{Layer, Module};
+use fg_nn::models::{Classifier, ClassifierSpec};
+use fg_nn::Sgd;
 use fg_tensor::rng::SeededRng;
 use fg_tensor::workspace;
 use fg_tensor::Tensor;
@@ -31,18 +32,15 @@ fn alloc_delta(f: impl FnOnce()) -> u64 {
     workspace::alloc_events() - before
 }
 
-/// One full train step through a conv → linear stack: forward with caching,
-/// loss-less synthetic gradient, backward with gradient accumulation.
-fn train_step(conv: &mut Conv2d, fc: &mut Linear, x: &Tensor, batch: usize) {
-    conv.zero_grad();
-    fc.zero_grad();
-    let y = conv.forward(x, true);
-    let flat = y.clone().reshape(&[batch, fc.in_features()]);
-    let logits = fc.forward(&flat, true);
-    let d_logits = Tensor::ones(logits.dims());
-    let d_flat = fc.backward(&d_logits);
-    let d_y = d_flat.clone().reshape(y.dims());
-    conv.backward(&d_y);
+/// A Table II classifier and the clients' optimizer: every conv, pool, ReLU
+/// and linear layer of the engine, forward and backward, in one step.
+fn table_ii(rng: &mut SeededRng) -> (Classifier, Sgd) {
+    (Classifier::new(&ClassifierSpec::TableIICnn, rng), Sgd::with_momentum(0.05, 0.9))
+}
+
+/// `n` seeded images with labels.
+fn images(n: usize, rng: &mut SeededRng) -> (Tensor, Vec<usize>) {
+    (Tensor::rand_uniform(&[n, 784], 0.0, 1.0, rng), (0..n).map(|i| i % 10).collect())
 }
 
 #[test]
@@ -51,25 +49,48 @@ fn conv_and_linear_hot_paths_are_allocation_free_after_warmup() {
     // multi-thread runs are covered by the schedule-invariance suite.
     with_threads(1, || {
         let mut rng = SeededRng::new(99);
-        let batch = 4;
-        let mut conv = Conv2d::new(1, 8, 3, 1, &mut rng);
-        let mut fc = Linear::new(8 * 12 * 12, 10, &mut rng);
-        let x = Tensor::randn(&[batch, 1, 12, 12], &mut rng);
+        let (mut clf, mut sgd) = table_ii(&mut rng);
+        let (x, y) = images(4, &mut rng);
 
-        // Warm-up: populates the workspace pool and the layer input caches.
+        // Warm-up: populates the workspace pool.
         for _ in 0..2 {
-            train_step(&mut conv, &mut fc, &x, batch);
+            clf.train_batch(&x, &y, &mut sgd);
         }
 
         let delta = alloc_delta(|| {
             for _ in 0..8 {
-                train_step(&mut conv, &mut fc, &x, batch);
+                clf.train_batch(&x, &y, &mut sgd);
             }
         });
         assert_eq!(
             delta, 0,
             "steady-state conv/linear train steps must perform zero workspace allocations"
         );
+    });
+}
+
+#[test]
+fn an_mlp_train_step_is_allocation_free_after_warmup() {
+    with_threads(1, || {
+        // The presets' MLP on full batches of 32 and a ragged tail of 6.
+        let mut rng = SeededRng::new(98);
+        let mut clf = Classifier::new(&ClassifierSpec::Mlp { hidden: 64 }, &mut rng);
+        let mut sgd = Sgd::with_momentum(0.1, 0.9);
+        let batches = [images(32, &mut rng), images(6, &mut rng)];
+        let mut epoch = || {
+            for (x, y) in &batches {
+                clf.train_batch(x, y, &mut sgd);
+            }
+        };
+        for _ in 0..2 {
+            epoch();
+        }
+        let delta = alloc_delta(|| {
+            for _ in 0..4 {
+                epoch();
+            }
+        });
+        assert_eq!(delta, 0, "warm MLP train steps must perform zero workspace allocations");
     });
 }
 
@@ -126,7 +147,7 @@ fn warm_scoring_paths_are_allocation_free() {
         let x = Tensor::randn(&[20, 784], &mut rng);
         let y: Vec<usize> = (0..20).map(|i| i % 10).collect();
 
-        // Warm-up: populate the workspace pool and the eval staging buffer.
+        // Warm-up: populate the workspace pool.
         let mut seq = Classifier::from_params(&spec, views[0]);
         let batched = BatchedClassifier::new(&spec, &views);
         for _ in 0..2 {
@@ -165,27 +186,28 @@ fn warm_scoring_paths_are_allocation_free() {
 fn shape_change_repopulates_then_settles() {
     with_threads(1, || {
         let mut rng = SeededRng::new(100);
-        let mut conv = Conv2d::new(1, 4, 3, 1, &mut rng);
-        let mut fc = Linear::new(4 * 10 * 10, 5, &mut rng);
+        let (mut clf, mut sgd) = table_ii(&mut rng);
+        let small = images(2, &mut rng);
+        let big = images(6, &mut rng);
+        let mut step = |(x, y): &(Tensor, Vec<usize>)| {
+            clf.train_batch(x, y, &mut sgd);
+        };
 
-        let small = Tensor::randn(&[2, 1, 10, 10], &mut rng);
-        let big = Tensor::randn(&[6, 1, 10, 10], &mut rng);
-
-        train_step(&mut conv, &mut fc, &small, 2);
+        step(&small);
         // A bigger batch may grow buffers once, and the first alternating
         // cycles may still shuffle the pool population...
-        train_step(&mut conv, &mut fc, &big, 6);
+        step(&big);
         for _ in 0..2 {
-            train_step(&mut conv, &mut fc, &big, 6);
-            train_step(&mut conv, &mut fc, &small, 2);
+            step(&big);
+            step(&small);
         }
         // ...but after that, alternating between already-seen shapes stays
         // allocation-free: the pool holds the larger buffers and best-fit
         // serves the smaller shape from them or from its own entries.
         let delta = alloc_delta(|| {
             for _ in 0..4 {
-                train_step(&mut conv, &mut fc, &big, 6);
-                train_step(&mut conv, &mut fc, &small, 2);
+                step(&big);
+                step(&small);
             }
         });
         assert_eq!(delta, 0, "re-seen shapes must hit the pool");

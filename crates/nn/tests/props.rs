@@ -4,10 +4,9 @@ use fg_nn::activations::{ReLU, Sigmoid};
 use fg_nn::layer::{Layer, Module};
 use fg_nn::linear::Linear;
 use fg_nn::loss;
-use fg_nn::models::one_hot;
+use fg_nn::models::{one_hot, Cvae, CvaeSpec};
 use fg_nn::optim::{Optimizer, Sgd};
 use fg_nn::params;
-use fg_nn::sequential::Sequential;
 use fg_tensor::rng::SeededRng;
 use fg_tensor::Tensor;
 use proptest::prelude::*;
@@ -22,17 +21,12 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let mut rng = SeededRng::new(seed);
-        let net = Sequential::new()
-            .push(Linear::new(5, h1, &mut rng))
-            .push(ReLU::new())
-            .push(Linear::new(h1, h2, &mut rng));
+        let spec = CvaeSpec::reduced(h1, h2);
+        let net = Cvae::new(&spec, &mut rng);
         let flat = params::flatten(&net);
         prop_assert_eq!(flat.len(), net.num_params());
 
-        let mut net2 = Sequential::new()
-            .push(Linear::new(5, h1, &mut rng))
-            .push(ReLU::new())
-            .push(Linear::new(h1, h2, &mut rng));
+        let mut net2 = Cvae::new(&spec, &mut rng);
         params::load(&mut net2, &flat);
         prop_assert_eq!(params::flatten(&net2), flat);
     }
@@ -116,7 +110,7 @@ proptest! {
     #[test]
     fn zero_lr_sgd_is_a_noop(seed in 0u64..1000) {
         let mut rng = SeededRng::new(seed);
-        let mut net = Sequential::new().push(Linear::new(3, 3, &mut rng));
+        let mut net = Linear::new(3, 3, &mut rng);
         let before = params::flatten(&net);
         net.visit_params_mut(&mut |p| p.grad.fill(1.0));
         Sgd::new(0.0).step(&mut net);

@@ -167,7 +167,7 @@ fn padded_len(h: usize, w: usize, spec: &Conv2dSpec) -> usize {
 /// a sequential GEMM each — so one group is as parallel as eight and every
 /// bit is the same at any thread count.
 #[allow(clippy::too_many_arguments)]
-fn forward_body(
+pub fn conv2d_forward_into(
     input: GroupedA<'_>,
     b: usize,
     h: usize,
@@ -234,7 +234,7 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
     let (oh, ow) = spec.out_size(h, w);
     let mut out = vec![0.0f32; b * spec.out_ch * oh * ow];
     let x = GroupedA::PerGroup(input.data());
-    forward_body(x, b, h, w, spec, &[weight.data()], &[bias.data()], &mut out);
+    conv2d_forward_into(x, b, h, w, spec, &[weight.data()], &[bias.data()], &mut out);
     Tensor::from_vec(out, &[b, spec.out_ch, oh, ow])
 }
 
@@ -254,7 +254,7 @@ pub fn conv2d_forward_shared(
     biases: &[&[f32]],
     out: &mut [f32],
 ) {
-    forward_body(GroupedA::Shared(input), b, h, w, spec, weights, biases, out);
+    conv2d_forward_into(GroupedA::Shared(input), b, h, w, spec, weights, biases, out);
 }
 
 /// Grouped forward convolution over *per-group* activations: group `g`
@@ -272,7 +272,7 @@ pub fn conv2d_forward_grouped(
     biases: &[&[f32]],
     out: &mut [f32],
 ) {
-    forward_body(GroupedA::PerGroup(input), b, h, w, spec, weights, biases, out);
+    conv2d_forward_into(GroupedA::PerGroup(input), b, h, w, spec, weights, biases, out);
 }
 
 /// Gradients produced by [`conv2d_backward`].
@@ -300,16 +300,7 @@ pub fn conv2d_backward(
 
 /// Backward convolution with in-place gradient accumulation: adds the batch
 /// weight/bias gradients into `d_weight`/`d_bias` (the layer's `Parameter`
-/// grads) and returns the input gradient — the training hot path.
-///
-/// Every image gets one task: the input gradient is written directly into
-/// that image's disjoint slice, while the weight/bias gradients accumulate
-/// through the shim's fixed fold/reduce tree over batch indices — combine
-/// order depends only on the batch size, never the thread count, so the
-/// result is bit-identical at any `FG_THREADS`. All scratch (the packed
-/// filter bank, each image's padded copy and column gradient, and the fold
-/// accumulators) comes from the thread-local workspace pool, so steady-state
-/// calls allocate nothing beyond the returned tensor.
+/// grads) and returns the input gradient. A call of [`conv2d_backward_into`].
 pub fn conv2d_backward_acc(
     input: &Tensor,
     weight: &Tensor,
@@ -318,63 +309,73 @@ pub fn conv2d_backward_acc(
     d_weight: &mut Tensor,
     d_bias: &mut Tensor,
 ) -> Tensor {
+    let &[b, c, h, w] = input.dims() else { panic!("conv2d input must be (B,C,H,W)") };
+    assert_eq!(c, spec.in_ch, "conv2d backward: channel mismatch");
     assert_eq!(weight.dims(), &[spec.out_ch, spec.patch_len()], "conv2d backward: filter bank");
+    let (oh, ow) = spec.out_size(h, w);
+    assert_eq!(d_out.dims(), &[b, spec.out_ch, oh, ow]);
+    assert_eq!(d_weight.dims(), &[spec.out_ch, spec.patch_len()], "conv2d backward: d_weight");
     let mut d_input = vec![0.0f32; input.numel()];
-    backward_acc(input, Some((weight.data(), &mut d_input)), d_out, spec, d_weight, d_bias);
+    let input_grad = Some((weight.data(), &mut d_input[..]));
+    let (dw, db) = (d_weight.data_mut(), d_bias.data_mut());
+    conv2d_backward_into(input.data(), b, h, w, spec, d_out.data(), input_grad, dw, db);
     Tensor::from_vec(d_input, input.dims())
 }
 
-/// [`conv2d_backward_acc`] without the input gradient, for a first layer
-/// whose input gradient nobody reads: the same per-image weight/bias
-/// gradients through the same fold/reduce tree (its shape depends on the
-/// batch size only), so `d_weight`/`d_bias` receive the same bits, and the
-/// `dcols` GEMM and its `col2im` scatter are skipped.
-pub fn conv2d_backward_params_acc(
-    input: &Tensor,
-    d_out: &Tensor,
+/// The one backward-convolution body: `b` images `(in_ch, h, w)` in `input`
+/// and their upstream gradient `d_out` `(b, out_ch, oh, ow)`. Adds the batch
+/// weight/bias gradients into `d_weight` `(out_ch, patch_len)` and `d_bias`
+/// `(out_ch)`; when `input_grad` carries the filter bank and a zeroed
+/// `(b, in_ch, h, w)` buffer, writes the input gradient there too. A first
+/// layer, whose input gradient nobody reads, passes `None` and skips the
+/// `dcols` GEMM and its `col2im` scatter; its `d_weight`/`d_bias` get the
+/// same bits, because both producers fold through the same tree.
+///
+/// Every image gets one task: the input gradient is written directly into
+/// that image's disjoint slice, while the weight/bias gradients accumulate
+/// through the shim's fixed fold/reduce tree over batch indices — combine
+/// order depends only on the batch size, never the thread count, so the
+/// result is bit-identical at any `FG_THREADS`. All scratch (the packed
+/// filter bank, each image's padded copy and column gradient, and the fold
+/// accumulators) comes from the thread-local workspace pool, so steady-state
+/// calls allocate nothing.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_into(
+    input: &[f32],
+    b: usize,
+    h: usize,
+    w: usize,
     spec: &Conv2dSpec,
-    d_weight: &mut Tensor,
-    d_bias: &mut Tensor,
-) {
-    backward_acc(input, None, d_out, spec, d_weight, d_bias);
-}
-
-/// The shared body of the two backward entry points; `input_grad` carries
-/// the filter bank's data and the zeroed `(b, c, h, w)` buffer when the
-/// input gradient is wanted.
-fn backward_acc(
-    input: &Tensor,
+    d_out: &[f32],
     input_grad: Option<(&[f32], &mut [f32])>,
-    d_out: &Tensor,
-    spec: &Conv2dSpec,
-    d_weight: &mut Tensor,
-    d_bias: &mut Tensor,
+    d_weight: &mut [f32],
+    d_bias: &mut [f32],
 ) {
     CONV_BWD_CALLS.incr();
     let _span = fg_obs::span::span("tensor.conv2d.backward");
-    let &[b, c, h, w] = input.dims() else { panic!("conv2d input must be (B,C,H,W)") };
-    assert_eq!(c, spec.in_ch, "conv2d backward: channel mismatch");
     let (oh, ow) = spec.out_size(h, w);
     let out_plane = oh * ow;
-    let img_len = c * h * w;
+    let img_len = spec.in_ch * h * w;
     let patch = spec.patch_len();
     let out_ch = spec.out_ch;
-    assert_eq!(d_out.dims(), &[b, out_ch, oh, ow]);
-    assert_eq!(d_weight.dims(), &[out_ch, patch], "conv2d_backward_acc: d_weight shape");
-    assert_eq!(d_bias.dims(), &[out_ch], "conv2d_backward_acc: d_bias shape");
-
-    let in_data = input.data();
-    let dout_data = d_out.data();
+    assert_eq!(input.len(), b * img_len, "conv2d backward: input");
+    assert_eq!(d_out.len(), b * out_ch * out_plane, "conv2d backward: d_out");
+    assert_eq!(d_weight.len(), out_ch * patch, "conv2d backward: d_weight");
+    assert_eq!(d_bias.len(), out_ch, "conv2d backward: d_bias");
+    if let Some((bank, d_input)) = &input_grad {
+        assert_eq!(bank.len(), out_ch * patch, "conv2d backward: filter bank");
+        assert_eq!(d_input.len(), b * img_len, "conv2d backward: d_input");
+    }
 
     // One image's contribution: `dw`/`db` gain its weight/bias gradients and,
     // given the packed filter bank, `dimg` (pre-zeroed) receives its input
     // gradient. The image's `d_out` block is read in place as `A` both ways.
     type Acc = (workspace::Scratch, workspace::Scratch);
     let per_image = |(mut dw, mut db): Acc, bi: usize, dimg: Option<(&[f32], &mut [f32])>| -> Acc {
-        let image = &in_data[bi * img_len..][..img_len];
+        let image = &input[bi * img_len..][..img_len];
         let mut padded = workspace::take_uninit(padded_len(h, w, spec));
         let patches = pad_image(image, h, w, spec, Orient::PosTap, &mut padded);
-        let g = &dout_data[bi * out_ch * out_plane..][..out_ch * out_plane];
+        let g = &d_out[bi * out_ch * out_plane..][..out_ch * out_plane];
 
         // dW += d_out(out_ch × out_plane) · cols(out_plane × patch).
         kernels::gemm(
@@ -441,10 +442,10 @@ fn backward_acc(
             .reduce(fresh, merge),
     };
 
-    for (d, &v) in d_weight.data_mut().iter_mut().zip(dw.iter()) {
+    for (d, &v) in d_weight.iter_mut().zip(dw.iter()) {
         *d += v;
     }
-    for (d, &v) in d_bias.data_mut().iter_mut().zip(db.iter()) {
+    for (d, &v) in d_bias.iter_mut().zip(db.iter()) {
         *d += v;
     }
 }
@@ -748,6 +749,27 @@ mod tests {
                 .collect();
             assert_bits(grads.d_bias.data(), &d_bias, &format!("{spec:?} d_bias"));
         }
+    }
+
+    #[test]
+    fn params_only_backward_accumulates_the_same_gradient_bits() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeededRng::new(2);
+        let spec = Conv2dSpec { in_ch: 2, out_ch: 4, kh: 3, kw: 3, pad: 1 };
+        let w = Tensor::kaiming_uniform(&[4, spec.patch_len()], spec.patch_len(), &mut rng);
+        // Batch 5 splits the fold/reduce tree unevenly.
+        let x = Tensor::randn(&[5, 2, 8, 8], &mut rng);
+        let g = Tensor::randn(&[5, 4, 8, 8], &mut rng);
+        let (mut full_w, mut full_b) = (Tensor::zeros(&[4, spec.patch_len()]), Tensor::zeros(&[4]));
+        let (mut lean_w, mut lean_b) = (full_w.clone(), full_b.clone());
+        // Twice, so the second pass accumulates onto a non-zero gradient.
+        for _ in 0..2 {
+            conv2d_backward_acc(&x, &w, &g, &spec, &mut full_w, &mut full_b);
+            let (dw, db) = (lean_w.data_mut(), lean_b.data_mut());
+            conv2d_backward_into(x.data(), 5, 8, 8, &spec, g.data(), None, dw, db);
+        }
+        assert_eq!(bits(&lean_w), bits(&full_w));
+        assert_eq!(bits(&lean_b), bits(&full_b));
     }
 
     #[test]

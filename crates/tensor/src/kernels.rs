@@ -738,7 +738,7 @@ fn worth_forking(m: usize, n: usize, k: usize) -> bool {
     m.saturating_mul(n).saturating_mul(k) >= PAR_THRESHOLD_MACS
 }
 
-/// `C = A · B` for row-major matrices.
+/// `C = A · B` for row-major matrices. A call of [`matmul_into`].
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape().rank(), 2, "matmul: A must be rank-2");
     assert_eq!(b.shape().rank(), 2, "matmul: B must be rank-2");
@@ -747,16 +747,26 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul: inner dims mismatch ({k} vs {k2})");
 
     let mut out = vec![0.0f32; m * n];
+    matmul_into(m, n, k, a.data(), b.data(), &mut out);
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// `out += A · B` for a row-major `m×k` `A`, `k×n` `B` and `m×n` `out` —
+/// the one body of [`matmul`], and the input gradient `dX = dY · W` of a
+/// linear layer.
+pub fn matmul_into(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul: A size");
+    assert_eq!(b.len(), k * n, "matmul: B size");
+    assert_eq!(out.len(), m * n, "matmul: output size");
     gemm(
         worth_forking(m, n, k),
         m,
         n,
         k,
-        MatRef { data: a.data(), rs: k, cs: 1 },
-        MatRef { data: b.data(), rs: n, cs: 1 },
-        &mut out,
+        MatRef { data: a, rs: k, cs: 1 },
+        MatRef { data: b, rs: n, cs: 1 },
+        out,
     );
-    Tensor::from_vec(out, &[m, n])
 }
 
 /// `C = A · Bᵀ` where `A` is (M,K) and `B` is (N,K).
@@ -877,7 +887,8 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// `out += Aᵀ · B` accumulated in place — the weight-gradient hot path
-/// (`dW += Xᵀ · dY`) without a temporary gradient tensor.
+/// (`dW += Xᵀ · dY`) without a temporary gradient tensor. A call of
+/// [`matmul_at_into`].
 pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     assert_eq!(a.shape().rank(), 2, "matmul_at: A must be rank-2");
     assert_eq!(b.shape().rank(), 2, "matmul_at: B must be rank-2");
@@ -885,15 +896,23 @@ pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (k2, n) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul_at: outer dims mismatch ({k} vs {k2})");
     assert_eq!(out.dims(), &[m, n], "matmul_at_acc: output shape mismatch");
+    matmul_at_into(m, n, k, a.data(), b.data(), out.data_mut());
+}
 
+/// `out += Aᵀ · B` for a row-major `k×m` `A`, `k×n` `B` and `m×n` `out` —
+/// the one body of [`matmul_at_acc`].
+pub fn matmul_at_into(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), k * m, "matmul_at: A size");
+    assert_eq!(b.len(), k * n, "matmul_at: B size");
+    assert_eq!(out.len(), m * n, "matmul_at: output size");
     gemm(
         worth_forking(m, n, k),
         m,
         n,
         k,
-        MatRef { data: a.data(), rs: 1, cs: m },
-        MatRef { data: b.data(), rs: n, cs: 1 },
-        out.data_mut(),
+        MatRef { data: a, rs: 1, cs: m },
+        MatRef { data: b, rs: n, cs: 1 },
+        out,
     );
 }
 
@@ -999,6 +1018,17 @@ mod tests {
         matmul_at_acc(&a, &b, &mut acc);
         let expect = matmul_at(&a, &b).add(&Tensor::ones(&[3, 5]));
         assert_close(&acc, &expect, 1e-5);
+    }
+
+    #[test]
+    fn matmul_into_accumulates_onto_its_output() {
+        let mut rng = SeededRng::new(11);
+        let a = Tensor::randn(&[7, 9], &mut rng);
+        let b = Tensor::randn(&[9, 4], &mut rng);
+        let mut acc = vec![1.0f32; 7 * 4];
+        matmul_into(7, 4, 9, a.data(), b.data(), &mut acc);
+        let expect = matmul(&a, &b).add(&Tensor::ones(&[7, 4]));
+        assert_close(&Tensor::from_vec(acc, &[7, 4]), &expect, 1e-5);
     }
 
     #[test]
