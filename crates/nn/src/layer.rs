@@ -1,4 +1,4 @@
-//! The layer and module abstractions.
+//! Trainable parameters and the module abstraction over them.
 
 use fg_tensor::Tensor;
 
@@ -49,39 +49,6 @@ pub trait Module {
     /// Zero all gradients.
     fn zero_grad(&mut self) {
         self.visit_params_mut(&mut |p| p.zero_grad());
-    }
-}
-
-/// Refresh a layer's cached forward tensor, reusing the existing buffer when
-/// the shape is unchanged — the steady-state training case — so repeated
-/// forward passes allocate nothing for their caches.
-pub fn cache_tensor(slot: &mut Option<Tensor>, value: &Tensor) {
-    match slot {
-        Some(t) if t.dims() == value.dims() => t.copy_from(value),
-        _ => *slot = Some(value.clone()),
-    }
-}
-
-/// A differentiable computation step with cached state for backprop.
-///
-/// `forward` caches whatever it needs (inputs, masks, argmax indices);
-/// `backward` consumes that cache, accumulates parameter gradients and
-/// returns the gradient with respect to its input. Calling `backward` (or
-/// `backward_params`) without a preceding `forward` panics.
-pub trait Layer: Module {
-    /// Compute the layer output. `train` requests caching for backprop.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
-
-    /// Propagate the upstream gradient, accumulating parameter gradients.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
-
-    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
-    /// the first layer of a model: accumulate the parameter gradients, to the
-    /// same bits, and skip the input-gradient product. Layers where that
-    /// product costs something override this; the default computes and drops
-    /// it.
-    fn backward_params(&mut self, grad_output: &Tensor) {
-        self.backward(grad_output);
     }
 }
 

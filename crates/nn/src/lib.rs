@@ -1,8 +1,9 @@
 //! # fg-nn
 //!
-//! The neural-network library of the FedGuard reproduction: layers with
-//! explicit forward/backward passes, classification and variational losses,
-//! SGD/Adam optimizers, and the exact models from the paper —
+//! The neural-network library of the FedGuard reproduction: stateless
+//! linear layers and ReLU bodies that each model's explicit forward and
+//! backward passes call, classification and variational losses, SGD/Adam
+//! optimizers, and the exact models from the paper —
 //!
 //! * the Table II MNIST classifier (two padded 5×5 convolutions with 2×2 max
 //!   pooling, a 512-unit fully connected layer and a 10-way output;
@@ -34,7 +35,7 @@ pub mod models;
 pub mod optim;
 pub mod params;
 
-pub use layer::{Layer, Module, Parameter};
+pub use layer::{Module, Parameter};
 
 /// The bit patterns of a float slice: what the crate's bit-identity tests
 /// compare, so that NaNs and signed zeros count.

@@ -30,6 +30,7 @@
 //! launches so NaN/Inf payloads never touch shared slabs.
 
 use super::classifier::{ClassifierSpec, LayerSpec};
+use crate::activations;
 use fg_obs::metrics::Counter;
 use fg_obs::span::span;
 use fg_tensor::conv;
@@ -71,15 +72,11 @@ pub(super) struct Tape {
     pub(super) argmax: Vec<Vec<u32>>,
 }
 
-/// Elementwise `max(0.0)` over an activation slab, one task per
+/// [`activations::relu`] over an activation slab, one task per
 /// `block`-scalar chunk.
 fn relu(slab: &mut [f32], block: usize) {
     let _s = span("nn.relu");
-    slab.par_chunks_mut(block).for_each(|chunk| {
-        for v in chunk.iter_mut() {
-            *v = v.max(0.0);
-        }
-    });
+    slab.par_chunks_mut(block).for_each(activations::relu);
 }
 
 /// One mini-batch `xb` of `bsz` samples (`in_len` scalars each) through

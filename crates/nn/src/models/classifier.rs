@@ -1,6 +1,7 @@
 //! The federated MNIST classifier `f_ψ`.
 
 use super::batched::{correct_counts, forward, Bank, Tape};
+use crate::activations::relu_backward;
 use crate::layer::{Module, Parameter};
 use crate::linear::{accumulate_param_grads, Linear};
 use crate::loss;
@@ -158,30 +159,37 @@ fn banks(params: &[Parameter]) -> Vec<Bank<'_>> {
 }
 
 impl Classifier {
-    /// Freshly initialized classifier: each parameterised layer of
-    /// [`ClassifierSpec::layers`], front to back (the order the RNG draws
-    /// follow), initialised as a [`Linear`] from its fan-in to its outputs —
-    /// a convolution's `(out_ch, patch_len)` filter bank included.
-    pub fn new(spec: &ClassifierSpec, rng: &mut SeededRng) -> Self {
+    /// A classifier whose parameterised layers of [`ClassifierSpec::layers`],
+    /// front to back, hold the weight and bias `layer(fan_in, outputs)`
+    /// returns — a convolution's `(out_ch, patch_len)` filter bank included.
+    fn build(spec: &ClassifierSpec, mut layer: impl FnMut(usize, usize) -> [Parameter; 2]) -> Self {
         let layers = spec.layers();
         let params = layers
             .iter()
             .map(LayerSpec::param_lens)
             .filter(|&(w_len, _)| w_len > 0)
-            .flat_map(|(w_len, b_len)| {
-                let l = Linear::new(w_len / b_len, b_len, rng);
-                [l.weight, l.bias]
-            })
+            .flat_map(|(w_len, b_len)| layer(w_len / b_len, b_len))
             .collect();
         Classifier { spec: *spec, layers, params, tape: Tape::default() }
     }
 
-    /// Classifier constructed from a flat parameter vector `ψ`.
+    /// Freshly initialized classifier: each parameterised layer initialised
+    /// as a [`Linear`], front to back (the order the RNG draws follow).
+    pub fn new(spec: &ClassifierSpec, rng: &mut SeededRng) -> Self {
+        Classifier::build(spec, |fan_in, outputs| {
+            let l = Linear::new(fan_in, outputs, rng);
+            [l.weight, l.bias]
+        })
+    }
+
+    /// Classifier built straight from a flat parameter vector `ψ`. Panics
+    /// if `ψ` does not have [`ClassifierSpec::num_params`] scalars.
     pub fn from_params(spec: &ClassifierSpec, flat: &[f32]) -> Self {
-        // Seed is irrelevant: every weight is overwritten by `flat`.
-        let mut clf = Classifier::new(spec, &mut SeededRng::new(0));
-        params::load(&mut clf, flat);
-        clf
+        params::check_len(flat.len(), spec.num_params());
+        let mut rest = flat;
+        Classifier::build(spec, |fan_in, outputs| {
+            [params::take(&mut rest, &[outputs, fan_in]), params::take(&mut rest, &[outputs])]
+        })
     }
 
     pub fn spec(&self) -> &ClassifierSpec {
@@ -260,10 +268,7 @@ impl Classifier {
                     after = input();
                 }
                 LayerSpec::Relu => {
-                    let out = after.as_deref().expect("a ReLU feeds a layer");
-                    for (g, &o) in grad.iter_mut().zip(out) {
-                        *g = if o > 0.0 { *g } else { 0.0 };
-                    }
+                    relu_backward(&mut grad, after.as_deref().expect("a ReLU feeds a layer"));
                 }
                 LayerSpec::Flatten => {}
             }
@@ -339,6 +344,13 @@ mod tests {
         let p = clf.get_params();
         let clf2 = Classifier::from_params(&spec, &p);
         assert_eq!(clf2.get_params(), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter vector length")]
+    fn from_params_rejects_a_wrong_length() {
+        let spec = ClassifierSpec::Mlp { hidden: 16 };
+        Classifier::from_params(&spec, &vec![0.0; spec.num_params() + 1]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! Parameter counts match Table III: encoder 334,040, decoder 330,794,
 //! total 664,834.
 
-use crate::activations::{ReLU, Sigmoid};
-use crate::layer::{Layer, Module, Parameter};
+use crate::activations::{relu, relu_backward};
+use crate::layer::{Module, Parameter};
 use crate::linear::Linear;
 use crate::loss;
 use crate::models::one_hot;
@@ -73,14 +73,17 @@ impl CvaeSpec {
     }
 }
 
+/// The logistic sigmoid: the decoder's logits to pixel intensities.
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 /// The detachable decoder `D_θ` — the object FedGuard clients ship to the
 /// server for validation-data synthesis.
 pub struct CvaeDecoder {
     spec: CvaeSpec,
     l1: Linear,
-    relu: ReLU,
     l2: Linear,
-    sigmoid: Sigmoid,
 }
 
 impl CvaeDecoder {
@@ -89,17 +92,24 @@ impl CvaeDecoder {
         CvaeDecoder {
             spec: *spec,
             l1: Linear::new(spec.dec_in(), spec.hidden, rng),
-            relu: ReLU::new(),
             l2: Linear::new(spec.hidden, spec.dec_out(), rng),
-            sigmoid: Sigmoid::new(),
         }
     }
 
-    /// Decoder reconstructed from a flat `θ` vector.
+    /// Decoder built straight from a flat `θ` vector. Panics if `θ` does
+    /// not have [`CvaeSpec::decoder_params`] scalars.
     pub fn from_params(spec: &CvaeSpec, theta: &[f32]) -> Self {
-        let mut dec = CvaeDecoder::new(spec, &mut SeededRng::new(0));
-        params::load(&mut dec, theta);
-        dec
+        params::check_len(theta.len(), spec.decoder_params());
+        let mut rest = theta;
+        let mut take = |inputs, outputs| Linear {
+            weight: params::take(&mut rest, &[outputs, inputs]),
+            bias: params::take(&mut rest, &[outputs]),
+        };
+        CvaeDecoder {
+            spec: *spec,
+            l1: take(spec.dec_in(), spec.hidden),
+            l2: take(spec.hidden, spec.dec_out()),
+        }
     }
 
     pub fn spec(&self) -> &CvaeSpec {
@@ -111,21 +121,22 @@ impl CvaeDecoder {
         params::flatten(self)
     }
 
-    /// Raw reconstruction logits for `z ‖ onehot(y)` (training path).
-    fn logits(&mut self, z: &Tensor, y_onehot: &Tensor, train: bool) -> Tensor {
-        let zy = z.concat_cols(y_onehot);
-        let h = self.l1.forward(&zy, train);
-        let h = self.relu.forward(&h, train);
-        self.l2.forward(&h, train)
+    /// The pass over `zy = z ‖ onehot(y)`: the ReLU'd hidden layer, which
+    /// the backward pass reads, and the reconstruction logits.
+    fn forward(&self, zy: &Tensor) -> (Tensor, Tensor) {
+        let mut h = self.l1.forward(zy);
+        relu(h.data_mut());
+        let logits = self.l2.forward(&h);
+        (h, logits)
     }
 
-    /// Backprop through the decoder; returns the gradient w.r.t. `z`
-    /// (dropping the conditioning columns, which receive no gradient).
-    fn backward_to_z(&mut self, dlogits: &Tensor) -> Tensor {
-        let dh = self.l2.backward(dlogits);
-        let dh = self.relu.backward(&dh);
-        let dzy = self.l1.backward(&dh);
-        dzy.slice_cols(0, self.spec.latent)
+    /// Backprop through the pass that read `zy` and kept `h`; returns the
+    /// gradient w.r.t. `z` (dropping the conditioning columns, which
+    /// receive no gradient).
+    fn backward_to_z(&mut self, zy: &Tensor, h: &Tensor, dlogits: &Tensor) -> Tensor {
+        let mut dh = self.l2.backward(h, dlogits);
+        relu_backward(dh.data_mut(), h.data());
+        self.l1.backward(zy, &dh).slice_cols(0, self.spec.latent)
     }
 
     /// Controllable synthesis (§III-A): decode latent samples `z` under the
@@ -134,10 +145,8 @@ impl CvaeDecoder {
     pub fn generate(&mut self, z: &Tensor, labels: &[usize]) -> Tensor {
         assert_eq!(z.dim(0), labels.len(), "one label per latent sample");
         assert_eq!(z.dim(1), self.spec.latent, "latent dim mismatch");
-        let y = one_hot(labels, self.spec.n_classes);
-        let logits = self.logits(z, &y, false);
-        let probs = self.sigmoid.forward(&logits, false);
-        probs.slice_cols(0, self.spec.x_dim)
+        let (_, logits) = self.forward(&z.concat_cols(&one_hot(labels, self.spec.n_classes)));
+        logits.slice_cols(0, self.spec.x_dim).map(sigmoid)
     }
 }
 
@@ -157,7 +166,6 @@ impl Module for CvaeDecoder {
 pub struct Cvae {
     spec: CvaeSpec,
     enc_l1: Linear,
-    enc_relu: ReLU,
     mu_head: Linear,
     logvar_head: Linear,
     decoder: CvaeDecoder,
@@ -169,7 +177,6 @@ impl Cvae {
         Cvae {
             spec: *spec,
             enc_l1: Linear::new(spec.enc_in(), spec.hidden, rng),
-            enc_relu: ReLU::new(),
             mu_head: Linear::new(spec.hidden, spec.latent, rng),
             logvar_head: Linear::new(spec.hidden, spec.latent, rng),
             decoder: CvaeDecoder::new(spec, rng),
@@ -190,15 +197,14 @@ impl Cvae {
         &mut self.decoder
     }
 
-    /// Encode a batch: returns `(mu, logvar)`.
-    pub fn encode(&mut self, x: &Tensor, labels: &[usize], train: bool) -> (Tensor, Tensor) {
-        let y = one_hot(labels, self.spec.n_classes);
-        let xy = x.concat_cols(&y);
-        let h = self.enc_l1.forward(&xy, train);
-        let h = self.enc_relu.forward(&h, train);
-        let mu = self.mu_head.forward(&h, train);
-        let logvar = self.logvar_head.forward(&h, train);
-        (mu, logvar)
+    /// The encoder's pass over `xy = x ‖ onehot(y)`: the ReLU'd hidden
+    /// layer, which the backward pass reads, then `(mu, logvar)`.
+    fn encode(&self, xy: &Tensor) -> (Tensor, Tensor, Tensor) {
+        let mut h = self.enc_l1.forward(xy);
+        relu(h.data_mut());
+        let mu = self.mu_head.forward(&h);
+        let logvar = self.logvar_head.forward(&h);
+        (h, mu, logvar)
     }
 
     /// One ELBO training step (Eqn. 6) on a mini-batch; returns the loss
@@ -213,12 +219,7 @@ impl Cvae {
         self.zero_grad();
         let y = one_hot(labels, self.spec.n_classes);
         let xy = x.concat_cols(&y);
-
-        // Encoder.
-        let h = self.enc_l1.forward(&xy, true);
-        let h = self.enc_relu.forward(&h, true);
-        let mu = self.mu_head.forward(&h, true);
-        let logvar = self.logvar_head.forward(&h, true);
+        let (h, mu, logvar) = self.encode(&xy);
 
         // Reparameterization: z = mu + exp(logvar/2) * eps.
         let eps = mu.randn_like(rng);
@@ -226,12 +227,13 @@ impl Cvae {
         let z = mu.add(&std.mul(&eps));
 
         // Decoder reconstructs x ‖ onehot(y).
-        let logits = self.decoder.logits(&z, &y, true);
+        let zy = z.concat_cols(&y);
+        let (dec_h, logits) = self.decoder.forward(&zy);
         let (recon_loss, dlogits) = loss::bce_with_logits(&logits, &xy);
         let (kl_loss, kl_dmu, kl_dlogvar) = loss::kl_gaussian(&mu, &logvar);
 
         // Backward through decoder to z.
-        let dz = self.decoder.backward_to_z(&dlogits);
+        let dz = self.decoder.backward_to_z(&zy, &dec_h, &dlogits);
 
         // Reparameterization gradients.
         let dmu = dz.add(&kl_dmu);
@@ -239,12 +241,11 @@ impl Cvae {
         let dlogvar = dlv_from_z.add(&kl_dlogvar);
 
         // Backward through the twin heads into the shared hidden state.
-        let dh_mu = self.mu_head.backward(&dmu);
-        let dh_lv = self.logvar_head.backward(&dlogvar);
-        let dh = dh_mu.add(&dh_lv);
-        let dh = self.enc_relu.backward(&dh);
+        let dh_mu = self.mu_head.backward(&h, &dmu);
+        let mut dh = dh_mu.add(&self.logvar_head.backward(&h, &dlogvar));
+        relu_backward(dh.data_mut(), h.data());
         // Nothing sits below the first layer: parameter gradients only.
-        self.enc_l1.backward_params(&dh);
+        self.enc_l1.backward_params(&xy, &dh);
 
         optim.step(self);
         recon_loss + kl_loss
@@ -284,11 +285,11 @@ mod tests {
     impl Cvae {
         /// The ELBO loss on a batch without updating parameters (uses the
         /// posterior mean, no sampling noise).
-        fn eval_loss(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
+        fn eval_loss(&self, x: &Tensor, labels: &[usize]) -> f32 {
             let y = one_hot(labels, self.spec.n_classes);
             let xy = x.concat_cols(&y);
-            let (mu, logvar) = self.encode(x, labels, false);
-            let logits = self.decoder.logits(&mu, &y, false);
+            let (_, mu, logvar) = self.encode(&xy);
+            let (_, logits) = self.decoder.forward(&mu.concat_cols(&y));
             let (recon, _) = loss::bce_with_logits(&logits, &xy);
             let (kl, _, _) = loss::kl_gaussian(&mu, &logvar);
             recon + kl
@@ -329,6 +330,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "parameter vector length")]
+    fn from_params_rejects_a_wrong_length() {
+        let spec = CvaeSpec::reduced(16, 4);
+        CvaeDecoder::from_params(&spec, &vec![0.0; spec.decoder_params() - 1]);
+    }
+
+    #[test]
+    fn sigmoid_range_and_symmetry() {
+        assert!(sigmoid(-10.0) < 1e-4);
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
+        assert!(sigmoid(10.0) > 1.0 - 1e-4);
+    }
+
+    #[test]
     fn generate_shapes_and_range() {
         let spec = CvaeSpec::reduced(16, 4);
         let mut rng = SeededRng::new(2);
@@ -351,22 +366,20 @@ mod tests {
         cvae.zero_grad();
         let y = one_hot(labels, cvae.spec.n_classes);
         let xy = x.concat_cols(&y);
-        let h = cvae.enc_l1.forward(&xy, true);
-        let h = cvae.enc_relu.forward(&h, true);
-        let mu = cvae.mu_head.forward(&h, true);
-        let logvar = cvae.logvar_head.forward(&h, true);
+        let (h, mu, logvar) = cvae.encode(&xy);
         let eps = mu.randn_like(rng);
         let std = logvar.map(|lv| (0.5 * lv).exp());
         let z = mu.add(&std.mul(&eps));
-        let logits = cvae.decoder.logits(&z, &y, true);
+        let zy = z.concat_cols(&y);
+        let (dec_h, logits) = cvae.decoder.forward(&zy);
         let (recon_loss, dlogits) = loss::bce_with_logits(&logits, &xy);
         let (kl_loss, kl_dmu, kl_dlogvar) = loss::kl_gaussian(&mu, &logvar);
-        let dz = cvae.decoder.backward_to_z(&dlogits);
+        let dz = cvae.decoder.backward_to_z(&zy, &dec_h, &dlogits);
         let dmu = dz.add(&kl_dmu);
         let dlogvar = dz.mul(&eps).mul(&std).map(|v| 0.5 * v).add(&kl_dlogvar);
-        let dh = cvae.mu_head.backward(&dmu).add(&cvae.logvar_head.backward(&dlogvar));
-        let dh = cvae.enc_relu.backward(&dh);
-        let dxy = cvae.enc_l1.backward(&dh);
+        let mut dh = cvae.mu_head.backward(&h, &dmu).add(&cvae.logvar_head.backward(&h, &dlogvar));
+        relu_backward(dh.data_mut(), h.data());
+        let dxy = cvae.enc_l1.backward(&xy, &dh);
         assert_eq!(dxy.dims(), xy.dims());
         optim.step(cvae);
         recon_loss + kl_loss

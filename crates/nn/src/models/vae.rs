@@ -6,8 +6,8 @@
 //! real-valued, so the reconstruction term is mean-squared error rather than
 //! the image CVAE's Bernoulli BCE.
 
-use crate::activations::ReLU;
-use crate::layer::{Layer, Module, Parameter};
+use crate::activations::{relu, relu_backward};
+use crate::layer::{Module, Parameter};
 use crate::linear::Linear;
 use crate::loss;
 use crate::optim::Optimizer;
@@ -27,11 +27,9 @@ pub struct VaeSpec {
 pub struct Vae {
     spec: VaeSpec,
     enc_l1: Linear,
-    enc_relu: ReLU,
     mu_head: Linear,
     logvar_head: Linear,
     dec_l1: Linear,
-    dec_relu: ReLU,
     dec_l2: Linear,
 }
 
@@ -40,11 +38,9 @@ impl Vae {
         Vae {
             spec: *spec,
             enc_l1: Linear::new(spec.x_dim, spec.hidden, rng),
-            enc_relu: ReLU::new(),
             mu_head: Linear::new(spec.hidden, spec.latent, rng),
             logvar_head: Linear::new(spec.hidden, spec.latent, rng),
             dec_l1: Linear::new(spec.latent, spec.hidden, rng),
-            dec_relu: ReLU::new(),
             dec_l2: Linear::new(spec.hidden, spec.x_dim, rng),
         }
     }
@@ -53,16 +49,23 @@ impl Vae {
         &self.spec
     }
 
-    fn decode(&mut self, z: &Tensor, train: bool) -> Tensor {
-        let h = self.dec_l1.forward(z, train);
-        let h = self.dec_relu.forward(&h, train);
-        self.dec_l2.forward(&h, train)
+    /// The encoder's pass: the ReLU'd hidden layer, which the backward pass
+    /// reads, then `(mu, logvar)`.
+    fn encode(&self, x: &Tensor) -> (Tensor, Tensor, Tensor) {
+        let mut h = self.enc_l1.forward(x);
+        relu(h.data_mut());
+        let mu = self.mu_head.forward(&h);
+        let logvar = self.logvar_head.forward(&h);
+        (h, mu, logvar)
     }
 
-    fn encode_internal(&mut self, x: &Tensor, train: bool) -> (Tensor, Tensor) {
-        let h = self.enc_l1.forward(x, train);
-        let h = self.enc_relu.forward(&h, train);
-        (self.mu_head.forward(&h, train), self.logvar_head.forward(&h, train))
+    /// The decoder's pass from `z`: the ReLU'd hidden layer, which the
+    /// backward pass reads, and the reconstruction.
+    fn decode(&self, z: &Tensor) -> (Tensor, Tensor) {
+        let mut h = self.dec_l1.forward(z);
+        relu(h.data_mut());
+        let recon = self.dec_l2.forward(&h);
+        (h, recon)
     }
 
     /// One training step on a batch; returns the loss (MSE + β·KL).
@@ -74,11 +77,11 @@ impl Vae {
         rng: &mut SeededRng,
     ) -> f32 {
         self.zero_grad();
-        let (mu, logvar) = self.encode_internal(x, true);
+        let (h, mu, logvar) = self.encode(x);
         let eps = mu.randn_like(rng);
         let std = logvar.map(|lv| (0.5 * lv).exp());
         let z = mu.add(&std.mul(&eps));
-        let recon = self.decode(&z, true);
+        let (dec_h, recon) = self.decode(&z);
 
         // MSE summed over features, averaged over batch.
         let b = x.dim(0) as f32;
@@ -89,20 +92,20 @@ impl Vae {
         let (kl, kl_dmu, kl_dlv) = loss::kl_gaussian(&mu, &logvar);
 
         // Backward through decoder.
-        let dh = self.dec_l2.backward(&drecon);
-        let dh = self.dec_relu.backward(&dh);
-        let dz = self.dec_l1.backward(&dh);
+        let mut dh = self.dec_l2.backward(&dec_h, &drecon);
+        relu_backward(dh.data_mut(), dec_h.data());
+        let dz = self.dec_l1.backward(&z, &dh);
 
-        let mut dmu = dz.clone();
-        dmu.axpy(beta, &kl_dmu);
         let mut dlv = dz.mul(&eps).mul(&std).map(|v| 0.5 * v);
         dlv.axpy(beta, &kl_dlv);
+        let mut dmu = dz;
+        dmu.axpy(beta, &kl_dmu);
 
-        let dh_mu = self.mu_head.backward(&dmu);
-        let dh_lv = self.logvar_head.backward(&dlv);
-        let dh = dh_mu.add(&dh_lv);
-        let dh = self.enc_relu.backward(&dh);
-        self.enc_l1.backward(&dh);
+        let dh_mu = self.mu_head.backward(&h, &dmu);
+        let mut dh = dh_mu.add(&self.logvar_head.backward(&h, &dlv));
+        relu_backward(dh.data_mut(), h.data());
+        // Nothing sits below the first layer: parameter gradients only.
+        self.enc_l1.backward_params(x, &dh);
 
         optim.step(self);
         mse + beta * kl
@@ -111,8 +114,8 @@ impl Vae {
     /// Per-row reconstruction error (MSE over features, via the posterior
     /// mean — the anomaly score Spectral thresholds on).
     pub fn reconstruction_errors(&mut self, x: &Tensor) -> Vec<f32> {
-        let (mu, _) = self.encode_internal(x, false);
-        let recon = self.decode(&mu, false);
+        let (_, mu, _) = self.encode(x);
+        let (_, recon) = self.decode(&mu);
         let n = x.dim(1) as f32;
         (0..x.dim(0))
             .map(|r| {

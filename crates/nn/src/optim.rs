@@ -113,7 +113,6 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Layer;
     use crate::linear::Linear;
     use crate::loss::softmax_cross_entropy;
     use fg_tensor::rng::SeededRng;
@@ -136,9 +135,9 @@ mod tests {
         let mut last = f32::MAX;
         for _ in 0..steps {
             net.zero_grad();
-            let logits = net.forward(&x, true);
+            let logits = net.forward(&x);
             let (loss, grad) = softmax_cross_entropy(&logits, &ys);
-            net.backward(&grad);
+            net.backward_params(&x, &grad);
             optim.step(&mut net);
             last = loss;
         }

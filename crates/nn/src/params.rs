@@ -3,7 +3,8 @@
 //! (`ψ` for the classifier, `θ` for the CVAE decoder) and the aggregation
 //! operators work on them directly.
 
-use crate::layer::Module;
+use crate::layer::{Module, Parameter};
+use fg_tensor::Tensor;
 
 /// Concatenate all parameters of a module into one flat vector, in visit
 /// order.
@@ -17,20 +18,28 @@ pub fn flatten(module: &dyn Module) -> Vec<f32> {
 ///
 /// Panics if the vector length does not match the module's parameter count.
 pub fn load(module: &mut dyn Module, flat: &[f32]) {
-    let expected = module.num_params();
-    assert_eq!(
-        flat.len(),
-        expected,
-        "parameter vector length {} != model size {}",
-        flat.len(),
-        expected
-    );
+    check_len(flat.len(), module.num_params());
     let mut off = 0usize;
     module.visit_params_mut(&mut |p| {
         let n = p.numel();
         p.value.data_mut().copy_from_slice(&flat[off..off + n]);
         off += n;
     });
+}
+
+/// Panics unless a flat vector of `len` scalars is the size of a model of
+/// `expected` parameters.
+pub(crate) fn check_len(len: usize, expected: usize) {
+    assert_eq!(len, expected, "parameter vector length {len} != model size {expected}");
+}
+
+/// The next parameter, of shape `dims`, copied off the front of a flat
+/// vector in [`flatten`] order; `flat` moves past it. How a model is built
+/// from its flat vector without an initialisation to overwrite.
+pub(crate) fn take(flat: &mut &[f32], dims: &[usize]) -> Parameter {
+    let (value, rest) = flat.split_at(dims.iter().product());
+    *flat = rest;
+    Parameter::new(Tensor::from_vec(value.to_vec(), dims))
 }
 
 /// Size in bytes of a flat parameter vector on the simulated wire

@@ -5,8 +5,8 @@
 //! packed panels and filter banks, padded image copies, column gradients —
 //! from the thread-local [`fg_tensor::workspace`] pool, and so do the
 //! classifier engine's activation slabs, the ones its training forward
-//! keeps for the backward walk included; the CVAE's layers recycle their
-//! cached-input tensors via `cache_tensor`. After one warm-up iteration
+//! keeps for the backward walk included; the CVAE's step keeps no caches,
+//! its activations are locals of the step. After one warm-up iteration
 //! populates the pool, further train iterations on the same shapes must
 //! never touch the allocator for scratch: the instrumented
 //! [`workspace::alloc_events`] counter has to stay flat.

@@ -211,10 +211,10 @@ fn layer_list_reproduces_param_counts_and_the_flatten_order() {
 #[test]
 fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
     use fg_tensor::conv::{
-        conv2d_forward, conv2d_forward_grouped, conv2d_forward_shared, Conv2dSpec,
+        conv2d_forward, conv2d_forward_grouped, conv2d_forward_into, Conv2dSpec,
     };
     use fg_tensor::kernels::{matmul_bt_bias, matmul_bt_bias_grouped, GroupedA};
-    use fg_tensor::pool::{maxpool2d_forward, maxpool2d_forward_values, MaxPool2dSpec};
+    use fg_tensor::pool::{maxpool2d_forward, maxpool2d_forward_into, MaxPool2dSpec};
 
     let mut rng = SeededRng::new(17);
     let (groups, b) = (3usize, 5usize);
@@ -234,7 +234,8 @@ fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
     let mut grouped = vec![0.0f32; groups * b * out_img];
     conv2d_forward_grouped(x.data(), b, h, w, &spec, &wv, &bv, &mut grouped);
     let mut shared = vec![0.0f32; groups * b * out_img];
-    conv2d_forward_shared(&x.data()[..b * img], b, h, w, &spec, &wv, &bv, &mut shared);
+    let first_images = GroupedA::Shared(&x.data()[..b * img]);
+    conv2d_forward_into(first_images, b, h, w, &spec, &wv, &bv, &mut shared);
     for g in 0..groups {
         let own = Tensor::from_vec(
             x.data()[g * b * img..(g + 1) * b * img].to_vec(),
@@ -275,9 +276,9 @@ fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
     let x = Tensor::randn(&[groups * b, c, h, w], &mut rng);
     let pooled_len = b * c * (h / k) * (w / k);
     let mut slab = vec![0.0f32; groups * pooled_len];
-    maxpool2d_forward_values(x.data(), c, h, w, k, &mut slab);
+    maxpool2d_forward_into(x.data(), c, h, w, k, &mut slab, None);
     let mut one = vec![0.0f32; pooled_len];
-    maxpool2d_forward_values(&x.data()[..b * c * h * w], c, h, w, k, &mut one);
+    maxpool2d_forward_into(&x.data()[..b * c * h * w], c, h, w, k, &mut one, None);
     assert_eq!(bits(&one), bits(&slab[..pooled_len]));
     assert_eq!(bits(maxpool2d_forward(&x, &MaxPool2dSpec { k }).output.data()), bits(&slab));
 }

@@ -1,10 +1,10 @@
 //! Property-based tests on the NN layer library's invariants.
 
-use fg_nn::activations::{ReLU, Sigmoid};
-use fg_nn::layer::{Layer, Module};
+use fg_nn::activations::relu;
+use fg_nn::layer::Module;
 use fg_nn::linear::Linear;
 use fg_nn::loss;
-use fg_nn::models::{one_hot, Cvae, CvaeSpec};
+use fg_nn::models::{one_hot, Cvae, CvaeDecoder, CvaeSpec};
 use fg_nn::optim::{Optimizer, Sgd};
 use fg_nn::params;
 use fg_tensor::rng::SeededRng;
@@ -84,16 +84,23 @@ proptest! {
 
     #[test]
     fn sigmoid_stays_in_unit_interval(xs in proptest::collection::vec(-50.0f32..50.0, 10)) {
-        let t = Tensor::from_vec(xs, &[10]);
-        let y = Sigmoid::new().forward(&t, false);
+        // A decoder whose one hidden unit is always 1 and whose output
+        // weights are `xs`: the images it generates are the sigmoid of `xs`.
+        let spec = CvaeSpec { x_dim: 10, n_classes: 1, hidden: 1, latent: 1 };
+        let mut theta = vec![0.0; spec.dec_in()];
+        theta.push(1.0);
+        theta.extend(&xs);
+        theta.extend(vec![0.0; 1 + spec.dec_out()]);
+        let y = CvaeDecoder::from_params(&spec, &theta).generate(&Tensor::zeros(&[1, 1]), &[0]);
         prop_assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]
     fn relu_is_idempotent(xs in proptest::collection::vec(-5.0f32..5.0, 10)) {
-        let t = Tensor::from_vec(xs, &[10]);
-        let once = ReLU::new().forward(&t, false);
-        let twice = ReLU::new().forward(&once, false);
+        let mut once = xs;
+        relu(&mut once);
+        let mut twice = once.clone();
+        relu(&mut twice);
         prop_assert_eq!(once, twice);
     }
 

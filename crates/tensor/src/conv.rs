@@ -238,25 +238,6 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
     Tensor::from_vec(out, &[b, spec.out_ch, oh, ow])
 }
 
-/// Grouped forward convolution over *shared* images: every group convolves
-/// the same `(b, in_ch, h, w)` batch with its own filter bank and bias —
-/// the batched scorer's first layer, where every scored model sees the same
-/// validation batch. Bitwise equal to one [`conv2d_forward`] per group on
-/// those images.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_forward_shared(
-    input: &[f32],
-    b: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    weights: &[&[f32]],
-    biases: &[&[f32]],
-    out: &mut [f32],
-) {
-    conv2d_forward_into(GroupedA::Shared(input), b, h, w, spec, weights, biases, out);
-}
-
 /// Grouped forward convolution over *per-group* activations: group `g`
 /// convolves its own `(b, in_ch, h, w)` slice `input[g*b*in_ch*h*w..]` — the
 /// deeper layers of the batched scorer, where activations have diverged per
@@ -714,7 +695,8 @@ mod tests {
                 let mut per_group = vec![0.0f32; groups * b * out_img];
                 conv2d_forward_grouped(&input, b, h, w, &spec, &wv, &bv, &mut per_group);
                 let mut shared = vec![0.0f32; groups * b * out_img];
-                conv2d_forward_shared(set_batch(0), b, h, w, &spec, &wv, &bv, &mut shared);
+                let first_images = GroupedA::Shared(set_batch(0));
+                conv2d_forward_into(first_images, b, h, w, &spec, &wv, &bv, &mut shared);
                 for g in 0..groups {
                     let got = &per_group[g * b * out_img..][..b * out_img];
                     assert_bits(got, &own[g][..b * out_img], &what("per-group", g));

@@ -36,19 +36,6 @@ pub fn maxpool2d_forward(input: &Tensor, spec: &MaxPool2dSpec) -> MaxPoolOutput 
     MaxPoolOutput { output: Tensor::from_vec(out, &[b, c, oh, ow]), argmax }
 }
 
-/// Values-only max pooling, for a pass that never backpropagates. A call of
-/// [`maxpool2d_forward_into`] without the argmax.
-pub fn maxpool2d_forward_values(
-    input: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    maxpool2d_forward_into(input, c, h, w, k, out, None);
-}
-
 /// The one max-pool forward body: every `(c, h, w)` image in `input` — a
 /// batch, or the `groups × batch` slab of a grouped launch (pooling does
 /// not look across images, so the group axis needs no code of its own) —
