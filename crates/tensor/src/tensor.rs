@@ -211,14 +211,6 @@ impl Tensor {
         Tensor { data, shape: self.shape.clone() }
     }
 
-    /// Overwrite this tensor's contents with `src`'s, reusing the existing
-    /// buffer (no allocation). Shapes must match; use this instead of
-    /// `clone()` when refreshing a cached tensor on a hot path.
-    pub fn copy_from(&mut self, src: &Tensor) {
-        self.assert_same_shape(src, "copy_from");
-        self.data.copy_from_slice(&src.data);
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "add_assign");
