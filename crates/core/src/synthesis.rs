@@ -146,7 +146,7 @@ pub fn synthesize_validation_set(
         if count == 0 {
             continue;
         }
-        let mut decoder = CvaeDecoder::from_params(spec, submission.theta);
+        let decoder = CvaeDecoder::from_params(spec, submission.theta);
         let z = Tensor::randn(&[count, spec.latent], rng);
         let y: Vec<usize> = (0..count).map(|_| rng.sample_categorical(&dec_probs[i])).collect();
         let generated = decoder.generate(&z, &y);

@@ -1,7 +1,7 @@
 //! # fg-nn
 //!
-//! The neural-network library of the FedGuard reproduction: stateless
-//! linear layers and ReLU bodies that each model's explicit forward and
+//! The neural-network library of the FedGuard reproduction: the slice
+//! bodies of linear layers and ReLU that each model's explicit forward and
 //! backward passes call, classification and variational losses, SGD/Adam
 //! optimizers, and the exact models from the paper —
 //!
@@ -14,9 +14,12 @@
 //!   twin 20-unit heads, 30-400-794 decoder; 664,834 parameters),
 //! * an MLP classifier and a reduced CVAE used by the CPU-budget presets.
 //!
-//! Model parameters can be flattened to / restored from plain `Vec<f32>`
-//! vectors ([`params`]), which is the currency of the federated-learning
-//! layer: clients ship flat vectors, aggregation operators combine them.
+//! Each model is its flat `Vec<f32>` vector: it holds one [`Parameter`],
+//! whose value is that vector and whose grad its gradient, and every pass
+//! reads its per-layer weight and bias views out of it at the offsets its
+//! layer list gives ([`layer::LayerSpec`]). The vector is the currency of
+//! the federated-learning layer ([`params`]): clients ship flat vectors, a
+//! model is built straight from one, aggregation operators combine them.
 //!
 //! ```
 //! use fg_nn::models::{Classifier, ClassifierSpec};

@@ -1,13 +1,15 @@
-//! Fully connected layer.
+//! Fully connected layers: the initialiser every model's flat vector is
+//! drawn from, and the slice bodies the CVAE and VAE passes run.
 
-use crate::layer::{Module, Parameter};
-use fg_tensor::kernels::{matmul, matmul_at_into, matmul_bt_bias};
+use crate::layer::{Bank, Module, Parameter};
+use fg_tensor::kernels::{matmul_at_into, matmul_bt_bias_grouped, matmul_into, GroupedA};
 use fg_tensor::rng::SeededRng;
 use fg_tensor::Tensor;
 
-/// `y = x · Wᵀ + b` with weights stored `(out_features, in_features)`. It
-/// holds its parameters and nothing else: a backward pass is handed the
-/// input its forward read.
+/// `y = x · Wᵀ + b` with weights stored `(out_features, in_features)`: the
+/// initial draw of one layer of a model's flat vector (see
+/// [`crate::layer::LayerSpec`]), and a stand-alone module the optimizers
+/// can step.
 pub struct Linear {
     pub weight: Parameter,
     pub bias: Parameter,
@@ -21,29 +23,6 @@ impl Linear {
         let bias = Tensor::rand_uniform(&[out_features], -bound, bound, rng);
         Linear { weight: Parameter::new(weight), bias: Parameter::new(bias) }
     }
-
-    /// The output for a `(batch, in_features)` input `x`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape().rank(), 2, "Linear expects (batch, features)");
-        assert_eq!(x.dim(1), self.weight.value.dim(1), "Linear: feature dim mismatch");
-        // Bias is folded into the GEMM epilogue; no separate bias pass.
-        matmul_bt_bias(x, &self.weight.value, &self.bias.value)
-    }
-
-    /// Backprop the upstream gradient `g` of the forward that read `x`:
-    /// accumulate the parameter gradients and return `dx = g · W`.
-    pub fn backward(&mut self, x: &Tensor, g: &Tensor) -> Tensor {
-        self.backward_params(x, g);
-        matmul(g, &self.weight.value)
-    }
-
-    /// [`Linear::backward`] for a layer whose input gradient nobody reads —
-    /// the first layer of a model: the same parameter-gradient bits, and no
-    /// input-gradient product.
-    pub fn backward_params(&mut self, x: &Tensor, g: &Tensor) {
-        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-        accumulate_param_grads(x.data(), g.data(), dw, db);
-    }
 }
 
 impl Module for Linear {
@@ -56,6 +35,30 @@ impl Module for Linear {
         f(&mut self.weight);
         f(&mut self.bias);
     }
+}
+
+/// `x · Wᵀ + b` for a `(rows, in)` input `x` through a one-group `bank`:
+/// the engine's grouped launch with a single group.
+pub(crate) fn forward(x: &Tensor, (w, b): &Bank<'_>) -> Tensor {
+    let (rows, outputs) = (x.dim(0), b[0].len());
+    let mut y = vec![0.0; rows * outputs];
+    matmul_bt_bias_grouped(rows, outputs, x.dim(1), GroupedA::Shared(x.data()), w, b, &mut y);
+    Tensor::from_vec(y, &[rows, outputs])
+}
+
+/// Backprop the upstream gradient `g` of the [`forward`] that read `x`
+/// through `bank`: accumulate the parameter gradients into `(dw, db)` and
+/// return `dx = g · W`.
+pub(crate) fn backward(
+    x: &Tensor,
+    g: &Tensor,
+    (w, _): &Bank<'_>,
+    (dw, db): (&mut [f32], &mut [f32]),
+) -> Tensor {
+    accumulate_param_grads(x.data(), g.data(), dw, db);
+    let mut dx = vec![0.0; x.numel()];
+    matmul_into(x.dim(0), x.dim(1), db.len(), g.data(), w[0], &mut dx);
+    Tensor::from_vec(dx, x.dims())
 }
 
 /// The parameter half of a linear backward, for a `(batch, in)` input `x`
@@ -78,6 +81,18 @@ mod tests {
     use super::*;
     use crate::{bits, loss};
 
+    /// The one-group bank of `l`'s parameters.
+    fn bank(l: &Linear) -> Bank<'_> {
+        (vec![l.weight.value.data()], vec![l.bias.value.data()])
+    }
+
+    /// [`backward`] through `l`, into `l`'s gradients.
+    fn backward_through(l: &mut Linear, x: &Tensor, g: &Tensor) -> Tensor {
+        let Linear { weight, bias } = l;
+        let bank = (vec![weight.value.data()], vec![bias.value.data()]);
+        backward(x, g, &bank, (weight.grad.data_mut(), bias.grad.data_mut()))
+    }
+
     #[test]
     fn forward_shape_and_bias() {
         let mut rng = SeededRng::new(0);
@@ -85,7 +100,7 @@ mod tests {
         l.weight.value.fill(0.0);
         l.bias.value.data_mut().copy_from_slice(&[1.0, -1.0]);
         let x = Tensor::ones(&[4, 3]);
-        let y = l.forward(&x);
+        let y = forward(&x, &bank(&l));
         assert_eq!(y.dims(), &[4, 2]);
         assert_eq!(y.row(0), &[1.0, -1.0]);
     }
@@ -98,12 +113,12 @@ mod tests {
         let targets = vec![0usize, 2];
 
         // Analytic gradients through a softmax-CE head.
-        let logits = l.forward(&x);
+        let logits = forward(&x, &bank(&l));
         let (_, dlogits) = loss::softmax_cross_entropy(&logits, &targets);
-        let dx = l.backward(&x, &dlogits);
+        let dx = backward_through(&mut l, &x, &dlogits);
 
         let loss_fn = |l_: &Linear, x_: &Tensor| {
-            let logits = l_.forward(x_);
+            let logits = forward(x_, &bank(l_));
             loss::softmax_cross_entropy(&logits, &targets).0
         };
 
@@ -136,9 +151,9 @@ mod tests {
         let mut l = Linear::new(2, 2, &mut rng);
         let x = Tensor::ones(&[1, 2]);
         let g = Tensor::ones(&[1, 2]);
-        l.backward(&x, &g);
+        backward_through(&mut l, &x, &g);
         let once = l.weight.grad.clone();
-        l.backward(&x, &g);
+        backward_through(&mut l, &x, &g);
         let twice = l.weight.grad.clone();
         for (a, b) in once.data().iter().zip(twice.data()) {
             assert!((2.0 * a - b).abs() < 1e-6);
@@ -155,8 +170,9 @@ mod tests {
             let g = Tensor::randn(&[batch, fan_out], &mut rng);
             // Twice, so the second pass accumulates onto a non-zero gradient.
             for _ in 0..2 {
-                full.backward(&x, &g);
-                lean.backward_params(&x, &g);
+                backward_through(&mut full, &x, &g);
+                let (dw, db) = (lean.weight.grad.data_mut(), lean.bias.grad.data_mut());
+                accumulate_param_grads(x.data(), g.data(), dw, db);
             }
             assert_eq!(bits(lean.weight.grad.data()), bits(full.weight.grad.data()));
             assert_eq!(bits(lean.bias.grad.data()), bits(full.bias.grad.data()));

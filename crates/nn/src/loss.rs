@@ -33,26 +33,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor
     ((total / b as f64) as f32, grad)
 }
 
-/// Softmax probabilities per row (used for reporting, not training).
-pub fn softmax(logits: &Tensor) -> Tensor {
-    assert_eq!(logits.shape().rank(), 2);
-    let (b, c) = (logits.dim(0), logits.dim(1));
-    let mut out = Tensor::zeros(&[b, c]);
-    for r in 0..b {
-        let row = logits.row(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0.0f32;
-        for &x in row {
-            denom += (x - max).exp();
-        }
-        let o = out.row_mut(r);
-        for (j, &x) in row.iter().enumerate() {
-            o[j] = (x - max).exp() / denom;
-        }
-    }
-    out
-}
-
 /// `e^a` for `a ≤ 0`, branch-free so the BCE pass vectorises: the usual
 /// `a = n·ln 2 + r` reduction with a degree-5 polynomial for `e^r` on
 /// `|r| ≤ ½ ln 2` (Cephes `expf` coefficients; relative error below 2e-7),
@@ -206,13 +186,6 @@ pub fn kl_gaussian(mu: &Tensor, logvar: &Tensor) -> (f32, Tensor, Tensor) {
     ((total / b as f64) as f32, d_mu, d_logvar)
 }
 
-/// Classification accuracy of logits against integer targets.
-pub fn accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
-    let preds = logits.argmax_rows();
-    let correct = preds.iter().zip(targets).filter(|(p, t)| p == t).count();
-    correct as f32 / targets.len().max(1) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,18 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_are_distributions() {
-        let mut rng = SeededRng::new(2);
-        let logits = Tensor::randn(&[3, 5], &mut rng);
-        let p = softmax(&logits);
-        for r in 0..3 {
-            let s: f32 = p.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-            assert!(p.row(r).iter().all(|&x| x >= 0.0));
-        }
-    }
-
-    #[test]
     fn bce_gradient_matches_finite_differences() {
         let mut rng = SeededRng::new(3);
         let logits = Tensor::randn(&[2, 4], &mut rng);
@@ -298,7 +259,7 @@ mod tests {
         let targets = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
         let (loss, grad) = bce_with_logits(&logits, &targets);
         assert!(loss.is_finite() && loss < 1e-4);
-        assert!(!grad.has_non_finite());
+        assert!(grad.data().iter().all(|g| g.is_finite()));
     }
 
     /// `bce_with_logits` on a single element: `(loss, σ − t)`.
@@ -431,12 +392,5 @@ mod tests {
             let num = (kl_gaussian(&mu, &lp).0 - kl_gaussian(&mu, &lm).0) / (2.0 * eps);
             assert!((num - dl.data()[i]).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0], &[3, 2]);
-        assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(accuracy(&logits, &[0, 1, 0]), 1.0);
     }
 }

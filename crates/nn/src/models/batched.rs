@@ -29,8 +29,9 @@
 //! applies via `ModelUpdate::is_non_finite`) and are excluded from the
 //! launches so NaN/Inf payloads never touch shared slabs.
 
-use super::classifier::{ClassifierSpec, LayerSpec};
+use super::classifier::ClassifierSpec;
 use crate::activations;
+use crate::layer::{carve, Bank, LayerSpec};
 use fg_obs::metrics::Counter;
 use fg_obs::span::span;
 use fg_tensor::conv;
@@ -57,9 +58,6 @@ static NONFINITE: Counter = Counter::new("audit.batched.nonfinite");
 /// submission order — and per-model results are independent, so blocking
 /// never affects bits.
 const MODEL_BLOCK: usize = 8;
-
-/// One parameterised layer's weights and biases, one view per group.
-pub(super) type Bank<'p> = (Vec<&'p [f32]>, Vec<&'p [f32]>);
 
 /// What a training forward keeps for the backward walk.
 #[derive(Default)]
@@ -213,7 +211,7 @@ pub struct BatchedClassifier<'a> {
 }
 
 impl<'a> BatchedClassifier<'a> {
-    /// Wrap `models` (flat parameter vectors in `params::flatten` order) for
+    /// Wrap `models` (flat parameter vectors laid out by `spec`'s layers) for
     /// batched scoring. Panics if any vector's length does not match the
     /// architecture.
     pub fn new(spec: &ClassifierSpec, models: &[&'a [f32]]) -> Self {
@@ -270,24 +268,6 @@ impl<'a> BatchedClassifier<'a> {
         }
         scores
     }
-}
-
-/// Each parameterised layer's weight and bias views in every flat vector of
-/// `models`, at the offsets the layer list gives (`params::flatten` order).
-fn carve<'p>(layers: &[LayerSpec], models: &[&'p [f32]]) -> Vec<Bank<'p>> {
-    let mut at = 0usize;
-    layers
-        .iter()
-        .map(LayerSpec::param_lens)
-        .filter(|&(w_len, _)| w_len > 0)
-        .map(|(w_len, b_len)| {
-            let views =
-                |from: usize, len: usize| models.iter().map(|m| &m[from..from + len]).collect();
-            let bank = (views(at, w_len), views(at + w_len, b_len));
-            at += w_len + b_len;
-            bank
-        })
-        .collect()
 }
 
 #[cfg(test)]

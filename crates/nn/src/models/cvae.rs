@@ -16,9 +16,8 @@
 //! Parameter counts match Table III: encoder 334,040, decoder 330,794,
 //! total 664,834.
 
-use crate::activations::{relu, relu_backward};
-use crate::layer::{Module, Parameter};
-use crate::linear::Linear;
+use super::vae::{decode, elbo_step, layers, DECODER};
+use crate::layer::{self, carve, LayerSpec, Module, Parameter};
 use crate::loss;
 use crate::models::one_hot;
 use crate::optim::Optimizer;
@@ -66,10 +65,15 @@ impl CvaeSpec {
         self.x_dim + self.n_classes
     }
 
+    /// The CVAE's flat-vector layout: the encoder's three layers, then the
+    /// decoder's two, which are `θ`.
+    fn layers(&self) -> [LayerSpec; 5] {
+        layers(self.enc_in(), self.hidden, self.latent, self.dec_in(), self.dec_out())
+    }
+
     /// Scalar parameter count of the decoder (the `θ` clients ship).
     pub fn decoder_params(&self) -> usize {
-        (self.dec_in() * self.hidden + self.hidden)
-            + (self.hidden * self.dec_out() + self.dec_out())
+        layer::num_params(&self.layers()[DECODER..])
     }
 }
 
@@ -78,109 +82,51 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// The detachable decoder `D_θ` — the object FedGuard clients ship to the
-/// server for validation-data synthesis.
-pub struct CvaeDecoder {
+/// The detachable decoder `D_θ` — what FedGuard clients ship to the server
+/// for validation-data synthesis — as a borrowed view of a flat `θ`: the
+/// server decodes each submission in place.
+#[derive(Clone, Copy)]
+pub struct CvaeDecoder<'a> {
     spec: CvaeSpec,
-    l1: Linear,
-    l2: Linear,
+    theta: &'a [f32],
 }
 
-impl CvaeDecoder {
-    /// Freshly initialized decoder.
-    pub fn new(spec: &CvaeSpec, rng: &mut SeededRng) -> Self {
-        CvaeDecoder {
-            spec: *spec,
-            l1: Linear::new(spec.dec_in(), spec.hidden, rng),
-            l2: Linear::new(spec.hidden, spec.dec_out(), rng),
-        }
-    }
-
-    /// Decoder built straight from a flat `θ` vector. Panics if `θ` does
-    /// not have [`CvaeSpec::decoder_params`] scalars.
-    pub fn from_params(spec: &CvaeSpec, theta: &[f32]) -> Self {
+impl<'a> CvaeDecoder<'a> {
+    /// The decoder whose parameters are `θ`. Panics if `θ` does not have
+    /// [`CvaeSpec::decoder_params`] scalars.
+    pub fn from_params(spec: &CvaeSpec, theta: &'a [f32]) -> Self {
         params::check_len(theta.len(), spec.decoder_params());
-        let mut rest = theta;
-        let mut take = |inputs, outputs| Linear {
-            weight: params::take(&mut rest, &[outputs, inputs]),
-            bias: params::take(&mut rest, &[outputs]),
-        };
-        CvaeDecoder {
-            spec: *spec,
-            l1: take(spec.dec_in(), spec.hidden),
-            l2: take(spec.hidden, spec.dec_out()),
-        }
+        CvaeDecoder { spec: *spec, theta }
     }
 
     pub fn spec(&self) -> &CvaeSpec {
         &self.spec
     }
 
-    /// Flat `θ` vector.
-    pub fn get_params(&self) -> Vec<f32> {
-        params::flatten(self)
-    }
-
-    /// The pass over `zy = z ‖ onehot(y)`: the ReLU'd hidden layer, which
-    /// the backward pass reads, and the reconstruction logits.
-    fn forward(&self, zy: &Tensor) -> (Tensor, Tensor) {
-        let mut h = self.l1.forward(zy);
-        relu(h.data_mut());
-        let logits = self.l2.forward(&h);
-        (h, logits)
-    }
-
-    /// Backprop through the pass that read `zy` and kept `h`; returns the
-    /// gradient w.r.t. `z` (dropping the conditioning columns, which
-    /// receive no gradient).
-    fn backward_to_z(&mut self, zy: &Tensor, h: &Tensor, dlogits: &Tensor) -> Tensor {
-        let mut dh = self.l2.backward(h, dlogits);
-        relu_backward(dh.data_mut(), h.data());
-        self.l1.backward(zy, &dh).slice_cols(0, self.spec.latent)
-    }
-
     /// Controllable synthesis (§III-A): decode latent samples `z` under the
     /// conditioning labels, returning sigmoid-activated images `(batch,
     /// x_dim)`. The reconstructed one-hot tail is discarded.
-    pub fn generate(&mut self, z: &Tensor, labels: &[usize]) -> Tensor {
+    pub fn generate(&self, z: &Tensor, labels: &[usize]) -> Tensor {
         assert_eq!(z.dim(0), labels.len(), "one label per latent sample");
         assert_eq!(z.dim(1), self.spec.latent, "latent dim mismatch");
-        let (_, logits) = self.forward(&z.concat_cols(&one_hot(labels, self.spec.n_classes)));
+        let banks = carve(&self.spec.layers()[DECODER..], &[self.theta]);
+        let (_, logits) = decode(&z.concat_cols(&one_hot(labels, self.spec.n_classes)), &banks);
         logits.slice_cols(0, self.spec.x_dim).map(sigmoid)
-    }
-}
-
-impl Module for CvaeDecoder {
-    fn visit_params(&self, f: &mut dyn FnMut(&Parameter)) {
-        self.l1.visit_params(f);
-        self.l2.visit_params(f);
-    }
-
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        self.l1.visit_params_mut(f);
-        self.l2.visit_params_mut(f);
     }
 }
 
 /// The full CVAE: encoder + reparameterization + decoder.
 pub struct Cvae {
     spec: CvaeSpec,
-    enc_l1: Linear,
-    mu_head: Linear,
-    logvar_head: Linear,
-    decoder: CvaeDecoder,
+    /// The flat vector [`CvaeSpec::layers`] lays out, whose tail is `θ`, and
+    /// its gradient.
+    param: Parameter,
 }
 
 impl Cvae {
     /// Freshly initialized CVAE.
     pub fn new(spec: &CvaeSpec, rng: &mut SeededRng) -> Self {
-        Cvae {
-            spec: *spec,
-            enc_l1: Linear::new(spec.enc_in(), spec.hidden, rng),
-            mu_head: Linear::new(spec.hidden, spec.latent, rng),
-            logvar_head: Linear::new(spec.hidden, spec.latent, rng),
-            decoder: CvaeDecoder::new(spec, rng),
-        }
+        Cvae { spec: *spec, param: layer::init(&spec.layers(), rng) }
     }
 
     pub fn spec(&self) -> &CvaeSpec {
@@ -189,26 +135,13 @@ impl Cvae {
 
     /// The decoder's flat `θ` vector — what a FedGuard client shares.
     pub fn decoder_params(&self) -> Vec<f32> {
-        self.decoder.get_params()
-    }
-
-    /// Borrow the decoder (e.g. for generation on the client side).
-    pub fn decoder_mut(&mut self) -> &mut CvaeDecoder {
-        &mut self.decoder
-    }
-
-    /// The encoder's pass over `xy = x ‖ onehot(y)`: the ReLU'd hidden
-    /// layer, which the backward pass reads, then `(mu, logvar)`.
-    fn encode(&self, xy: &Tensor) -> (Tensor, Tensor, Tensor) {
-        let mut h = self.enc_l1.forward(xy);
-        relu(h.data_mut());
-        let mu = self.mu_head.forward(&h);
-        let logvar = self.logvar_head.forward(&h);
-        (h, mu, logvar)
+        let flat = self.param.value.data();
+        flat[flat.len() - self.spec.decoder_params()..].to_vec()
     }
 
     /// One ELBO training step (Eqn. 6) on a mini-batch; returns the loss
-    /// (reconstruction + KL).
+    /// (reconstruction + KL). The encoder reads `x ‖ onehot(y)`, and the
+    /// decoder reconstructs it from `z ‖ onehot(y)`.
     pub fn train_batch(
         &mut self,
         x: &Tensor,
@@ -219,59 +152,33 @@ impl Cvae {
         self.zero_grad();
         let y = one_hot(labels, self.spec.n_classes);
         let xy = x.concat_cols(&y);
-        let (h, mu, logvar) = self.encode(&xy);
-
-        // Reparameterization: z = mu + exp(logvar/2) * eps.
-        let eps = mu.randn_like(rng);
-        let std = logvar.map(|lv| (0.5 * lv).exp());
-        let z = mu.add(&std.mul(&eps));
-
-        // Decoder reconstructs x ‖ onehot(y).
-        let zy = z.concat_cols(&y);
-        let (dec_h, logits) = self.decoder.forward(&zy);
-        let (recon_loss, dlogits) = loss::bce_with_logits(&logits, &xy);
-        let (kl_loss, kl_dmu, kl_dlogvar) = loss::kl_gaussian(&mu, &logvar);
-
-        // Backward through decoder to z.
-        let dz = self.decoder.backward_to_z(&zy, &dec_h, &dlogits);
-
-        // Reparameterization gradients.
-        let dmu = dz.add(&kl_dmu);
-        let dlv_from_z = dz.mul(&eps).mul(&std).map(|v| 0.5 * v);
-        let dlogvar = dlv_from_z.add(&kl_dlogvar);
-
-        // Backward through the twin heads into the shared hidden state.
-        let dh_mu = self.mu_head.backward(&h, &dmu);
-        let mut dh = dh_mu.add(&self.logvar_head.backward(&h, &dlogvar));
-        relu_backward(dh.data_mut(), h.data());
-        // Nothing sits below the first layer: parameter gradients only.
-        self.enc_l1.backward_params(&xy, &dh);
-
+        let layers = self.spec.layers();
+        let bce = loss::bce_with_logits;
+        // β = 1 is the plain ELBO, bit for bit: scaling by 1 is exact.
+        let loss = elbo_step(&layers, &mut self.param, &xy, Some(&y), 1.0, bce, rng);
         optim.step(self);
-        recon_loss + kl_loss
+        loss
     }
 }
 
 impl Module for Cvae {
     fn visit_params(&self, f: &mut dyn FnMut(&Parameter)) {
-        self.enc_l1.visit_params(f);
-        self.mu_head.visit_params(f);
-        self.logvar_head.visit_params(f);
-        self.decoder.visit_params(f);
+        f(&self.param);
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        self.enc_l1.visit_params_mut(f);
-        self.mu_head.visit_params_mut(f);
-        self.logvar_head.visit_params_mut(f);
-        self.decoder.visit_params_mut(f);
+        f(&mut self.param);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activations::relu_backward;
     use crate::bits;
+    use crate::layer::carve_mut;
+    use crate::linear;
+    use crate::models::vae::encode;
     use crate::optim::Adam;
 
     impl CvaeSpec {
@@ -288,8 +195,9 @@ mod tests {
         fn eval_loss(&self, x: &Tensor, labels: &[usize]) -> f32 {
             let y = one_hot(labels, self.spec.n_classes);
             let xy = x.concat_cols(&y);
-            let (_, mu, logvar) = self.encode(&xy);
-            let (_, logits) = self.decoder.forward(&mu.concat_cols(&y));
+            let banks = carve(&self.spec.layers(), &[self.param.value.data()]);
+            let (_, mu, logvar) = encode(&xy, &banks[..DECODER]);
+            let (_, logits) = decode(&mu.concat_cols(&y), &banks[DECODER..]);
             let (recon, _) = loss::bce_with_logits(&logits, &xy);
             let (kl, _, _) = loss::kl_gaussian(&mu, &logvar);
             recon + kl
@@ -323,10 +231,27 @@ mod tests {
     fn decoder_round_trip() {
         let spec = CvaeSpec::reduced(16, 4);
         let mut rng = SeededRng::new(1);
-        let dec = CvaeDecoder::new(&spec, &mut rng);
-        let theta = dec.get_params();
-        let dec2 = CvaeDecoder::from_params(&spec, &theta);
-        assert_eq!(dec2.get_params(), theta);
+        let theta = Cvae::new(&spec, &mut rng).decoder_params();
+        let dec = CvaeDecoder::from_params(&spec, &theta);
+        // The decoder reads `θ` where it lies: no copy.
+        assert!(std::ptr::eq(dec.theta, theta.as_slice()));
+    }
+
+    #[test]
+    fn theta_is_the_tail_of_the_flat_vector() {
+        for spec in [CvaeSpec::reduced(100, 8), CvaeSpec::table_iii()] {
+            let mut rng = SeededRng::new(31);
+            let mut cvae = Cvae::new(&spec, &mut rng);
+            let x = Tensor::rand_uniform(&[4, 784], 0.0, 1.0, &mut rng);
+            cvae.train_batch(&x, &[0, 3, 5, 9], &mut Adam::new(2e-3), &mut rng);
+            let (flat, theta) = (params::flatten(&cvae), cvae.decoder_params());
+            let tail = &flat[flat.len() - spec.decoder_params()..];
+            assert_eq!(bits(&theta), bits(tail), "{spec:?}");
+            let z = Tensor::randn(&[5, spec.latent], &mut rng);
+            let viewed = CvaeDecoder::from_params(&spec, tail).generate(&z, &[1, 2, 3, 4, 5]);
+            let copied = CvaeDecoder::from_params(&spec, &theta).generate(&z, &[1, 2, 3, 4, 5]);
+            assert_eq!(bits(viewed.data()), bits(copied.data()), "{spec:?}");
+        }
     }
 
     #[test]
@@ -347,15 +272,17 @@ mod tests {
     fn generate_shapes_and_range() {
         let spec = CvaeSpec::reduced(16, 4);
         let mut rng = SeededRng::new(2);
-        let mut dec = CvaeDecoder::new(&spec, &mut rng);
+        let theta = Cvae::new(&spec, &mut rng).decoder_params();
+        let dec = CvaeDecoder::from_params(&spec, &theta);
         let z = Tensor::randn(&[5, 4], &mut rng);
         let imgs = dec.generate(&z, &[0, 1, 2, 3, 4]);
         assert_eq!(imgs.dims(), &[5, 784]);
         assert!(imgs.data().iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 
-    /// [`Cvae::train_batch`] as it ran before the first-layer elision: the
-    /// same step with a full `enc_l1.backward`, input gradient included.
+    /// [`Cvae::train_batch`] as it ran before the first-layer elision and
+    /// the step shared with the VAE: the same step with a full backward
+    /// through the first layer, input gradient included.
     fn train_batch_full_backward(
         cvae: &mut Cvae,
         x: &Tensor,
@@ -364,22 +291,31 @@ mod tests {
         rng: &mut SeededRng,
     ) -> f32 {
         cvae.zero_grad();
+        let layers = cvae.spec.layers();
         let y = one_hot(labels, cvae.spec.n_classes);
         let xy = x.concat_cols(&y);
-        let (h, mu, logvar) = cvae.encode(&xy);
+        let Parameter { value, grad } = &mut cvae.param;
+        let banks = carve(&layers, &[value.data()]);
+        let [d_enc, d_mu, d_logvar, d_dec1, d_dec2]: [_; 5] =
+            carve_mut(&layers, grad.data_mut()).try_into().unwrap();
+        let (h, mu, logvar) = encode(&xy, &banks[..DECODER]);
         let eps = mu.randn_like(rng);
         let std = logvar.map(|lv| (0.5 * lv).exp());
         let z = mu.add(&std.mul(&eps));
         let zy = z.concat_cols(&y);
-        let (dec_h, logits) = cvae.decoder.forward(&zy);
+        let (dec_h, logits) = decode(&zy, &banks[DECODER..]);
         let (recon_loss, dlogits) = loss::bce_with_logits(&logits, &xy);
         let (kl_loss, kl_dmu, kl_dlogvar) = loss::kl_gaussian(&mu, &logvar);
-        let dz = cvae.decoder.backward_to_z(&zy, &dec_h, &dlogits);
+        let mut dh = linear::backward(&dec_h, &dlogits, &banks[4], d_dec2);
+        relu_backward(dh.data_mut(), dec_h.data());
+        let dz =
+            linear::backward(&zy, &dh, &banks[DECODER], d_dec1).slice_cols(0, cvae.spec.latent);
         let dmu = dz.add(&kl_dmu);
         let dlogvar = dz.mul(&eps).mul(&std).map(|v| 0.5 * v).add(&kl_dlogvar);
-        let mut dh = cvae.mu_head.backward(&h, &dmu).add(&cvae.logvar_head.backward(&h, &dlogvar));
+        let dh_mu = linear::backward(&h, &dmu, &banks[1], d_mu);
+        let mut dh = dh_mu.add(&linear::backward(&h, &dlogvar, &banks[2], d_logvar));
         relu_backward(dh.data_mut(), h.data());
-        let dxy = cvae.enc_l1.backward(&xy, &dh);
+        let dxy = linear::backward(&xy, &dh, &banks[0], d_enc);
         assert_eq!(dxy.dims(), xy.dims());
         optim.step(cvae);
         recon_loss + kl_loss
@@ -474,8 +410,9 @@ mod tests {
         let proto1: Vec<f32> = (0..784).map(|j| if j >= 392 { 0.95 } else { 0.05 }).collect();
 
         let z = Tensor::randn(&[8, 4], &mut rng);
-        let gen0 = cvae.decoder_mut().generate(&z, &[0; 8]);
-        let gen1 = cvae.decoder_mut().generate(&z, &[1; 8]);
+        let theta = cvae.decoder_params();
+        let gen0 = CvaeDecoder::from_params(&spec, &theta).generate(&z, &[0; 8]);
+        let gen1 = CvaeDecoder::from_params(&spec, &theta).generate(&z, &[1; 8]);
         let d = |img: &[f32], proto: &[f32]| -> f32 {
             img.iter().zip(proto).map(|(a, b)| (a - b) * (a - b)).sum()
         };

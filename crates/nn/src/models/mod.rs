@@ -10,16 +10,18 @@
 //!   kernel launches, bitwise equal to `m` one-model
 //!   [`Classifier::evaluate`] calls (the server's audit and evaluation).
 //! * [`Cvae`] / [`CvaeDecoder`] — the Conditional Variational AutoEncoder of
-//!   Table III and the detachable decoder `D_θ` that FedGuard clients ship
-//!   to the server.
+//!   Table III, whose flat vector ends in the decoder's `θ` that FedGuard
+//!   clients ship to the server, and the decoder `D_θ` as a borrowed view of
+//!   a `θ`, which the server decodes in place.
 
 mod batched;
 mod classifier;
 mod cvae;
 mod vae;
 
+pub use crate::layer::LayerSpec;
 pub use batched::BatchedClassifier;
-pub use classifier::{Classifier, ClassifierSpec, LayerSpec};
+pub use classifier::{Classifier, ClassifierSpec};
 pub use cvae::{Cvae, CvaeDecoder, CvaeSpec};
 pub use vae::{Vae, VaeSpec};
 

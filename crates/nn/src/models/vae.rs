@@ -7,8 +7,8 @@
 //! the image CVAE's Bernoulli BCE.
 
 use crate::activations::{relu, relu_backward};
-use crate::layer::{Module, Parameter};
-use crate::linear::Linear;
+use crate::layer::{self, carve, carve_mut, Bank, LayerSpec, Module, Parameter};
+use crate::linear::{self, accumulate_param_grads};
 use crate::loss;
 use crate::optim::Optimizer;
 use fg_tensor::rng::SeededRng;
@@ -23,49 +23,124 @@ pub struct VaeSpec {
     pub latent: usize,
 }
 
+impl VaeSpec {
+    fn layers(&self) -> [LayerSpec; 5] {
+        let (x, hidden, latent) = (self.x_dim, self.hidden, self.latent);
+        layers(x, hidden, latent, latent, x)
+    }
+}
+
+/// Index of the decoder's first layer in [`layers`].
+pub(super) const DECODER: usize = 3;
+
+/// The five linear layers of a (conditional) VAE's flat vector, front to
+/// back: the encoder `enc_in → hidden`, its twin `hidden → latent` heads (μ,
+/// then log σ²), and the decoder `dec_in → hidden → out`.
+pub(super) fn layers(
+    enc_in: usize,
+    hidden: usize,
+    latent: usize,
+    dec_in: usize,
+    out: usize,
+) -> [LayerSpec; 5] {
+    let linear = |inputs, outputs| LayerSpec::Linear { inputs, outputs };
+    let heads = linear(hidden, latent);
+    [linear(enc_in, hidden), heads, heads, linear(dec_in, hidden), linear(hidden, out)]
+}
+
+/// The encoder's pass through its three banks: the ReLU'd hidden layer,
+/// which the backward pass reads, then `(mu, logvar)`.
+pub(super) fn encode(x: &Tensor, banks: &[Bank<'_>]) -> (Tensor, Tensor, Tensor) {
+    let [enc, mu_head, logvar_head] = banks else { unreachable!("three encoder layers") };
+    let mut h = linear::forward(x, enc);
+    relu(h.data_mut());
+    let (mu, logvar) = (linear::forward(&h, mu_head), linear::forward(&h, logvar_head));
+    (h, mu, logvar)
+}
+
+/// The decoder's pass through its two banks: the ReLU'd hidden layer, which
+/// the backward pass reads, and the output.
+pub(super) fn decode(x: &Tensor, banks: &[Bank<'_>]) -> (Tensor, Tensor) {
+    let [l1, l2] = banks else { unreachable!("two decoder layers") };
+    let mut h = linear::forward(x, l1);
+    relu(h.data_mut());
+    let out = linear::forward(&h, l2);
+    (h, out)
+}
+
+/// One ELBO step's forward and backward over the flat vector `param` that
+/// [`layers`] lays out, accumulating its gradient; returns `recon + β·KL`.
+/// The encoder reads `x`, the decoder `z ‖ cond` (the conditioning columns
+/// receive no gradient), and `recon_loss(output, x)` scores the decoder's
+/// output against `x`.
+pub(super) fn elbo_step(
+    layers: &[LayerSpec],
+    param: &mut Parameter,
+    x: &Tensor,
+    cond: Option<&Tensor>,
+    beta: f32,
+    recon_loss: impl FnOnce(&Tensor, &Tensor) -> (f32, Tensor),
+    rng: &mut SeededRng,
+) -> f32 {
+    let Parameter { value, grad } = param;
+    let banks = carve(layers, &[value.data()]);
+    let [_, mu_head, logvar_head, dec1, dec2] = &banks[..] else { unreachable!("five layers") };
+    let (h, mu, logvar) = encode(x, &banks[..DECODER]);
+
+    // Reparameterization: z = mu + exp(logvar/2) * eps.
+    let eps = mu.randn_like(rng);
+    let std = logvar.map(|lv| (0.5 * lv).exp());
+    let z = mu.add(&std.mul(&eps));
+    let zc = cond.map_or_else(|| z.clone(), |c| z.concat_cols(c));
+    let (dec_h, out) = decode(&zc, &banks[DECODER..]);
+    let (recon, dout) = recon_loss(&out, x);
+    let (kl, kl_dmu, kl_dlogvar) = loss::kl_gaussian(&mu, &logvar);
+
+    // Backward through the decoder to z.
+    let [d_enc, d_mu, d_logvar, d_dec1, d_dec2]: [_; 5] =
+        carve_mut(layers, grad.data_mut()).try_into().expect("five layers");
+    let mut dh = linear::backward(&dec_h, &dout, dec2, d_dec2);
+    relu_backward(dh.data_mut(), dec_h.data());
+    let dz = linear::backward(&zc, &dh, dec1, d_dec1).slice_cols(0, z.dim(1));
+
+    // Reparameterization gradients.
+    let mut dlogvar = dz.mul(&eps).mul(&std).map(|v| 0.5 * v);
+    dlogvar.axpy(beta, &kl_dlogvar);
+    let mut dmu = dz;
+    dmu.axpy(beta, &kl_dmu);
+
+    // Backward through the twin heads into the shared hidden state.
+    let dh_mu = linear::backward(&h, &dmu, mu_head, d_mu);
+    let mut dh = dh_mu.add(&linear::backward(&h, &dlogvar, logvar_head, d_logvar));
+    relu_backward(dh.data_mut(), h.data());
+    // Nothing sits below the first layer: parameter gradients only.
+    accumulate_param_grads(x.data(), dh.data(), d_enc.0, d_enc.1);
+    recon + beta * kl
+}
+
+/// Mean squared error summed over features and averaged over the batch,
+/// and its gradient.
+fn mse(recon: &Tensor, x: &Tensor) -> (f32, Tensor) {
+    let b = x.dim(0) as f32;
+    let diff = recon.sub(x);
+    let mse: f32 = diff.data().iter().map(|d| d * d).sum::<f32>() / b;
+    (mse, diff.map(|d| 2.0 * d / b))
+}
+
 /// Encoder `x → (μ, log σ²)`, decoder `z → x̂`, trained on MSE + KL.
 pub struct Vae {
     spec: VaeSpec,
-    enc_l1: Linear,
-    mu_head: Linear,
-    logvar_head: Linear,
-    dec_l1: Linear,
-    dec_l2: Linear,
+    /// The flat vector [`VaeSpec::layers`] lays out, and its gradient.
+    param: Parameter,
 }
 
 impl Vae {
     pub fn new(spec: &VaeSpec, rng: &mut SeededRng) -> Self {
-        Vae {
-            spec: *spec,
-            enc_l1: Linear::new(spec.x_dim, spec.hidden, rng),
-            mu_head: Linear::new(spec.hidden, spec.latent, rng),
-            logvar_head: Linear::new(spec.hidden, spec.latent, rng),
-            dec_l1: Linear::new(spec.latent, spec.hidden, rng),
-            dec_l2: Linear::new(spec.hidden, spec.x_dim, rng),
-        }
+        Vae { spec: *spec, param: layer::init(&spec.layers(), rng) }
     }
 
     pub fn spec(&self) -> &VaeSpec {
         &self.spec
-    }
-
-    /// The encoder's pass: the ReLU'd hidden layer, which the backward pass
-    /// reads, then `(mu, logvar)`.
-    fn encode(&self, x: &Tensor) -> (Tensor, Tensor, Tensor) {
-        let mut h = self.enc_l1.forward(x);
-        relu(h.data_mut());
-        let mu = self.mu_head.forward(&h);
-        let logvar = self.logvar_head.forward(&h);
-        (h, mu, logvar)
-    }
-
-    /// The decoder's pass from `z`: the ReLU'd hidden layer, which the
-    /// backward pass reads, and the reconstruction.
-    fn decode(&self, z: &Tensor) -> (Tensor, Tensor) {
-        let mut h = self.dec_l1.forward(z);
-        relu(h.data_mut());
-        let recon = self.dec_l2.forward(&h);
-        (h, recon)
     }
 
     /// One training step on a batch; returns the loss (MSE + β·KL).
@@ -77,45 +152,17 @@ impl Vae {
         rng: &mut SeededRng,
     ) -> f32 {
         self.zero_grad();
-        let (h, mu, logvar) = self.encode(x);
-        let eps = mu.randn_like(rng);
-        let std = logvar.map(|lv| (0.5 * lv).exp());
-        let z = mu.add(&std.mul(&eps));
-        let (dec_h, recon) = self.decode(&z);
-
-        // MSE summed over features, averaged over batch.
-        let b = x.dim(0) as f32;
-        let diff = recon.sub(x);
-        let mse: f32 = diff.data().iter().map(|d| d * d).sum::<f32>() / b;
-        let drecon = diff.map(|d| 2.0 * d / b);
-
-        let (kl, kl_dmu, kl_dlv) = loss::kl_gaussian(&mu, &logvar);
-
-        // Backward through decoder.
-        let mut dh = self.dec_l2.backward(&dec_h, &drecon);
-        relu_backward(dh.data_mut(), dec_h.data());
-        let dz = self.dec_l1.backward(&z, &dh);
-
-        let mut dlv = dz.mul(&eps).mul(&std).map(|v| 0.5 * v);
-        dlv.axpy(beta, &kl_dlv);
-        let mut dmu = dz;
-        dmu.axpy(beta, &kl_dmu);
-
-        let dh_mu = self.mu_head.backward(&h, &dmu);
-        let mut dh = dh_mu.add(&self.logvar_head.backward(&h, &dlv));
-        relu_backward(dh.data_mut(), h.data());
-        // Nothing sits below the first layer: parameter gradients only.
-        self.enc_l1.backward_params(x, &dh);
-
+        let loss = elbo_step(&self.spec.layers(), &mut self.param, x, None, beta, mse, rng);
         optim.step(self);
-        mse + beta * kl
+        loss
     }
 
     /// Per-row reconstruction error (MSE over features, via the posterior
     /// mean — the anomaly score Spectral thresholds on).
-    pub fn reconstruction_errors(&mut self, x: &Tensor) -> Vec<f32> {
-        let (_, mu, _) = self.encode(x);
-        let (_, recon) = self.decode(&mu);
+    pub fn reconstruction_errors(&self, x: &Tensor) -> Vec<f32> {
+        let banks = carve(&self.spec.layers(), &[self.param.value.data()]);
+        let (_, mu, _) = encode(x, &banks[..DECODER]);
+        let (_, recon) = decode(&mu, &banks[DECODER..]);
         let n = x.dim(1) as f32;
         (0..x.dim(0))
             .map(|r| {
@@ -127,19 +174,11 @@ impl Vae {
 
 impl Module for Vae {
     fn visit_params(&self, f: &mut dyn FnMut(&Parameter)) {
-        self.enc_l1.visit_params(f);
-        self.mu_head.visit_params(f);
-        self.logvar_head.visit_params(f);
-        self.dec_l1.visit_params(f);
-        self.dec_l2.visit_params(f);
+        f(&self.param);
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        self.enc_l1.visit_params_mut(f);
-        self.mu_head.visit_params_mut(f);
-        self.logvar_head.visit_params_mut(f);
-        self.dec_l1.visit_params_mut(f);
-        self.dec_l2.visit_params_mut(f);
+        f(&mut self.param);
     }
 }
 
@@ -198,7 +237,7 @@ mod tests {
     fn reconstruction_error_shape() {
         let spec = VaeSpec { x_dim: 8, hidden: 8, latent: 2 };
         let mut rng = SeededRng::new(2);
-        let mut vae = Vae::new(&spec, &mut rng);
+        let vae = Vae::new(&spec, &mut rng);
         let x = Tensor::randn(&[5, 8], &mut rng);
         assert_eq!(vae.reconstruction_errors(&x).len(), 5);
     }

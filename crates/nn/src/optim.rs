@@ -113,7 +113,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::Linear;
+    use crate::linear::{self, accumulate_param_grads, Linear};
     use crate::loss::softmax_cross_entropy;
     use fg_tensor::rng::SeededRng;
     use fg_tensor::Tensor;
@@ -135,9 +135,11 @@ mod tests {
         let mut last = f32::MAX;
         for _ in 0..steps {
             net.zero_grad();
-            let logits = net.forward(&x);
+            let logits =
+                linear::forward(&x, &(vec![net.weight.value.data()], vec![net.bias.value.data()]));
             let (loss, grad) = softmax_cross_entropy(&logits, &ys);
-            net.backward_params(&x, &grad);
+            let (dw, db) = (net.weight.grad.data_mut(), net.bias.grad.data_mut());
+            accumulate_param_grads(x.data(), grad.data(), dw, db);
             optim.step(&mut net);
             last = loss;
         }

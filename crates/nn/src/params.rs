@@ -1,45 +1,23 @@
-//! Flattening model parameters to and from plain `Vec<f32>` vectors — the
-//! wire format of the federated-learning layer. Clients ship flat vectors
+//! Model parameters as plain `Vec<f32>` vectors — the wire format of the
+//! federated-learning layer. A model is built straight from its vector
+//! (`Classifier::from_params`, `CvaeDecoder::from_params`). Clients ship flat vectors
 //! (`ψ` for the classifier, `θ` for the CVAE decoder) and the aggregation
 //! operators work on them directly.
 
-use crate::layer::{Module, Parameter};
-use fg_tensor::Tensor;
+use crate::layer::Module;
 
 /// Concatenate all parameters of a module into one flat vector, in visit
-/// order.
+/// order: a model's one parameter, copied.
 pub fn flatten(module: &dyn Module) -> Vec<f32> {
     let mut out = Vec::with_capacity(module.num_params());
     module.visit_params(&mut |p| out.extend_from_slice(p.value.data()));
     out
 }
 
-/// Load a flat vector produced by [`flatten`] back into the module.
-///
-/// Panics if the vector length does not match the module's parameter count.
-pub fn load(module: &mut dyn Module, flat: &[f32]) {
-    check_len(flat.len(), module.num_params());
-    let mut off = 0usize;
-    module.visit_params_mut(&mut |p| {
-        let n = p.numel();
-        p.value.data_mut().copy_from_slice(&flat[off..off + n]);
-        off += n;
-    });
-}
-
 /// Panics unless a flat vector of `len` scalars is the size of a model of
 /// `expected` parameters.
 pub(crate) fn check_len(len: usize, expected: usize) {
     assert_eq!(len, expected, "parameter vector length {len} != model size {expected}");
-}
-
-/// The next parameter, of shape `dims`, copied off the front of a flat
-/// vector in [`flatten`] order; `flat` moves past it. How a model is built
-/// from its flat vector without an initialisation to overwrite.
-pub(crate) fn take(flat: &mut &[f32], dims: &[usize]) -> Parameter {
-    let (value, rest) = flat.split_at(dims.iter().product());
-    *flat = rest;
-    Parameter::new(Tensor::from_vec(value.to_vec(), dims))
 }
 
 /// Size in bytes of a flat parameter vector on the simulated wire
@@ -51,8 +29,7 @@ pub fn wire_bytes(num_params: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::Linear;
-    use crate::models::{Classifier, ClassifierSpec};
+    use crate::models::{Classifier, ClassifierSpec, Cvae, CvaeSpec, Vae, VaeSpec};
     use fg_tensor::rng::SeededRng;
 
     #[test]
@@ -63,16 +40,28 @@ mod tests {
         assert_eq!(flat.len(), net.num_params());
 
         let mut net2 = Classifier::new(&spec, &mut SeededRng::new(1));
-        load(&mut net2, &flat);
+        net2.visit_params_mut(&mut |p| p.value.data_mut().copy_from_slice(&flat));
         assert_eq!(flatten(&net2), flat);
     }
 
     #[test]
-    #[should_panic]
-    fn load_rejects_wrong_length() {
-        let mut rng = SeededRng::new(1);
-        let mut net = Linear::new(2, 2, &mut rng);
-        load(&mut net, &[0.0; 3]);
+    fn every_model_is_one_flat_parameter() {
+        let mut rng = SeededRng::new(2);
+        let count = |m: &dyn Module| {
+            let mut sizes = Vec::new();
+            m.visit_params(&mut |p| sizes.push(p.numel()));
+            sizes
+        };
+        for spec in [ClassifierSpec::Mlp { hidden: 8 }, ClassifierSpec::TableIICnn] {
+            assert_eq!(count(&Classifier::new(&spec, &mut rng)), [spec.num_params()]);
+        }
+        let cvae = Cvae::new(&CvaeSpec::table_iii(), &mut rng);
+        assert_eq!(count(&cvae), [664_834]);
+        let vae = Vae::new(&VaeSpec { x_dim: 16, hidden: 32, latent: 4 }, &mut rng);
+        assert_eq!(
+            count(&vae),
+            [(16 * 32 + 32) + 2 * (32 * 4 + 4) + (4 * 32 + 32) + (32 * 16 + 16)]
+        );
     }
 
     #[test]

@@ -27,21 +27,8 @@ proptest! {
         prop_assert_eq!(flat.len(), net.num_params());
 
         let mut net2 = Cvae::new(&spec, &mut rng);
-        params::load(&mut net2, &flat);
+        net2.visit_params_mut(&mut |p| p.value.data_mut().copy_from_slice(&flat));
         prop_assert_eq!(params::flatten(&net2), flat);
-    }
-
-    #[test]
-    fn softmax_rows_are_probability_vectors(
-        logits in proptest::collection::vec(-20.0f32..20.0, 12),
-    ) {
-        let t = Tensor::from_vec(logits, &[3, 4]);
-        let p = loss::softmax(&t);
-        for r in 0..3 {
-            let s: f32 = p.row(r).iter().sum();
-            prop_assert!((s - 1.0).abs() < 1e-4);
-            prop_assert!(p.row(r).iter().all(|&x| (0.0..=1.0).contains(&x)));
-        }
     }
 
     #[test]
@@ -122,16 +109,5 @@ proptest! {
         net.visit_params_mut(&mut |p| p.grad.fill(1.0));
         Sgd::new(0.0).step(&mut net);
         prop_assert_eq!(params::flatten(&net), before);
-    }
-
-    #[test]
-    fn accuracy_is_a_fraction(
-        logits in proptest::collection::vec(-5.0f32..5.0, 20),
-        targets in proptest::collection::vec(0usize..4, 5),
-    ) {
-        let t = Tensor::from_vec(logits, &[5, 4]);
-        let acc = loss::accuracy(&t, &targets);
-        prop_assert!((0.0..=1.0).contains(&acc));
-        prop_assert!((acc * 5.0).fract().abs() < 1e-5);
     }
 }

@@ -916,27 +916,6 @@ pub fn matmul_at_into(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &
     );
 }
 
-/// Dot product over contiguous slices, with a 4-way unrolled accumulator so
-/// LLVM vectorizes it even at modest optimization levels.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        acc[0] += a[i] * b[i];
-        acc[1] += a[i + 1] * b[i + 1];
-        acc[2] += a[i + 2] * b[i + 2];
-        acc[3] += a[i + 3] * b[i + 3];
-    }
-    let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..a.len() {
-        sum += a[i] * b[i];
-    }
-    sum
-}
-
 /// Naive triple-loop reference multiply, used by tests to validate the
 /// optimized kernels.
 pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
@@ -1066,13 +1045,6 @@ mod tests {
             let b = Tensor::randn(&[k, n], &mut rng);
             assert_close(&matmul(&a, &b), &matmul_reference(&a, &b), 1e-4);
         }
-    }
-
-    #[test]
-    fn dot_handles_remainders() {
-        let a: Vec<f32> = (0..7).map(|x| x as f32).collect();
-        let b = vec![1.0f32; 7];
-        assert_eq!(dot(&a, &b), 21.0);
     }
 
     #[test]

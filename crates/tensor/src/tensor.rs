@@ -160,11 +160,6 @@ impl Tensor {
         self
     }
 
-    /// Borrowed reshape: same data, new shape object.
-    pub fn view(&self, dims: &[usize]) -> Tensor {
-        self.clone().reshape(dims)
-    }
-
     /// Transpose a rank-2 tensor.
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.shape.rank(), 2, "transpose requires a matrix");
@@ -295,24 +290,7 @@ impl Tensor {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
     // ----- batching helpers ------------------------------------------------
-
-    /// Stack rank-1 tensors of equal length into a matrix (one per row).
-    pub fn stack_rows(rows: &[&[f32]]) -> Tensor {
-        assert!(!rows.is_empty(), "stack_rows needs at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "stack_rows: ragged input");
-            data.extend_from_slice(row);
-        }
-        Tensor::from_vec(data, &[rows.len(), cols])
-    }
 
     /// Copy rows `lo..hi` of a matrix into a fresh matrix.
     pub fn slice_rows(&self, lo: usize, hi: usize) -> Tensor {
@@ -475,15 +453,5 @@ mod tests {
         let t = Tensor::kaiming_uniform(&[100], 50, &mut rng);
         let bound = (6.0f32 / 50.0).sqrt();
         assert!(t.data().iter().all(|x| x.abs() <= bound));
-    }
-
-    #[test]
-    fn has_non_finite_detects_nan_and_inf() {
-        let mut a = Tensor::zeros(&[3]);
-        assert!(!a.has_non_finite());
-        a.data_mut()[1] = f32::NAN;
-        assert!(a.has_non_finite());
-        a.data_mut()[1] = f32::INFINITY;
-        assert!(a.has_non_finite());
     }
 }

@@ -232,11 +232,6 @@ pub fn pairwise_squared_distances_f64(vs: &[&[f32]]) -> Vec<Vec<f64>> {
     mat
 }
 
-/// True if any element is NaN or infinite.
-pub fn has_non_finite(a: &[f32]) -> bool {
-    a.iter().any(|x| !x.is_finite())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,12 +415,5 @@ mod tests {
         let mut stale = vec![f32::NAN; n];
         weighted_sum_into(&[&a, &b], &[0.6, 0.4], &mut stale);
         assert!(fresh.iter().zip(&stale).all(|(x, y)| x.to_bits() == y.to_bits()));
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        assert!(!has_non_finite(&[1.0, 2.0]));
-        assert!(has_non_finite(&[1.0, f32::NAN]));
-        assert!(has_non_finite(&[f32::NEG_INFINITY]));
     }
 }

@@ -7,7 +7,7 @@
 
 use fedguard::data::image_io::{ascii_art, tile_images, write_pgm};
 use fedguard::data::synth::{generate_dataset, render_digit, SIDE};
-use fedguard::nn::models::{Cvae, CvaeSpec};
+use fedguard::nn::models::{Cvae, CvaeDecoder, CvaeSpec};
 use fedguard::nn::Adam;
 use fedguard::tensor::rng::SeededRng;
 use fedguard::tensor::Tensor;
@@ -48,7 +48,8 @@ fn main() {
 
     let z = Tensor::randn(&[10, 8], &mut rng);
     let labels: Vec<usize> = (0..10).collect();
-    let generated = cvae.decoder_mut().generate(&z, &labels);
+    let generated =
+        CvaeDecoder::from_params(cvae.spec(), &cvae.decoder_params()).generate(&z, &labels);
     let gen_rows: Vec<&[f32]> = (0..10).map(|r| generated.row(r)).collect();
     for class in [3usize, 7] {
         println!("generated class {class}:");
