@@ -1,14 +1,9 @@
 //! ReLU's two bodies. The classifier engine runs them over its activation
 //! slabs and the CVAE/VAE steps over their hidden layers; nothing else in
-//! the crate clamps or masks.
+//! the crate clamps or masks. The forward is fg-tensor's, which the conv
+//! block's epilogue runs too.
 
-/// ReLU in place: `max(x, 0)` per scalar. The output is its own mask: it
-/// is positive exactly where the input was.
-pub fn relu(x: &mut [f32]) {
-    for v in x {
-        *v = v.max(0.0);
-    }
-}
+pub use fg_tensor::vecops::relu;
 
 /// ReLU's backward from the output [`relu`] left: the upstream gradient
 /// survives where the output is positive and is zeroed elsewhere.

@@ -202,7 +202,7 @@ fn layer_list_reproduces_param_counts_and_the_flatten_order() {
 #[test]
 fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
     use fg_tensor::conv::{
-        conv2d_forward, conv2d_forward_grouped, conv2d_forward_into, Conv2dSpec,
+        conv2d_forward, conv2d_forward_grouped, conv2d_forward_into, Conv2dSpec, Epilogue,
     };
     use fg_tensor::kernels::{matmul_bt_bias, matmul_bt_bias_grouped, GroupedA};
     use fg_tensor::pool::{maxpool2d_forward, maxpool2d_forward_into, MaxPool2dSpec};
@@ -226,7 +226,7 @@ fn one_group_kernel_calls_equal_the_grouped_calls_first_group() {
     conv2d_forward_grouped(x.data(), b, h, w, &spec, &wv, &bv, &mut grouped);
     let mut shared = vec![0.0f32; groups * b * out_img];
     let first_images = GroupedA::Shared(&x.data()[..b * img]);
-    conv2d_forward_into(first_images, b, h, w, &spec, &wv, &bv, &mut shared);
+    conv2d_forward_into(first_images, b, h, w, &spec, &wv, &bv, Epilogue::Store, &mut shared);
     for g in 0..groups {
         let own = Tensor::from_vec(
             x.data()[g * b * img..(g + 1) * b * img].to_vec(),

@@ -18,7 +18,9 @@
 //! module's tests).
 
 use crate::kernels::{self, ASource, BSource, GroupedA, MatRef, Orient, Patches};
+use crate::pool::maxpool2d_forward_into;
 use crate::tensor::Tensor;
+use crate::vecops::relu;
 use crate::workspace;
 use fg_obs::metrics::Counter;
 use rayon::prelude::*;
@@ -152,20 +154,36 @@ fn padded_len(h: usize, w: usize, spec: &Conv2dSpec) -> usize {
     spec.in_ch * (h + 2 * spec.pad) * (w + 2 * spec.pad)
 }
 
+/// What the forward body does with each item's convolution plane.
+pub enum Epilogue<'a> {
+    /// Write the plane: `out` holds `(out_ch, oh, ow)` per item.
+    Store,
+    /// [`relu`] the plane, then `k×k` max-pool it
+    /// ([`maxpool2d_forward_into`]) while it is in cache: `out` holds the
+    /// pooled `(out_ch, oh/k, ow/k)` per item and no full-resolution slab
+    /// is written. With `keep`, the ReLU'd planes land in `keep.0`
+    /// (`(out_ch, oh, ow)` per item) and each pooled element's argmax, an
+    /// index into `keep.0`, in `keep.1` — what a pool backward reads.
+    ReluPool { k: usize, keep: Option<(&'a mut [f32], &'a mut [u32])> },
+}
+
 /// The one forward-convolution body: group `g` convolves `b` images with its
-/// own `(out_ch, patch_len)` filter bank and bias into
-/// `out[g*b*out_ch*out_plane..]`. Group `g` reads image `bi` from its own
-/// `(b, in_ch, h, w)` block of the input ([`GroupedA::PerGroup`]) or from
-/// the one batch every group shares ([`GroupedA::Shared`]).
+/// own `(out_ch, patch_len)` filter bank and bias, and `epilogue` says what
+/// reaches `out[(g*b + image)*item..]`. Group `g` reads image `bi` from its
+/// own `(b, in_ch, h, w)` block of the input ([`GroupedA::PerGroup`]) or
+/// from the one batch every group shares ([`GroupedA::Shared`]).
 ///
 /// Each filter bank is packed once, before any item runs, and every item
 /// reads it in place. Per *(group, image)* item: copy the image with its
 /// zero border into pooled scratch, seed each output channel's row with its
-/// bias (the fused epilogue), then `C(out_ch × out_plane) += W · colsᵀ`
-/// written straight in the output layout, the patch panels packed from the
-/// padded copy. The items are the parallel grain — disjoint output planes,
-/// a sequential GEMM each — so one group is as parallel as eight and every
-/// bit is the same at any thread count.
+/// bias, then `C(out_ch × out_plane) += W · colsᵀ` in the output layout, the
+/// patch panels packed from the padded copy; [`Epilogue::Store`] writes `C`
+/// straight into `out`, [`Epilogue::ReluPool`] into a scratch plane (or the
+/// kept slab) that it then pools into `out`. The items are the parallel
+/// grain — disjoint output planes, a sequential GEMM each — so one group is
+/// as parallel as eight and every bit is the same at any thread count.
+/// ReLU and max are exact, so a pooled plane holds the bits of a stored
+/// one run through [`relu`] and [`maxpool2d_forward_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_into(
     input: GroupedA<'_>,
@@ -175,6 +193,7 @@ pub fn conv2d_forward_into(
     spec: &Conv2dSpec,
     weights: &[&[f32]],
     biases: &[&[f32]],
+    epilogue: Epilogue<'_>,
     out: &mut [f32],
 ) {
     CONV_FWD_CALLS.incr();
@@ -182,9 +201,13 @@ pub fn conv2d_forward_into(
     let groups = weights.len();
     let (oh, ow) = spec.out_size(h, w);
     let (out_ch, out_plane, patch) = (spec.out_ch, oh * ow, spec.patch_len());
-    let img_len = spec.in_ch * h * w;
+    let (img_len, plane_len) = (spec.in_ch * h * w, out_ch * out_plane);
+    let item_len = match epilogue {
+        Epilogue::Store => plane_len,
+        Epilogue::ReluPool { k, .. } => out_ch * (oh / k) * (ow / k),
+    };
     assert_eq!(biases.len(), groups, "conv2d forward: weights/biases mismatch");
-    assert_eq!(out.len(), groups * b * out_ch * out_plane, "conv2d forward: output slab");
+    assert_eq!(out.len(), groups * b * item_len, "conv2d forward: output slab");
     match input {
         GroupedA::PerGroup(x) => assert_eq!(x.len(), groups * b * img_len, "conv2d forward: input"),
         GroupedA::Shared(x) => assert_eq!(x.len(), b * img_len, "conv2d forward: shared input"),
@@ -193,6 +216,10 @@ pub fn conv2d_forward_into(
         assert_eq!(w_data.len(), out_ch * patch, "conv2d forward: filter bank size");
         assert_eq!(bias.len(), out_ch, "conv2d forward: bias length");
     }
+    if let Epilogue::ReluPool { keep: Some((planes, argmax)), .. } = &epilogue {
+        assert_eq!(planes.len(), groups * b * plane_len, "conv2d forward: kept planes");
+        assert_eq!(argmax.len(), out.len(), "conv2d forward: kept argmax");
+    }
     let bank_len = kernels::packed_a_len(out_ch, patch);
     let mut banks = workspace::take_uninit(groups * bank_len);
     for (g, w_data) in weights.iter().enumerate() {
@@ -200,7 +227,8 @@ pub fn conv2d_forward_into(
         kernels::prepack_a(bank, out_ch, patch, &mut banks[g * bank_len..][..bank_len]);
     }
     let banks = &banks[..];
-    out.par_chunks_mut(out_ch * out_plane).enumerate().for_each(|(item, out_img)| {
+    // One item's bias-seeded convolution into its `(out_ch, oh, ow)` plane.
+    let convolve = |item: usize, plane: &mut [f32]| {
         let (g, bi) = (item / b, item % b);
         let image = match input {
             GroupedA::PerGroup(x) => &x[item * img_len..][..img_len],
@@ -208,7 +236,7 @@ pub fn conv2d_forward_into(
         };
         let mut padded = workspace::take_uninit(padded_len(h, w, spec));
         let patches = pad_image(image, h, w, spec, Orient::TapPos, &mut padded);
-        for (dst, &bv) in out_img.chunks_exact_mut(out_plane).zip(biases[g]) {
+        for (dst, &bv) in plane.chunks_exact_mut(out_plane).zip(biases[g]) {
             dst.fill(bv);
         }
         kernels::gemm(
@@ -218,9 +246,30 @@ pub fn conv2d_forward_into(
             patch,
             ASource::Packed(&banks[g * bank_len..][..bank_len]),
             BSource::Patches(patches),
-            out_img,
+            plane,
         );
-    });
+    };
+    let items = out.par_chunks_mut(item_len).enumerate();
+    match epilogue {
+        Epilogue::Store => items.for_each(|(item, plane)| convolve(item, plane)),
+        Epilogue::ReluPool { k, keep: None } => items.for_each(|(item, pooled)| {
+            let mut plane = workspace::take_uninit(plane_len);
+            convolve(item, &mut plane);
+            relu(&mut plane);
+            maxpool2d_forward_into(&plane, out_ch, oh, ow, k, pooled, None);
+        }),
+        Epilogue::ReluPool { k, keep: Some((planes, argmax)) } => {
+            let kept = planes.par_chunks_mut(plane_len).zip(argmax.par_chunks_mut(item_len));
+            items.zip(kept).for_each(|((item, pooled), (plane, argmax))| {
+                convolve(item, plane);
+                relu(plane);
+                maxpool2d_forward_into(plane, out_ch, oh, ow, k, pooled, Some(&mut *argmax));
+                // Index the whole kept slab, not this item's plane.
+                let base = (item * plane_len) as u32;
+                argmax.iter_mut().for_each(|i| *i += base);
+            });
+        }
+    }
 }
 
 /// Forward convolution: `input` `(batch, in_ch, h, w)`, `weight`
@@ -233,8 +282,8 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
     assert_eq!(weight.dims(), &[spec.out_ch, spec.patch_len()]);
     let (oh, ow) = spec.out_size(h, w);
     let mut out = vec![0.0f32; b * spec.out_ch * oh * ow];
-    let x = GroupedA::PerGroup(input.data());
-    conv2d_forward_into(x, b, h, w, spec, &[weight.data()], &[bias.data()], &mut out);
+    let (x, bank, bias) = (GroupedA::PerGroup(input.data()), [weight.data()], [bias.data()]);
+    conv2d_forward_into(x, b, h, w, spec, &bank, &bias, Epilogue::Store, &mut out);
     Tensor::from_vec(out, &[b, spec.out_ch, oh, ow])
 }
 
@@ -253,7 +302,8 @@ pub fn conv2d_forward_grouped(
     biases: &[&[f32]],
     out: &mut [f32],
 ) {
-    conv2d_forward_into(GroupedA::PerGroup(input), b, h, w, spec, weights, biases, out);
+    let x = GroupedA::PerGroup(input);
+    conv2d_forward_into(x, b, h, w, spec, weights, biases, Epilogue::Store, out);
 }
 
 /// Gradients produced by [`conv2d_backward`].
@@ -696,7 +746,8 @@ mod tests {
                 conv2d_forward_grouped(&input, b, h, w, &spec, &wv, &bv, &mut per_group);
                 let mut shared = vec![0.0f32; groups * b * out_img];
                 let first_images = GroupedA::Shared(set_batch(0));
-                conv2d_forward_into(first_images, b, h, w, &spec, &wv, &bv, &mut shared);
+                let store = Epilogue::Store;
+                conv2d_forward_into(first_images, b, h, w, &spec, &wv, &bv, store, &mut shared);
                 for g in 0..groups {
                     let got = &per_group[g * b * out_img..][..b * out_img];
                     assert_bits(got, &own[g][..b * out_img], &what("per-group", g));
@@ -731,6 +782,46 @@ mod tests {
                 .collect();
             assert_bits(grads.d_bias.data(), &d_bias, &format!("{spec:?} d_bias"));
         }
+    }
+
+    #[test]
+    fn relu_pool_epilogue_equals_store_then_relu_then_pool() {
+        // Three groups on shared images, an odd plane so the pool floors;
+        // the kept argmax indexes the whole kept slab, as one pool call over
+        // the stored slab would.
+        let mut rng = SeededRng::new(34);
+        let spec = Conv2dSpec { in_ch: 2, out_ch: 3, kh: 3, kw: 3, pad: 1 };
+        let (groups, b, h, w, k) = (3usize, 5usize, 7usize, 6usize, 2usize);
+        let x = Tensor::randn(&[b, spec.in_ch, h, w], &mut rng);
+        let banks: Vec<Tensor> = (0..groups)
+            .map(|_| Tensor::randn(&[spec.out_ch, spec.patch_len()], &mut rng))
+            .collect();
+        let biases: Vec<Tensor> =
+            (0..groups).map(|_| Tensor::randn(&[spec.out_ch], &mut rng)).collect();
+        let wv: Vec<&[f32]> = banks.iter().map(Tensor::data).collect();
+        let bv: Vec<&[f32]> = biases.iter().map(Tensor::data).collect();
+        let run = |epilogue: Epilogue<'_>, out: &mut [f32]| {
+            let x = GroupedA::Shared(x.data());
+            conv2d_forward_into(x, b, h, w, &spec, &wv, &bv, epilogue, out);
+        };
+
+        let mut stored = vec![0.0f32; groups * b * spec.out_ch * h * w];
+        run(Epilogue::Store, &mut stored);
+        relu(&mut stored);
+        let pooled_len = groups * b * spec.out_ch * (h / k) * (w / k);
+        let (mut want, mut want_argmax) = (vec![0.0f32; pooled_len], vec![0u32; pooled_len]);
+        let c = spec.out_ch;
+        maxpool2d_forward_into(&stored, c, h, w, k, &mut want, Some(&mut want_argmax));
+
+        let mut lean = vec![0.0f32; pooled_len];
+        run(Epilogue::ReluPool { k, keep: None }, &mut lean);
+        assert_bits(&lean, &want, "pooled, nothing kept");
+        let (mut kept, mut planes) = (vec![0.0f32; pooled_len], vec![0.0f32; stored.len()]);
+        let mut argmax = vec![0u32; pooled_len];
+        run(Epilogue::ReluPool { k, keep: Some((&mut planes, &mut argmax)) }, &mut kept);
+        assert_bits(&kept, &want, "pooled, planes kept");
+        assert_bits(&planes, &stored, "kept planes");
+        assert_eq!(argmax, want_argmax, "kept argmax");
     }
 
     #[test]

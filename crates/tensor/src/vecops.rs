@@ -3,7 +3,8 @@
 //! Federated aggregation operates on flattened model-parameter vectors (1.66
 //! million elements at paper scale), not on shaped tensors, so these free
 //! functions work directly on slices. They are the primitives FedAvg, GeoMed,
-//! Krum and the attacks are built from.
+//! Krum and the attacks are built from; [`relu`] is the elementwise
+//! activation every network pass shares.
 
 use rayon::prelude::*;
 
@@ -170,6 +171,16 @@ pub fn axpy(a: &mut [f32], alpha: f32, b: &[f32]) {
         for (x, &y) in a.iter_mut().zip(b) {
             *x += alpha * y;
         }
+    }
+}
+
+/// ReLU in place, `max(x, 0)` per scalar, on the calling thread: the one
+/// ReLU body, run by the conv block's epilogue ([`crate::conv::Epilogue`])
+/// and by fg-nn's activations. The output is its own mask: it is positive
+/// exactly where the input was.
+pub fn relu(x: &mut [f32]) {
+    for v in x {
+        *v = v.max(0.0);
     }
 }
 
