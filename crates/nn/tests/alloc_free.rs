@@ -16,7 +16,10 @@
 //!
 //! `alloc_events` counts the calling thread's allocations, and
 //! `with_threads(1)` keeps every workspace request of a measured region on
-//! that thread, so sibling tests cannot move the reading.
+//! that thread, so sibling tests cannot move the reading. (With more
+//! threads a buffer may be dropped on another thread than the one that
+//! took it; it still goes back to its taker's pool, which
+//! `workspace::tests::a_buffer_dropped_on_another_thread_goes_home` pins.)
 
 use fg_nn::models::{Classifier, ClassifierSpec};
 use fg_nn::Sgd;
