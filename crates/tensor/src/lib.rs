@@ -11,7 +11,7 @@
 //! family is a cache-blocked, panel-packed kernel (MC/KC/NC blocking with an
 //! MR×NR register-tile microkernel — see [`kernels`]); all per-call scratch
 //! — packed panels and filter banks, padded image copies, column gradients —
-//! comes from a thread-local [`workspace`] pool, so the conv/linear hot paths
+//! comes from a per-thread [`workspace`] pool, so the conv/linear hot paths
 //! perform no heap allocation in steady state beyond their returned tensors.
 //! Outer loops are parallelized where the problem size warrants it, via the
 //! repo's rayon shim — a real fork-join worker pool sized by `FG_THREADS`
