@@ -16,8 +16,8 @@
 //!
 //! With `--check-oracle` the server additionally replays the identical
 //! config through the in-process `LocalTransport` oracle and asserts the
-//! two deployments are bit-identical (accuracy series, audit scores and the
-//! final global model).
+//! two deployments are bit-identical (accuracy series, audit scores, the
+//! final global model and the forensics ledgers of the two histories).
 //!
 //! With `--admin <addr>` the server binds a second socket serving
 //! `GET /metrics` (Prometheus text), `GET /healthz` and `GET /forensics`,
@@ -32,9 +32,10 @@ use fedguard::experiment::{
     StrategyKind,
 };
 use fg_bench::{flag_value, preset_from_args, seed_from_args};
+use fg_fl::forensics::ledger;
 use fg_fl::{
     AdminPlane, CommStats, Compression, FlightRecTrigger, NetConfig, OpsState, RoundObserver,
-    TcpTransport, WireStats,
+    RoundTelemetry, TcpTransport, WireStats,
 };
 use fg_nn::models::Classifier;
 use fg_tensor::rng::SeededRng;
@@ -104,8 +105,6 @@ struct NetBenchReport {
     /// byte-identical to rendering a registry snapshot taken at the same
     /// instant (only with `--admin`).
     scrape_consistent: Option<bool>,
-    /// Rounds recorded in the forensics ledger (always equals `rounds`).
-    forensics_rounds: usize,
 }
 
 /// Minimal blocking HTTP/1.0 GET against the admin plane; returns the body.
@@ -149,7 +148,7 @@ fn main() {
         Classifier::new(&cfg.fed.classifier, &mut SeededRng::new(0)).get_params().len() as u64;
 
     // The operational plane: a second socket drained from the transport's
-    // poll loop, the health/forensics observer, and flight-recorder
+    // poll loop, the observer folding the ledger it serves, and flight-recorder
     // triggers dumping to results/flightrec/ on anomalies.
     let admin = flag_value(&args, "--admin").map(|admin_addr| {
         let ops = OpsState::new(cfg.fed.rounds);
@@ -238,8 +237,8 @@ fn main() {
 
     let equivalent = check_oracle.then(|| {
         eprintln!("[fed_server] replaying in-process oracle for equivalence check...");
-        // The replay must not clobber the served run's telemetry/forensics
-        // trails; the sink path does not influence the computation.
+        // The replay must not clobber the served run's telemetry trail; the
+        // sink path does not influence the computation.
         let mut oracle_cfg = cfg.clone();
         oracle_cfg.telemetry_dir = None;
         let oracle = run_experiment_full(&oracle_cfg);
@@ -253,8 +252,11 @@ fn main() {
             .all(|(a, b)| a.scores == b.scores && a.threshold == b.threshold);
         // The forensics ledger derives purely from deterministic telemetry,
         // so it must be byte-identical across the two deployments too.
-        let forensics_ok = serde_json::to_string(&oracle.forensics).ok()
-            == serde_json::to_string(&served.forensics).ok();
+        let ledger_json = |history: &[RoundTelemetry]| {
+            serde_json::to_string(&ledger(history)).expect("ledger serializes")
+        };
+        let forensics_ok =
+            ledger_json(&oracle.result.history) == ledger_json(&served.result.history);
         eprintln!(
             "[fed_server] oracle check: accuracy {} | global {} | scores {} | forensics {}",
             acc_ok, global_ok, scores_ok, forensics_ok
@@ -288,7 +290,6 @@ fn main() {
             .and_then(|plane| plane.lock().local_addr().ok())
             .map(|a| a.to_string()),
         scrape_consistent,
-        forensics_rounds: served.forensics.len(),
     };
     if let Some(dir) = Path::new(&out).parent() {
         fs::create_dir_all(dir).expect("create output dir");

@@ -1,22 +1,24 @@
-//! `fg_report` — joins a run's telemetry trail and forensics ledger into an
-//! operator-facing defense report.
+//! `fg_report` — turns a run's telemetry trail into an operator-facing
+//! defense report.
 //!
 //! ```text
 //! fg_report --telemetry results/telemetry/fedguard-sign-flipping-s42.jsonl \
-//!           [--forensics <path>] [--out results/ops_report.json]
+//!           [--out results/ops_report.json]
 //! ```
 //!
-//! The forensics path defaults to the telemetry path with `.jsonl` replaced
-//! by `.forensics.jsonl` (where the runner writes it). The output follows
-//! the ROADMAP item-4 result contract: a top-level `outcome` / `objective` /
-//! `metrics` triple, plus the evidence behind it — per-check verdicts and a
-//! per-client timeline (sampled/excluded rounds, exclusion causes, final
-//! suspicion). The report cross-checks the two trails against each other:
-//! same round ids, and forensics exclusion verdicts exactly matching the
-//! telemetry's `excluded` roster per round. Exit code 1 on `failure`.
+//! The trail is the only input: the forensics ledger is derived from it
+//! (`fg_fl::forensics::ledger`), so a trail written before a ledger field
+//! existed reports that field too. The output follows the ROADMAP item-4
+//! result contract: a top-level `outcome` / `objective` / `metrics` triple,
+//! plus the evidence behind it — per-check verdicts and a per-client
+//! timeline (sampled/excluded rounds, exclusion causes, final suspicion).
+//! The checks hold the derived ledger to the trail: its exclusion verdicts
+//! match the trail's `excluded` roster per round, and its running confusion
+//! counts one decision per verdict. Exit code 1 on `failure`.
 
 use fg_bench::flag_value;
-use fg_fl::{read_forensics_jsonl, read_jsonl, DefenseConfusion, ExclusionCause};
+use fg_fl::forensics::ledger;
+use fg_fl::{read_jsonl, DefenseConfusion, ExclusionCause};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs;
@@ -84,18 +86,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry_path = flag_value(&args, "--telemetry")
         .expect("fg_report requires --telemetry <run.jsonl> (see --help text in the module doc)");
-    let forensics_path = flag_value(&args, "--forensics").unwrap_or_else(|| {
-        telemetry_path
-            .strip_suffix(".jsonl")
-            .map(|stem| format!("{stem}.forensics.jsonl"))
-            .unwrap_or_else(|| format!("{telemetry_path}.forensics.jsonl"))
-    });
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/ops_report.json".to_string());
 
     let telemetry = read_jsonl(&telemetry_path)
         .unwrap_or_else(|e| panic!("read telemetry {telemetry_path:?}: {e}"));
-    let forensics = read_forensics_jsonl(&forensics_path)
-        .unwrap_or_else(|e| panic!("read forensics {forensics_path:?}: {e}"));
+    let forensics = ledger(&telemetry);
 
     let mut checks = Vec::new();
     check(
@@ -104,20 +99,6 @@ fn main() {
         !telemetry.is_empty(),
         format!("{} rounds in {telemetry_path}", telemetry.len()),
     );
-    check(
-        &mut checks,
-        "forensics_nonempty",
-        !forensics.is_empty(),
-        format!("{} rounds in {forensics_path}", forensics.len()),
-    );
-    check(
-        &mut checks,
-        "round_counts_match",
-        telemetry.len() == forensics.len(),
-        format!("telemetry {} vs forensics {}", telemetry.len(), forensics.len()),
-    );
-    let ids_match = telemetry.iter().zip(&forensics).all(|(t, f)| t.round == f.round);
-    check(&mut checks, "round_ids_match", ids_match, "zip of round ids".to_string());
     // The ledger's per-round exclusion verdicts must reproduce the
     // aggregation outcome recorded in telemetry exactly.
     let mut exclusion_mismatch = None;

@@ -52,14 +52,6 @@ impl LabelFlip {
         self.apply(&mut out);
         out
     }
-
-    /// Classes touched by this transform.
-    pub fn affected_classes(&self) -> Vec<u8> {
-        let mut out: Vec<u8> = self.pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -93,10 +85,5 @@ mod tests {
         let ds = Dataset::new((0..40).map(|x| x as f32).collect(), (0u8..10).collect());
         let flipped = f.applied(&ds);
         assert_eq!(flipped.images(), ds.images());
-    }
-
-    #[test]
-    fn affected_classes_sorted_unique() {
-        assert_eq!(LabelFlip::paper().affected_classes(), vec![2, 4, 5, 7]);
     }
 }

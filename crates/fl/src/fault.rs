@@ -80,15 +80,6 @@ impl FaultConfig {
             duplicate_prob: 0.1,
         }
     }
-
-    /// True when every fault probability is zero (injection is a no-op).
-    pub fn is_quiet(&self) -> bool {
-        self.dropout_prob == 0.0
-            && self.straggler_prob == 0.0
-            && self.corrupt_prob == 0.0
-            && self.truncate_prob == 0.0
-            && self.duplicate_prob == 0.0
-    }
 }
 
 /// How an injected corruption mangles the parameter vector.
@@ -395,7 +386,6 @@ mod tests {
     #[test]
     fn quiet_config_never_draws_a_fault() {
         let plan = FaultPlan::new(FaultConfig::default(), 99);
-        assert!(FaultConfig::default().is_quiet());
         for round in 0..5 {
             for client in 0..20 {
                 assert!(plan.draw(round, client).is_clean());

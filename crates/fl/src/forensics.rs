@@ -1,13 +1,13 @@
 //! Defense forensics: a per-client, per-round exclusion ledger.
 //!
 //! The aggregation pipeline decides *which* updates enter the global model;
-//! this module records *why* each sampled client's update did or did not.
-//! Every completed round folds into the ledger as one [`RoundForensics`]
-//! record: the audit score and threshold, an exclusion verdict attributed
-//! to a cause taxonomy ([`ExclusionCause`]), a cumulative per-client
-//! suspicion EWMA, and — the interceptor being the ground-truth oracle for
-//! which sampled clients were malicious — running defense
-//! precision/recall/FPR ([`DefenseConfusion`]).
+//! this module says *why* each sampled client's update did or did not.
+//! The ledger is a function of the round history: [`ledger`] folds each
+//! [`RoundTelemetry`] into one [`RoundForensics`] record: the audit score
+//! and threshold, an exclusion verdict attributed to a cause taxonomy
+//! ([`ExclusionCause`]), a cumulative per-client suspicion EWMA, and — the
+//! interceptor being the ground-truth oracle for which sampled clients were
+//! malicious — running defense precision/recall/FPR ([`DefenseConfusion`]).
 //!
 //! ## Determinism
 //!
@@ -20,6 +20,9 @@
 //! thread counts, and audit modes. `tests/forensics_determinism.rs` pins
 //! this.
 //!
+//! Nothing records the ledger a second time: a run writes one telemetry
+//! trail, and the ledger of any trail, however old, is `ledger(&trail)`.
+//!
 //! ## Cause taxonomy
 //!
 //! | cause | meaning |
@@ -31,18 +34,13 @@
 //! | `RosterDropped` | the update never reached the sanitizer (dropout, timeout, session loss) |
 
 use crate::fault::FaultKind;
-use crate::telemetry::{RoundObserver, RoundTelemetry, SCHEMA_VERSION};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use crate::telemetry::{RoundTelemetry, SCHEMA_VERSION};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
 use std::ops::AddAssign;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Why a sampled client's update did not make it into the aggregate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum ExclusionCause {
     /// Survived sanitization and was judged, but the strategy left it out
     /// of the selected roster (under FedGuard: audit score < threshold).
@@ -62,7 +60,7 @@ pub enum ExclusionCause {
 
 /// Running confusion counts over every `(round, sampled client)` exclusion
 /// decision, treating "excluded" as the positive class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct DefenseConfusion {
     /// Malicious and excluded.
     pub true_positives: u64,
@@ -125,16 +123,14 @@ impl AddAssign for DefenseConfusion {
 }
 
 /// One sampled client's verdict in one round.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ClientVerdict {
     pub client_id: usize,
     /// The strategy's score for this client, when it produced one.
-    #[serde(default)]
     pub score: Option<f32>,
     /// Not part of the aggregate this round.
     pub excluded: bool,
     /// Attribution, present iff `excluded`.
-    #[serde(default)]
     pub cause: Option<ExclusionCause>,
     /// Per-client EWMA of the exclusion indicator after this round.
     pub suspicion: f32,
@@ -142,32 +138,22 @@ pub struct ClientVerdict {
     pub malicious: bool,
 }
 
-/// One round of the ledger — the unit serialized to the forensics JSONL.
-/// Versioned alongside [`RoundTelemetry`] under the same schema-v2
-/// `#[serde(default)]` compatibility rules: readers tolerate missing
-/// defaulted fields and ignore unknown ones.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One round of the ledger, derived from that round's [`RoundTelemetry`].
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct RoundForensics {
-    /// Schema version of the emitting writer ([`SCHEMA_VERSION`]); 0 when
-    /// absent in the input.
-    #[serde(default)]
+    /// [`SCHEMA_VERSION`] of the code that derived the record.
     pub schema_version: u32,
     pub round: usize,
     /// The round's audit threshold, when the strategy published one.
-    #[serde(default)]
     pub threshold: Option<f32>,
     pub quorum_met: bool,
     /// One verdict per sampled client, ascending client id.
     pub verdicts: Vec<ClientVerdict>,
     /// Running confusion totals up to and including this round.
-    #[serde(default)]
     pub confusion: DefenseConfusion,
     /// Running rates derived from `confusion`, duplicated for grep-ability.
-    #[serde(default)]
     pub precision: f64,
-    #[serde(default)]
     pub recall: f64,
-    #[serde(default)]
     pub fpr: f64,
 }
 
@@ -178,38 +164,32 @@ impl RoundForensics {
     }
 }
 
-/// Default EWMA coefficient for the per-client suspicion series: one
-/// exclusion lifts a clean client to 0.25; four in a row to ~0.68.
+/// EWMA coefficient of the per-client suspicion series: one exclusion
+/// lifts a clean client to 0.25; four in a row to ~0.68.
 pub const DEFAULT_SUSPICION_ALPHA: f32 = 0.25;
 
-/// The ledger state machine: folds completed rounds into per-client
-/// suspicion and running confusion, keeping every emitted record.
-#[derive(Clone, Debug)]
+/// The ledger of a round history: [`ForensicsLedger::observe`] folded over
+/// `history` in order, one record per round.
+pub fn ledger(history: &[RoundTelemetry]) -> Vec<RoundForensics> {
+    let mut fold = ForensicsLedger::new();
+    for event in history {
+        fold.observe(event);
+    }
+    fold.rounds
+}
+
+/// The fold behind [`ledger`]: per-client suspicion and running confusion
+/// over the rounds seen so far, keeping every record.
+#[derive(Clone, Debug, Default)]
 pub struct ForensicsLedger {
-    alpha: f32,
     suspicion: BTreeMap<usize, f32>,
     confusion: DefenseConfusion,
     rounds: Vec<RoundForensics>,
 }
 
-impl Default for ForensicsLedger {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ForensicsLedger {
     pub fn new() -> Self {
-        Self::with_alpha(DEFAULT_SUSPICION_ALPHA)
-    }
-
-    pub fn with_alpha(alpha: f32) -> Self {
-        ForensicsLedger {
-            alpha,
-            suspicion: BTreeMap::new(),
-            confusion: DefenseConfusion::default(),
-            rounds: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Attribute an exclusion. Precedence within the fault events of one
@@ -250,7 +230,7 @@ impl ForensicsLedger {
 
     /// Fold one completed round and return its ledger record. Pure in the
     /// deterministic telemetry fields plus prior ledger state.
-    pub fn observe(&mut self, event: &RoundTelemetry) -> RoundForensics {
+    pub fn observe(&mut self, event: &RoundTelemetry) -> &RoundForensics {
         let selected: BTreeSet<usize> = event.selected.iter().copied().collect();
         let survivors: BTreeSet<usize> = event.survivors.iter().copied().collect();
         let malicious: BTreeSet<usize> = event.malicious_sampled.iter().copied().collect();
@@ -263,7 +243,8 @@ impl ForensicsLedger {
             let cause = excluded.then(|| Self::cause_for(id, event, &survivors));
             let score = event.scores.iter().find(|&&(c, _)| c == id).map(|&(_, s)| s);
             let s = self.suspicion.entry(id).or_insert(0.0);
-            *s = (1.0 - self.alpha) * *s + self.alpha * if excluded { 1.0 } else { 0.0 };
+            *s = (1.0 - DEFAULT_SUSPICION_ALPHA) * *s
+                + DEFAULT_SUSPICION_ALPHA * if excluded { 1.0 } else { 0.0 };
             let is_malicious = malicious.contains(&id);
             self.confusion.note(is_malicious, excluded);
             verdicts.push(ClientVerdict {
@@ -276,7 +257,7 @@ impl ForensicsLedger {
             });
         }
 
-        let record = RoundForensics {
+        self.rounds.push(RoundForensics {
             schema_version: SCHEMA_VERSION,
             round: event.round,
             threshold: event.threshold,
@@ -286,126 +267,13 @@ impl ForensicsLedger {
             precision: self.confusion.precision(),
             recall: self.confusion.recall(),
             fpr: self.confusion.fpr(),
-        };
-        self.rounds.push(record.clone());
-        record
+        });
+        self.rounds.last().expect("a record was just pushed")
     }
 
     pub fn rounds(&self) -> &[RoundForensics] {
         &self.rounds
     }
-
-    pub fn confusion(&self) -> DefenseConfusion {
-        self.confusion
-    }
-
-    /// Current suspicion EWMA for a client (None if never sampled).
-    pub fn suspicion(&self, client_id: usize) -> Option<f32> {
-        self.suspicion.get(&client_id).copied()
-    }
-
-    /// The whole ledger as a JSON array (what `/forensics` serves).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.rounds).expect("ledger serializes")
-    }
-}
-
-struct CollectorInner {
-    ledger: ForensicsLedger,
-    sink: Option<BufWriter<File>>,
-    path: Option<PathBuf>,
-}
-
-/// Shared, cloneable [`RoundObserver`] around a [`ForensicsLedger`];
-/// optionally mirrors each record to a JSONL file as rounds complete.
-/// Clones share state, so the runner can keep one handle attached to the
-/// federation and hand another to the admin plane.
-#[derive(Clone)]
-pub struct ForensicsCollector {
-    inner: Arc<Mutex<CollectorInner>>,
-}
-
-impl Default for ForensicsCollector {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ForensicsCollector {
-    pub fn new() -> Self {
-        ForensicsCollector {
-            inner: Arc::new(Mutex::new(CollectorInner {
-                ledger: ForensicsLedger::new(),
-                sink: None,
-                path: None,
-            })),
-        }
-    }
-
-    /// Collector that also appends one JSON line per round to `path`
-    /// (truncating any previous file; parent directories are created).
-    pub fn with_jsonl(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let file = File::create(path)?;
-        Ok(ForensicsCollector {
-            inner: Arc::new(Mutex::new(CollectorInner {
-                ledger: ForensicsLedger::new(),
-                sink: Some(BufWriter::new(file)),
-                path: Some(path.to_path_buf()),
-            })),
-        })
-    }
-
-    pub fn rounds(&self) -> Vec<RoundForensics> {
-        self.inner.lock().ledger.rounds().to_vec()
-    }
-
-    pub fn confusion(&self) -> DefenseConfusion {
-        self.inner.lock().ledger.confusion()
-    }
-
-    /// The ledger as a JSON array (what `/forensics` serves).
-    pub fn to_json(&self) -> String {
-        self.inner.lock().ledger.to_json()
-    }
-
-    /// The JSONL path, when this collector writes one.
-    pub fn path(&self) -> Option<PathBuf> {
-        self.inner.lock().path.clone()
-    }
-}
-
-impl RoundObserver for ForensicsCollector {
-    fn on_round(&mut self, event: &RoundTelemetry) {
-        let mut inner = self.inner.lock();
-        let record = inner.ledger.observe(event);
-        if let Some(sink) = inner.sink.as_mut() {
-            let line = serde_json::to_string(&record).expect("forensics record serializes");
-            let _ = writeln!(sink, "{line}");
-        }
-    }
-
-    fn on_run_complete(&mut self) {
-        if let Some(sink) = self.inner.lock().sink.as_mut() {
-            let _ = sink.flush();
-        }
-    }
-}
-
-/// Read a forensics JSONL file back into records (tolerates the usual
-/// schema-compat rules; fails on structurally corrupt lines).
-pub fn read_forensics_jsonl(path: impl AsRef<Path>) -> io::Result<Vec<RoundForensics>> {
-    let text = std::fs::read_to_string(path)?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| {
-            serde_json::from_str(l)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -440,8 +308,8 @@ mod tests {
             FaultEvent::new(4, FaultKind::RejectedWrongLength { got: 3, expected: 9 }),
             FaultEvent::new(5, FaultKind::Dropout),
         ];
-        let mut ledger = ForensicsLedger::new();
-        let rec = ledger.observe(&ev);
+        let rounds = ledger(std::slice::from_ref(&ev));
+        let rec = &rounds[0];
         let cause = |id: usize| rec.verdicts.iter().find(|v| v.client_id == id).unwrap().cause;
         assert_eq!(cause(1), None);
         assert_eq!(cause(2), Some(ExclusionCause::BelowThreshold));
@@ -464,7 +332,8 @@ mod tests {
         ev.excluded = vec![1, 2, 3];
         ev.quorum_met = false;
         ev.faults = vec![FaultEvent::new(3, FaultKind::Dropout)];
-        let rec = ForensicsLedger::new().observe(&ev);
+        let rounds = ledger(std::slice::from_ref(&ev));
+        let rec = &rounds[0];
         let cause = |id: usize| rec.verdicts.iter().find(|v| v.client_id == id).unwrap().cause;
         assert_eq!(cause(1), Some(ExclusionCause::QuorumSkipped));
         assert_eq!(cause(2), Some(ExclusionCause::QuorumSkipped));
@@ -507,40 +376,7 @@ mod tests {
         assert_eq!(r1.precision, 0.5);
         assert_eq!(r1.recall, 0.5);
         assert_eq!(r1.fpr, 0.5);
-        assert_eq!(ledger.suspicion(1), Some((1.0 - a) * 0.0 + a));
-    }
-
-    #[test]
-    fn collector_writes_readable_jsonl() {
-        let dir = std::env::temp_dir().join("fg_forensics_test");
-        let path = dir.join("ledger.jsonl");
-        let mut collector = ForensicsCollector::with_jsonl(&path).unwrap();
-        let mut ev = event(0);
-        ev.sampled = vec![0, 1];
-        ev.survivors = vec![0, 1];
-        ev.selected = vec![0];
-        ev.excluded = vec![1];
-        collector.on_round(&ev);
-        collector.on_run_complete();
-        let back = read_forensics_jsonl(&path).unwrap();
-        assert_eq!(back, collector.rounds());
-        assert_eq!(back[0].schema_version, SCHEMA_VERSION);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn schema_tolerates_missing_defaulted_and_unknown_fields() {
-        // A minimal v2 record without the defaulted fields…
-        let old = r#"{"round":3,"quorum_met":true,"verdicts":[{"client_id":9,"excluded":true,"suspicion":0.25,"malicious":false}]}"#;
-        let rec: RoundForensics = serde_json::from_str(old).unwrap();
-        assert_eq!(rec.schema_version, 0);
-        assert_eq!(rec.round, 3);
-        assert_eq!(rec.threshold, None);
-        assert_eq!(rec.verdicts[0].cause, None);
-        assert_eq!(rec.confusion, DefenseConfusion::default());
-        // …and a future record with an unknown field.
-        let future = r#"{"round":4,"quorum_met":true,"verdicts":[],"novel_field":[1,2,3]}"#;
-        let rec: RoundForensics = serde_json::from_str(future).unwrap();
-        assert_eq!(rec.round, 4);
+        let v1 = r1.verdicts.iter().find(|v| v.client_id == 1).unwrap();
+        assert_eq!(v1.suspicion, (1.0 - a) * 0.0 + a);
     }
 }

@@ -45,8 +45,7 @@ pub use fault::{
 };
 pub use federation::{Federation, FederationBuilder};
 pub use forensics::{
-    read_forensics_jsonl, ClientVerdict, DefenseConfusion, ExclusionCause, ForensicsCollector,
-    ForensicsLedger, RoundForensics,
+    ClientVerdict, DefenseConfusion, ExclusionCause, ForensicsLedger, RoundForensics,
 };
 pub use net::{
     run_federated_client, ClientRunReport, NetConfig, TcpClientChannel, TcpTransport, WireStats,

@@ -11,10 +11,11 @@ use common::serve_over_tcp;
 use fedguard::experiment::{
     run_experiment_full, AttackScenario, ExperimentConfig, Preset, RunArtifacts, StrategyKind,
 };
-use fg_fl::{read_forensics_jsonl, ExclusionCause};
+use fg_fl::forensics::ledger;
+use fg_fl::{read_jsonl, ExclusionCause};
 
 fn ledger_bytes(run: &RunArtifacts) -> String {
-    serde_json::to_string(&run.forensics).expect("ledger serializes")
+    serde_json::to_string(&ledger(&run.result.history)).expect("ledger serializes")
 }
 
 #[test]
@@ -29,7 +30,8 @@ fn ledger_is_byte_identical_across_threads_transports_and_audit_modes() {
 
     let baseline = rayon::with_threads(4, || run_experiment_full(&cfg));
     let reference = ledger_bytes(&baseline);
-    assert_eq!(baseline.forensics.len(), 8, "one ledger record per round");
+    let forensics = ledger(&baseline.result.history);
+    assert_eq!(forensics.len(), 8, "one ledger record per round");
 
     // Axis 1: worker-pool size.
     let single = rayon::with_threads(1, || run_experiment_full(&cfg));
@@ -48,7 +50,7 @@ fn ledger_is_byte_identical_across_threads_transports_and_audit_modes() {
     // The ledger's exclusion verdicts reproduce the aggregation outcome:
     // per round, exactly the telemetry's excluded roster, and on this
     // fault-free quorum-met run every exclusion is a threshold cut.
-    for (t, f) in baseline.result.history.iter().zip(&baseline.forensics) {
+    for (t, f) in baseline.result.history.iter().zip(&forensics) {
         assert_eq!(t.round, f.round);
         let mut expected = t.excluded.clone();
         expected.sort_unstable();
@@ -77,14 +79,14 @@ fn ledger_is_byte_identical_across_threads_transports_and_audit_modes() {
 
     // Running precision/recall come from somewhere real: a sign-flip attack
     // at 40% with FedGuard should exclude at least one true positive.
-    let last = baseline.forensics.last().unwrap();
+    let last = forensics.last().unwrap();
     assert!(last.confusion.true_positives > 0, "no malicious client was ever excluded");
     assert_eq!(last.precision, last.confusion.precision());
     assert_eq!(last.recall, last.confusion.recall());
 }
 
 #[test]
-fn forensics_jsonl_written_next_to_telemetry_roundtrips() {
+fn ledger_rebuilt_from_the_telemetry_trail_is_the_runs_ledger() {
     let dir = std::env::temp_dir().join("fg_forensics_determinism_test");
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = ExperimentConfig::preset(
@@ -97,9 +99,16 @@ fn forensics_jsonl_written_next_to_telemetry_roundtrips() {
     cfg.telemetry_dir = Some(dir.to_string_lossy().into_owned());
 
     let run = run_experiment_full(&cfg);
-    let path = dir.join(format!("{}.forensics.jsonl", cfg.cell_stem()));
-    let back = read_forensics_jsonl(&path).expect("forensics JSONL readable");
-    assert_eq!(back, run.forensics, "file and in-memory ledger diverged");
-    assert_eq!(back.len(), 2);
+    // One trail per run, and the ledger `fg_report` derives from it is the
+    // ledger of the in-memory history, byte for byte.
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(files, [format!("{}.jsonl", cfg.cell_stem())], "the run wrote one trail");
+    let trail = read_jsonl(dir.join(&files[0])).expect("telemetry JSONL readable");
+    let from_trail = serde_json::to_string(&ledger(&trail)).expect("ledger serializes");
+    assert_eq!(from_trail, ledger_bytes(&run), "trail and in-memory ledger diverged");
+    assert_eq!(ledger(&trail).len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
