@@ -22,5 +22,7 @@ pub mod poison;
 pub mod synth;
 
 pub use dataset::Dataset;
-pub use partition::{dirichlet_partition, iid_partition, shard_partition};
+pub use partition::{
+    dirichlet_partition, dirichlet_partition_labels, iid_partition, shard_partition,
+};
 pub use poison::LabelFlip;

@@ -18,12 +18,28 @@ pub fn dirichlet_partition(
     n_classes: usize,
     rng: &mut SeededRng,
 ) -> Vec<Vec<usize>> {
+    dirichlet_partition_labels(dataset.labels(), n_clients, alpha, n_classes, rng)
+}
+
+/// [`dirichlet_partition`] on the labels alone, so a partition can be drawn
+/// before any image is rendered (`synth::DigitPlan::labels`).
+pub fn dirichlet_partition_labels(
+    labels: &[u8],
+    n_clients: usize,
+    alpha: f32,
+    n_classes: usize,
+    rng: &mut SeededRng,
+) -> Vec<Vec<usize>> {
     assert!(n_clients > 0, "need at least one client");
     assert!(alpha > 0.0, "Dirichlet concentration must be positive");
     let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); n_clients];
 
     for class in 0..n_classes {
-        let mut idx = dataset.indices_of_class(class as u8);
+        let mut idx: Vec<usize> = labels
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &l)| (l == class as u8).then_some(i))
+            .collect();
         if idx.is_empty() {
             continue;
         }
