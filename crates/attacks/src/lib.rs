@@ -14,11 +14,12 @@
 //!   updates and their CVAE decoders; 30% / 40% malicious.
 //!
 //! Model attacks plug into the federation via
-//! [`fg_fl::client::UpdateInterceptor`]; label flipping is applied to the
-//! client partitions before the federation starts ([`poison_datasets`]).
+//! [`fg_fl::client::UpdateInterceptor`]; label flipping is data poisoning,
+//! applied with `fg_data::LabelFlip` to a malicious client's shard as the
+//! experiment set-up renders it, before the federation starts.
 
 pub mod model_attacks;
 pub mod roster;
 
 pub use model_attacks::{ModelAttack, PoisoningInterceptor};
-pub use roster::{choose_malicious, poison_datasets};
+pub use roster::choose_malicious;

@@ -1,6 +1,5 @@
-//! Selecting which clients are malicious and installing data poisoning.
+//! Selecting which clients are malicious.
 
-use fg_data::{Dataset, LabelFlip};
 use fg_tensor::rng::SeededRng;
 
 /// Choose `⌊fraction · n⌋` malicious client ids uniformly at random,
@@ -12,18 +11,6 @@ pub fn choose_malicious(n_clients: usize, fraction: f64, seed: u64) -> Vec<usize
     let mut roster = rng.sample_distinct(n_clients, count.min(n_clients));
     roster.sort_unstable();
     roster
-}
-
-/// Apply a label-flip transform to the datasets of the malicious clients, in
-/// place. Both their classifier training data *and* (under FedGuard) their
-/// CVAE training data are poisoned — the decoders a label-flipping client
-/// ships embody the flipped mapping, which is exactly the "malicious
-/// decoders" limitation the paper discusses in §VI-B.
-pub fn poison_datasets(datasets: &mut [Dataset], malicious: &[usize], flip: &LabelFlip) {
-    for &id in malicious {
-        assert!(id < datasets.len(), "malicious id {id} out of range");
-        flip.apply(&mut datasets[id]);
-    }
 }
 
 #[cfg(test)]
@@ -48,18 +35,6 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), 50);
         assert_ne!(a, choose_malicious(100, 0.5, 8));
-    }
-
-    #[test]
-    fn poisoning_flips_only_malicious_partitions() {
-        let make = || Dataset::new(vec![0.0; 40], (0u8..10).collect());
-        let mut datasets = vec![make(), make(), make()];
-        poison_datasets(&mut datasets, &[1], &LabelFlip::paper());
-        assert_eq!(datasets[0].labels(), make().labels());
-        assert_ne!(datasets[1].labels(), make().labels());
-        assert_eq!(datasets[2].labels(), make().labels());
-        // 5 -> 7 in the poisoned partition.
-        assert_eq!(datasets[1].labels()[5], 7);
     }
 
     #[test]
