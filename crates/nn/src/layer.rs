@@ -53,7 +53,9 @@ pub trait Module {
         n
     }
 
-    /// Zero all gradients.
+    /// Zero all gradients. A training step needs none: an optimizer step
+    /// leaves them zeroed. This is for callers that accumulate gradients
+    /// without stepping.
     fn zero_grad(&mut self) {
         self.visit_params_mut(&mut |p| p.zero_grad());
     }

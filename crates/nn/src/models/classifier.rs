@@ -138,7 +138,6 @@ impl Classifier {
 
     /// One optimizer step on a mini-batch; returns the batch loss.
     pub fn train_batch(&mut self, x: &Tensor, y: &[usize], optim: &mut dyn Optimizer) -> f32 {
-        self.zero_grad();
         let logits = self.logits(x, true);
         let (loss, dlogits) = loss::softmax_cross_entropy(&logits, y);
         self.backward(x.data(), x.dim(0), dlogits.data());

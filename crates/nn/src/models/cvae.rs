@@ -149,7 +149,6 @@ impl Cvae {
         optim: &mut dyn Optimizer,
         rng: &mut SeededRng,
     ) -> f32 {
-        self.zero_grad();
         let y = one_hot(labels, self.spec.n_classes);
         let xy = x.concat_cols(&y);
         let layers = self.spec.layers();

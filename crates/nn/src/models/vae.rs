@@ -151,7 +151,6 @@ impl Vae {
         optim: &mut dyn Optimizer,
         rng: &mut SeededRng,
     ) -> f32 {
-        self.zero_grad();
         let loss = elbo_step(&self.spec.layers(), &mut self.param, x, None, beta, mse, rng);
         optim.step(self);
         loss

@@ -1,25 +1,46 @@
 //! First-order optimizers.
 //!
 //! Optimizer state is addressed by parameter visit order, which the
-//! [`crate::layer::Module`] contract guarantees to be deterministic. The
-//! paper trains the classifier with SGD and the CVAE with Adam (the standard
-//! choices for these models); both are provided.
+//! [`crate::layer::Module`] contract guarantees to be deterministic: each
+//! state vector is one flat arena over all parameters in that order, sized on
+//! the first step. The paper trains the classifier with SGD and the CVAE with
+//! Adam (the standard choices for these models); both are provided.
+//!
+//! A step is one elementwise pass per parameter, compiled by
+//! [`fg_tensor::simd::run`] for the widest vector level: it reads each
+//! gradient element once, applies it, and stores `+0.0` in its place. The
+//! passes contract no multiply-add and reassociate nothing, so every level
+//! gives the same bits.
 
-use crate::layer::Module;
+use crate::layer::{Module, Parameter};
+use fg_tensor::simd::{self, Kernel};
 
 /// A stateful first-order update rule.
 pub trait Optimizer {
-    /// Apply one update step using the gradients currently stored in the
-    /// module's parameters, then leave gradients untouched (callers usually
-    /// `zero_grad` before the next backward pass).
+    /// Apply one update step from the gradients stored in the module's
+    /// parameters, and leave every gradient element `+0.0`: a step consumes
+    /// its gradient. A fresh [`Parameter`] starts with a zero gradient, so a
+    /// training step needs no [`Module::zero_grad`] before its backward
+    /// pass; only a caller that accumulates gradients without stepping does.
     fn step(&mut self, module: &mut dyn Module);
+}
+
+/// `arena` as one state slot per parameter element of `module`, in visit
+/// order; zero-filled on the first step.
+fn arena<'a>(arena: &'a mut Vec<f32>, module: &dyn Module) -> &'a mut [f32] {
+    let total = module.num_params();
+    if arena.is_empty() {
+        arena.resize(total, 0.0);
+    }
+    assert_eq!(arena.len(), total, "optimizer state / parameter mismatch");
+    arena
 }
 
 /// Stochastic gradient descent with optional momentum.
 pub struct Sgd {
     pub lr: f32,
     pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
+    velocity: Vec<f32>,
 }
 
 impl Sgd {
@@ -32,44 +53,71 @@ impl Sgd {
     }
 }
 
+/// `w -= lr·g`, or with momentum `vel = momentum·vel + g; w -= lr·vel`;
+/// then `g = 0`.
+struct SgdPass<'a> {
+    lr: f32,
+    momentum: f32,
+    w: &'a mut [f32],
+    g: &'a mut [f32],
+    velocity: &'a mut [f32],
+}
+
+impl Kernel for SgdPass<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let (lr, momentum) = (self.lr, self.momentum);
+        if momentum > 0.0 {
+            for ((w, g), vel) in self.w.iter_mut().zip(self.g.iter_mut()).zip(self.velocity) {
+                *vel = momentum * *vel + *g;
+                *w -= lr * *vel;
+                *g = 0.0;
+            }
+        } else {
+            for (w, g) in self.w.iter_mut().zip(self.g.iter_mut()) {
+                *w -= lr * *g;
+                *g = 0.0;
+            }
+        }
+    }
+}
+
 impl Optimizer for Sgd {
     fn step(&mut self, module: &mut dyn Module) {
-        let mut idx = 0usize;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
+        let (lr, momentum) = (self.lr, self.momentum);
+        let velocity = arena(&mut self.velocity, module);
+        let mut offset = 0;
         module.visit_params_mut(&mut |p| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; p.numel()]);
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(v.len(), p.numel(), "optimizer state / parameter mismatch");
-            let value = p.value.data_mut();
-            let grad = p.grad.data();
-            if momentum > 0.0 {
-                for ((w, &g), vel) in value.iter_mut().zip(grad).zip(v.iter_mut()) {
-                    *vel = momentum * *vel + g;
-                    *w -= lr * *vel;
-                }
-            } else {
-                for (w, &g) in value.iter_mut().zip(grad) {
-                    *w -= lr * g;
-                }
-            }
-            idx += 1;
+            let Parameter { value, grad } = p;
+            let n = value.numel();
+            simd::run(SgdPass {
+                lr,
+                momentum,
+                w: value.data_mut(),
+                g: grad.data_mut(),
+                velocity: &mut velocity[offset..][..n],
+            });
+            offset += n;
         });
     }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
+///
+/// Step `t` hoists the bias corrections out of the per-element pass:
+/// `step = lr / (1 − β1^t)` and `inv_bc2 = 1 / (1 − β2^t)`, then per element
+/// `m = β1·m + (1−β1)·g`, `v = β2·v + (1−β2)·g·g` and
+/// `w −= step·m / (√(v·inv_bc2) + ε)` — one division and one square root.
 pub struct Adam {
     pub lr: f32,
     pub beta1: f32,
     pub beta2: f32,
     pub eps: f32,
     t: u64,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
@@ -78,34 +126,60 @@ impl Adam {
     }
 }
 
+/// One Adam step over one parameter's slices; see [`Adam`].
+struct AdamPass<'a> {
+    beta1: f32,
+    beta2: f32,
+    step: f32,
+    inv_bc2: f32,
+    eps: f32,
+    w: &'a mut [f32],
+    g: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+}
+
+impl Kernel for AdamPass<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let (b1, b2, step, inv_bc2, eps) =
+            (self.beta1, self.beta2, self.step, self.inv_bc2, self.eps);
+        let elems = self.w.iter_mut().zip(self.g.iter_mut()).zip(self.m).zip(self.v);
+        for (((w, g), m), v) in elems {
+            *m = b1 * *m + (1.0 - b1) * *g;
+            *v = b2 * *v + (1.0 - b2) * *g * *g;
+            *w -= step * *m / ((*v * inv_bc2).sqrt() + eps);
+            *g = 0.0;
+        }
+    }
+}
+
 impl Optimizer for Adam {
     fn step(&mut self, module: &mut dyn Module) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let mut idx = 0usize;
-        let (m_state, v_state) = (&mut self.m, &mut self.v);
+        let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
+        let (step, inv_bc2) = (self.lr / bc1, 1.0 / bc2);
+        let (m, v) = (arena(&mut self.m, module), arena(&mut self.v, module));
+        let mut offset = 0;
         module.visit_params_mut(&mut |p| {
-            if m_state.len() <= idx {
-                m_state.push(vec![0.0; p.numel()]);
-                v_state.push(vec![0.0; p.numel()]);
-            }
-            let m = &mut m_state[idx];
-            let v = &mut v_state[idx];
-            assert_eq!(m.len(), p.numel(), "optimizer state / parameter mismatch");
-            let value = p.value.data_mut();
-            let grad = p.grad.data();
-            for (((w, &g), mi), vi) in
-                value.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut())
-            {
-                *mi = b1 * *mi + (1.0 - b1) * g;
-                *vi = b2 * *vi + (1.0 - b2) * g * g;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            idx += 1;
+            let Parameter { value, grad } = p;
+            let n = value.numel();
+            simd::run(AdamPass {
+                beta1,
+                beta2,
+                step,
+                inv_bc2,
+                eps,
+                w: value.data_mut(),
+                g: grad.data_mut(),
+                m: &mut m[offset..][..n],
+                v: &mut v[offset..][..n],
+            });
+            offset += n;
         });
     }
 }
@@ -116,6 +190,7 @@ mod tests {
     use crate::linear::{self, accumulate_param_grads, Linear};
     use crate::loss::softmax_cross_entropy;
     use fg_tensor::rng::SeededRng;
+    use fg_tensor::simd::{run_at, Level};
     use fg_tensor::Tensor;
 
     fn train_toy(optim: &mut dyn Optimizer, steps: usize) -> f32 {
@@ -134,7 +209,6 @@ mod tests {
         let x = Tensor::from_vec(xs, &[40, 2]);
         let mut last = f32::MAX;
         for _ in 0..steps {
-            net.zero_grad();
             let logits =
                 linear::forward(&x, &(vec![net.weight.value.data()], vec![net.bias.value.data()]));
             let (loss, grad) = softmax_cross_entropy(&logits, &ys);
@@ -179,6 +253,56 @@ mod tests {
         net.visit_params(&mut |p| after.extend_from_slice(p.value.data()));
         for (b, a) in before.iter().zip(&after) {
             assert!((b - a - 0.5).abs() < 1e-6, "{b} -> {a}");
+        }
+    }
+
+    /// Per-element inputs of a pass: 1003 elements (whole vectors and a
+    /// ragged tail) spanning signs, magnitudes down to subnormal, and zeros.
+    fn pass_inputs(seed: u64) -> [Vec<f32>; 4] {
+        let mut rng = SeededRng::new(seed);
+        let mut draw = |scale: f32| -> Vec<f32> {
+            (0..1003)
+                .map(|i| match i % 11 {
+                    0 => 0.0,
+                    1 => 1e-40,
+                    _ => scale * rng.next_normal() * 10f32.powi(i % 7 - 3),
+                })
+                .collect()
+        };
+        [draw(1.0), draw(1.0), draw(0.1), draw(0.1).iter().map(|v| v * v).collect()]
+    }
+
+    /// Run `pass` on fresh copies of [`pass_inputs`] at every offered level
+    /// and require one set of bits: the outputs, and a gradient of `+0.0`.
+    fn assert_level_independent(pass: impl Fn(Level, &mut [Vec<f32>; 4])) {
+        let mut reference: Option<Vec<Vec<u32>>> = None;
+        for level in Level::offered() {
+            let mut slots = pass_inputs(5);
+            pass(level, &mut slots);
+            assert!(slots[1].iter().all(|g| g.to_bits() == 0), "{level:?} left a gradient");
+            let bits: Vec<Vec<u32>> = slots.iter().map(|s| crate::bits(s)).collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(r) => assert_eq!(r, &bits, "{level:?} diverged from the scalar pass"),
+            }
+        }
+    }
+
+    #[test]
+    fn adam_pass_is_bit_identical_at_every_vector_level() {
+        assert_level_independent(|level, [w, g, m, v]| {
+            let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
+            let (step, inv_bc2) = (2e-3 / (1.0 - 0.9f32.powi(3)), 1.0 / (1.0 - 0.999f32.powi(3)));
+            run_at(level, AdamPass { beta1, beta2, step, inv_bc2, eps, w, g, m, v });
+        });
+    }
+
+    #[test]
+    fn sgd_passes_are_bit_identical_at_every_vector_level() {
+        for momentum in [0.0, 0.9] {
+            assert_level_independent(|level, [w, g, velocity, _]| {
+                run_at(level, SgdPass { lr: 0.05, momentum, w, g, velocity });
+            });
         }
     }
 }

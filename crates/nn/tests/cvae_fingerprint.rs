@@ -71,28 +71,28 @@ fn vae_fingerprint() -> Vec<String> {
 
 const WANT: &str = "\
 cvae b32 step 0 loss 44490d73
-cvae b32 step 0 params fa00974ce28c2dfc
+cvae b32 step 0 params 40128649b5268af6
 cvae b32 step 1 loss 441d1394
-cvae b32 step 1 params 9bddc3dbbbb85dfc
+cvae b32 step 1 params e7e833adfafd3223
 cvae b32 step 2 loss 441b12f5
-cvae b32 step 2 params 1c8d72a2fbbdf7c7
-cvae b32 theta 6e54eb81573f0f97
-cvae b32 generate d956b51bd03d40bc
+cvae b32 step 2 params 6d425b45658d76b1
+cvae b32 theta b50b2327c5c58576
+cvae b32 generate 428f1195b7794c37
 cvae b6 step 0 loss 44508cc4
-cvae b6 step 0 params 384003b4b493e5e1
+cvae b6 step 0 params dbea8d591fbd1b24
 cvae b6 step 1 loss 441c2675
-cvae b6 step 1 params 176ebeaca8edd377
+cvae b6 step 1 params f4aa22e73e921e06
 cvae b6 step 2 loss 441e813b
-cvae b6 step 2 params 0114347e2e94adce
-cvae b6 theta f15059d5dc9887e3
-cvae b6 generate 8790322c8e1f61ba
+cvae b6 step 2 params 83d6be0c6dbe8695
+cvae b6 theta 75893bc3f16aedfe
+cvae b6 generate e3c57a15a5415912
 vae step 0 loss 439187e0
-vae step 0 params 886dcecb6293e995
+vae step 0 params d36749a11b98ca00
 vae step 1 loss 4339db99
-vae step 1 params 767f4fb95e1e8198
-vae step 2 loss 42a5f165
-vae step 2 params bee0ebff6c25f8ea
-vae reconstruction_errors 39128e9fd47c67e2
+vae step 1 params 7ff2eacc8aad980e
+vae step 2 loss 42a5f166
+vae step 2 params 3b3dfbf319199bd5
+vae reconstruction_errors df5e2819e84086d3
 ";
 
 #[test]
