@@ -61,7 +61,8 @@ pub fn enable(capacity: usize) {
 }
 
 /// Stop capturing (the ring keeps its current contents).
-pub fn disable() {
+#[cfg(test)]
+fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 

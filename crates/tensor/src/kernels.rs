@@ -36,11 +36,10 @@
 //!
 //! The public layouts hand the driver strided views. The convolution
 //! ([`crate::conv`]) hands it two other operand sources that yield the same
-//! panels: an operand packed once ([`prepack_a`]/[`prepack_b`], a filter
-//! bank shared by every image of a call) and read in place, and a
-//! [`Patches`] source that packs an image's patch matrix straight from its
-//! zero-padded copy, so the matrix is never built (one masked vector gather
-//! per panel depth step on AVX-512).
+//! panels: an `A` packed once ([`prepack_a`], a filter bank shared by every
+//! image of a call) and read in place, and a [`Patches`] `B` that packs an
+//! image's patch matrix straight from its zero-padded copy, so the matrix is
+//! never built (one masked vector gather per panel depth step on AVX-512).
 //!
 //! Packed panels and all other scratch come from the thread-local
 //! [`crate::workspace`] pool, so steady-state calls perform no heap
@@ -67,7 +66,8 @@
 //!
 //! Unlike the pre-blocking kernels there is no `a == 0.0` skip: zeros are
 //! multiplied like any other value, so non-finite payloads propagate exactly
-//! as IEEE 754 demands (`0 × ∞ = NaN`), matching [`matmul_reference`].
+//! as IEEE 754 demands (`0 × ∞ = NaN`), matching the naive triple loop this
+//! module's tests hold the layouts to.
 
 use crate::simd::Level;
 use crate::tensor::Tensor;
@@ -151,8 +151,6 @@ pub(crate) enum BSource<'a> {
     /// One image's patch matrix, packed slab by slab straight from the
     /// image's zero-padded copy.
     Patches(Patches<'a>),
-    /// [`prepack_b`]'s output: every slab packed already, read in place.
-    Packed(&'a [f32]),
 }
 
 impl<'a> From<MatRef<'a>> for BSource<'a> {
@@ -282,11 +280,6 @@ pub(crate) fn packed_a_len(m: usize, k: usize) -> usize {
     m.next_multiple_of(MR) * k
 }
 
-/// Floats [`prepack_b`] writes for a `k×n` `B`.
-pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
-    n.next_multiple_of(NR) * k
-}
-
 /// Pack all of `a` (m×k) once, for an operand many products share: `KC`
 /// slab `pc` is [`pack_a`] of every row at `out[pc·m̄..]` (`m̄` = `m`
 /// rounded up to `MR`). `MC` is a multiple of `MR`, so the driver finds row
@@ -297,19 +290,6 @@ pub(crate) fn prepack_a(a: MatRef<'_>, m: usize, k: usize, out: &mut [f32]) {
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
         pack_a(a, 0, m, pc, kc, &mut out[pc * m.next_multiple_of(MR)..][..packed_a_len(m, kc)]);
-    }
-}
-
-/// [`prepack_a`] for `B` (k×n): `KC` slab `pc` is [`pack_b`] of every
-/// column at `out[pc·n̄..]`, and its `NC` column slab `jc` starts `jc·kc`
-/// further on.
-pub(crate) fn prepack_b(b: MatRef<'_>, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), packed_b_len(k, n), "prepack_b: output size");
-    let level = Level::detect();
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        let slab = &mut out[pc * n.next_multiple_of(NR)..][..packed_b_len(kc, n)];
-        pack_b(level, b, pc, kc, 0, n, slab);
     }
 }
 
@@ -762,9 +742,6 @@ fn gemm_with<'a>(
     if let ASource::Packed(p) = a {
         assert_eq!(p.len(), packed_a_len(m, k), "pre-packed A size");
     }
-    if let BSource::Packed(p) = b {
-        assert_eq!(p.len(), packed_b_len(k, n), "pre-packed B size");
-    }
     GEMM_CALLS.incr();
     GEMM_FLOPS.add(2 * (m as u64) * (n as u64) * (k as u64));
     let trace = fg_obs::enabled().then(|| (fg_obs::span::span("tensor.gemm"), fg_obs::now_ns()));
@@ -777,7 +754,6 @@ fn gemm_with<'a>(
             let b_len = nc.div_ceil(NR) * kc * NR;
             let mut packed_b = None;
             let pb: &[f32] = match b {
-                BSource::Packed(p) => &p[pc * n.next_multiple_of(NR) + jc * kc..][..b_len],
                 BSource::View(v) => {
                     let s = packed_b.insert(workspace::take_uninit(b_len));
                     timed_pack(traced, "view", || pack_b(level, v, pc, kc, jc, nc, s));
@@ -1012,28 +988,28 @@ pub fn matmul_at_into(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &
     );
 }
 
-/// Naive triple-loop reference multiply, used by tests to validate the
-/// optimized kernels.
-pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.dim(0), a.dim(1));
-    let n = b.dim(1);
-    let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        for j in 0..n {
-            let mut s = 0.0;
-            for kk in 0..k {
-                s += a.at(&[i, kk]) * b.at(&[kk, j]);
-            }
-            *out.at_mut(&[i, j]) = s;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SeededRng;
+
+    /// Naive triple-loop reference multiply, the oracle the optimized kernels
+    /// are tested against.
+    fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = (a.dim(0), a.dim(1));
+        let n = b.dim(1);
+        let mut out = Tensor::zeros(&[m, n]);
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = 0.0;
+                for kk in 0..k {
+                    s += a.at(&[i, kk]) * b.at(&[kk, j]);
+                }
+                *out.at_mut(&[i, j]) = s;
+            }
+        }
+        out
+    }
 
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
         assert_eq!(a.dims(), b.dims());
@@ -1416,20 +1392,12 @@ mod tests {
         let b = MatRef { data: b.data(), rs: 1, cs: k };
         let mut pa = vec![f32::NAN; packed_a_len(m, k)];
         prepack_a(a, m, k, &mut pa);
-        let mut pb = vec![f32::NAN; packed_b_len(k, n)];
-        prepack_b(b, k, n, &mut pb);
         for level in Level::offered() {
             let mut want = seed.data().to_vec();
             gemm_with(level, false, m, n, k, a, b, &mut want);
-            for (a, b) in [
-                (ASource::Packed(&pa), BSource::View(b)),
-                (ASource::View(a), BSource::Packed(&pb)),
-                (ASource::Packed(&pa), BSource::Packed(&pb)),
-            ] {
-                let mut got = seed.data().to_vec();
-                gemm_with(level, true, m, n, k, a, b, &mut got);
-                assert_eq!(bits(&got), bits(&want), "pre-packed operands at {level:?}");
-            }
+            let mut got = seed.data().to_vec();
+            gemm_with(level, true, m, n, k, ASource::Packed(&pa), b, &mut got);
+            assert_eq!(bits(&got), bits(&want), "pre-packed A at {level:?}");
         }
     }
 }

@@ -1,11 +1,27 @@
 //! Property-based tests on the tensor substrate's algebraic invariants.
 
-use fg_tensor::kernels::{matmul, matmul_at, matmul_bt, matmul_reference};
+use fg_tensor::kernels::{matmul, matmul_at, matmul_bt};
 use fg_tensor::rng::SeededRng;
 use fg_tensor::stats;
 use fg_tensor::Tensor;
 use proptest::prelude::*;
 use rayon::with_threads;
+
+/// Naive triple-loop multiply, the oracle the blocked kernels answer to.
+fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = (a.dim(0), a.dim(1), b.dim(1));
+    let mut out = Tensor::zeros(&[m, n]);
+    for i in 0..m {
+        for j in 0..n {
+            let mut s = 0.0;
+            for kk in 0..k {
+                s += a.at(&[i, kk]) * b.at(&[kk, j]);
+            }
+            *out.at_mut(&[i, j]) = s;
+        }
+    }
+    out
+}
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-5.0f32..5.0, rows * cols)
