@@ -37,8 +37,6 @@ use fg_fl::{
     AdminPlane, CommStats, Compression, FlightRecTrigger, NetConfig, OpsState, RoundObserver,
     RoundTelemetry, TcpTransport, WireStats,
 };
-use fg_nn::models::Classifier;
-use fg_tensor::rng::SeededRng;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::fs;
@@ -144,8 +142,7 @@ fn main() {
     // The Welcome payload: the full config, so every worker reconstructs the
     // identical partition/roster/attack state from one source of truth.
     let blob = serde_json::to_string(&cfg).expect("config serializes");
-    let param_len =
-        Classifier::new(&cfg.fed.classifier, &mut SeededRng::new(0)).get_params().len() as u64;
+    let param_len = cfg.fed.classifier.num_params() as u64;
 
     // The operational plane: a second socket drained from the transport's
     // poll loop, the observer folding the ledger it serves, and flight-recorder

@@ -302,7 +302,7 @@ mod tests {
         let coverage = data.class_histogram(10).iter().map(|&c| c as u32).collect();
         ModelUpdate {
             client_id: id,
-            params: clf.get_params(),
+            params: clf.into_params(),
             num_samples: data.len(),
             decoder: Some(cvae.decoder_params()),
             class_coverage: Some(coverage),

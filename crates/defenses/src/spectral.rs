@@ -129,7 +129,7 @@ impl SpectralDefense {
                         clf.train_batch(&x, &y, &mut sgd);
                     }
                 }
-                round_updates.push(clf.get_params());
+                round_updates.push(clf.into_params());
             }
             // Collect surrogate *deltas* relative to the round's global
             // (updates, not absolute weights — deltas are stationary across
@@ -257,7 +257,7 @@ mod tests {
         }
         ModelUpdate {
             client_id: id,
-            params: clf.get_params(),
+            params: clf.into_params(),
             num_samples: aux.len(),
             decoder: None,
             class_coverage: None,

@@ -112,7 +112,7 @@ impl Client {
     fn train_classifier(&mut self, global_params: &[f32], round: usize) -> Vec<f32> {
         let mut clf = Classifier::from_params(&self.classifier_spec, global_params);
         if self.data.is_empty() {
-            return clf.get_params();
+            return clf.into_params();
         }
         let mut sgd = Sgd::with_momentum(self.local.lr, self.local.momentum);
         let mut rng = SeededRng::new(self.seed).fork(round as u64);
@@ -123,7 +123,7 @@ impl Client {
                 clf.train_batch(&x, &y, &mut sgd);
             }
         }
-        clf.get_params()
+        clf.into_params()
     }
 
     /// The client's CVAE decoder `θ`, training the CVAE on first use.

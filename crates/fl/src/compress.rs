@@ -13,10 +13,12 @@
 //! * [`compress_update`] / [`decompress_update`] — the encode→decode pair
 //!   both transports share, and [`broadcast`], the one place a round's
 //!   coded downlink and its reference model are built.
-//! * [`broadcast_frames`], [`accept_broadcast`], [`upload_frame`],
+//! * `RoundBroadcast`, [`accept_broadcast`], `write_upload`,
 //!   [`CompressedUpdate::is_coded_by`] — one call per TCP round step for
 //!   every mode: this module picks the payload family, `crate::net` only
 //!   moves payloads, and both ends reject one off the negotiated codec.
+//!   Frames stream from the borrowed vectors ([`crate::wire::write_frame`]);
+//!   [`broadcast_frames`] and [`upload_frame`] are the in-memory case.
 //!
 //! ## Delta coding and the reference model
 //!
@@ -46,12 +48,13 @@
 //! by `tests/net_equivalence.rs`.
 
 use crate::update::ModelUpdate;
-use crate::wire::{encode, encode_round_start, encode_upload, Message, WireError};
+use crate::wire::{write_frame, BlobRef, Frame, Message, WireError};
 use fg_obs::metrics::Counter;
 use fg_tensor::codec;
 use fg_tensor::workspace;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::io::{self, Write};
 use std::time::Instant;
 
 /// Logical (pre-codec) model-payload bytes pushed through [`compress_update`]
@@ -346,25 +349,52 @@ pub fn broadcast(mode: Compression, global: &[f32]) -> Option<(CompressedBlob, V
     }
 }
 
-/// Server side: a round's `RoundStart` frames under `mode` (participating,
-/// sitting out) and the reference model they decode to. A dense downlink is
-/// written from the borrowed global, which is then the reference itself.
+/// Server side: one round's broadcast under `mode` — what every
+/// `RoundStart` of the round carries and the reference model it decodes
+/// to. A dense downlink is the borrowed global, which is then the reference
+/// itself; a coded one is one blob, built once for every session.
+pub(crate) struct RoundBroadcast<'a> {
+    round: u64,
+    global: &'a [f32],
+    coded: Option<(CompressedBlob, Vec<f32>)>,
+}
+
+impl<'a> RoundBroadcast<'a> {
+    pub(crate) fn new(mode: Compression, round: u64, global: &'a [f32]) -> Self {
+        RoundBroadcast { round, global, coded: broadcast(mode, global) }
+    }
+
+    /// One session's `RoundStart`, borrowing the round's payload.
+    pub(crate) fn frame(&self, participate: bool) -> Frame<'_> {
+        let global =
+            self.coded.as_ref().map_or(BlobRef::Dense(self.global), |(blob, _)| blob.into());
+        Frame::RoundStart { round: self.round, participate, global }
+    }
+
+    /// What every client trains from this round, and what a coded upload is
+    /// delta-coded against.
+    pub(crate) fn reference(&self) -> &[f32] {
+        self.coded.as_ref().map_or(self.global, |(_, reference)| reference)
+    }
+}
+
+/// A round's `RoundStart` frames under `mode` (participating, sitting out)
+/// in memory, and the reference model they decode to: `RoundBroadcast`
+/// written into `Vec`s.
 pub fn broadcast_frames(
     mode: Compression,
     round: u64,
     global: &[f32],
 ) -> ([Vec<u8>; 2], Cow<'_, [f32]>) {
-    let Some((blob, reference)) = broadcast(mode, global) else {
-        let frames =
-            [true, false].map(|participate| encode_round_start(round, participate, global));
-        return (frames, Cow::Borrowed(global));
-    };
-    let mut start = Message::RoundStart { round, participate: true, global: blob };
-    let active = encode(&start);
-    if let Message::RoundStart { participate, .. } = &mut start {
-        *participate = false;
-    }
-    ([active, encode(&start)], Cow::Owned(reference))
+    let start = RoundBroadcast::new(mode, round, global);
+    let frames = [true, false].map(|participate| {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, start.frame(participate)).expect("a Vec takes every write");
+        frame
+    });
+    let reference =
+        start.coded.map_or(Cow::Borrowed(global), |(_, reference)| Cow::Owned(reference));
+    (frames, reference)
 }
 
 /// Client side: decode a broadcast under the negotiated `mode` into the
@@ -385,20 +415,35 @@ pub fn accept_broadcast(
     Ok(global)
 }
 
-/// Client side: the `Upload` frame for a submission under `mode` — dense
-/// straight from the borrowed update, coded against `reference`.
+/// Client side: stream the `Upload` for a submission under `mode` to `w` —
+/// dense straight from the borrowed update, coded against `reference`.
+/// Returns the frame bytes written.
+pub(crate) fn write_upload<W: Write>(
+    w: &mut W,
+    mode: Compression,
+    round: u64,
+    update: &ModelUpdate,
+    reference: &[f32],
+) -> io::Result<u64> {
+    match mode {
+        Compression::None => write_frame(w, Frame::Upload { round, update }),
+        coded => {
+            let update = compress_update(coded, update, reference);
+            write_frame(w, Frame::Message(&Message::Upload { round, update }))
+        }
+    }
+}
+
+/// `write_upload` into a `Vec`: the `Upload` frame in memory.
 pub fn upload_frame(
     mode: Compression,
     round: u64,
     update: &ModelUpdate,
     reference: &[f32],
 ) -> Vec<u8> {
-    match mode {
-        Compression::None => encode_upload(round, update),
-        coded => {
-            encode(&Message::Upload { round, update: compress_update(coded, update, reference) })
-        }
-    }
+    let mut frame = Vec::new();
+    write_upload(&mut frame, mode, round, update, reference).expect("a Vec takes every write");
+    frame
 }
 
 /// Client side: compress a trained submission against the reference model

@@ -41,7 +41,7 @@
 
 use crate::client::Client;
 use crate::compress::{
-    accept_broadcast, broadcast_frames, upload_frame, CompressedUpdate, Compression,
+    accept_broadcast, write_upload, CompressedUpdate, Compression, RoundBroadcast,
 };
 use crate::fault::{FaultEvent, FaultKind};
 use crate::transport::{
@@ -49,8 +49,10 @@ use crate::transport::{
     TransportKind,
 };
 use crate::update::ModelUpdate;
+#[cfg(test)]
+use crate::wire::encode;
 use crate::wire::{
-    encode, read_frame, Message, WireConfig, WireError, HEADER_BYTES, PROTOCOL_VERSION,
+    read_frame, write_frame, Frame, Message, WireConfig, WireError, HEADER_BYTES, PROTOCOL_VERSION,
 };
 use fg_obs::metrics::Counter;
 use fg_obs::span::span;
@@ -148,23 +150,29 @@ impl WireStats {
     }
 }
 
-fn tx_raw(
-    stream: &mut TcpStream,
-    frame: &[u8],
+/// Stream one frame to the peer with `write`, which returns the frame bytes
+/// it wrote, and book it.
+fn tx_frame<S: Write>(
+    stream: &mut S,
     model_bytes: u64,
     stats: &mut WireStats,
+    write: impl FnOnce(&mut S) -> std::io::Result<u64>,
 ) -> Result<(), WireError> {
     let _span = span("net.frame.tx");
-    stream.write_all(frame)?;
-    stream.flush()?;
+    let bytes = write(stream)?;
     stats.frames_tx += 1;
-    stats.bytes_tx += frame.len() as u64;
-    stats.payload_bytes_tx += (frame.len() - HEADER_BYTES) as u64;
+    stats.bytes_tx += bytes;
+    stats.payload_bytes_tx += bytes - HEADER_BYTES as u64;
     stats.model_bytes_tx += model_bytes;
     NET_FRAMES_TX.incr();
-    NET_BYTES_TX.add(frame.len() as u64);
+    NET_BYTES_TX.add(bytes);
     NET_MODEL_BYTES_TX.add(model_bytes);
     Ok(())
+}
+
+/// [`tx_frame`] of a control message.
+fn tx_msg<S: Write>(stream: &mut S, msg: &Message, stats: &mut WireStats) -> Result<(), WireError> {
+    tx_frame(stream, 0, stats, |w| write_frame(w, Frame::Message(msg)))
 }
 
 fn rx_frame(
@@ -309,12 +317,12 @@ impl TcpTransport {
         if protocol != PROTOCOL_VERSION {
             return None;
         }
-        let welcome = encode(&Message::Welcome {
+        let welcome = Message::Welcome {
             param_len: self.welcome_param_len,
             compression: self.compression,
             blob: self.welcome_blob.clone(),
-        });
-        tx_raw(&mut stream, &welcome, 0, &mut stats).ok()?;
+        };
+        tx_msg(&mut stream, &welcome, &mut stats).ok()?;
         let id = client_id as usize;
         self.sessions.insert(id, stream);
         Some(id)
@@ -450,12 +458,12 @@ impl Transport for TcpTransport {
         exchange.sessions.append(&mut self.pending_events);
         let active: HashSet<usize> = offer.active.iter().copied().collect();
 
-        // Fan the work order out to every sampled session. Both frame
-        // variants are encoded once; the global model is never cloned. The
-        // broadcast's decoding is the reference model (what every client
-        // will actually receive) for the whole round.
-        let ([frame_active, frame_idle], reference) =
-            broadcast_frames(self.compression, offer.round as u64, offer.global);
+        // Fan the work order out to every sampled session, each frame
+        // streamed from the round's one payload (the borrowed global, or the
+        // one coded blob); no frame is built whole. The broadcast's decoding
+        // is the reference model (what every client will actually receive)
+        // for the whole round.
+        let start = RoundBroadcast::new(self.compression, offer.round as u64, offer.global);
         let model_bytes = offer.global.len() as u64 * 4;
         let mut notified: Vec<usize> = Vec::with_capacity(offer.sampled.len());
         for &id in offer.sampled {
@@ -469,8 +477,9 @@ impl Transport for TcpTransport {
                 }
                 continue;
             };
-            let frame = if participate { &frame_active } else { &frame_idle };
-            match tx_raw(stream, frame, model_bytes, &mut stats) {
+            match tx_frame(stream, model_bytes, &mut stats, |w| {
+                write_frame(w, start.frame(participate))
+            }) {
                 Ok(()) => notified.push(id),
                 Err(_) => {
                     if participate {
@@ -494,7 +503,7 @@ impl Transport for TcpTransport {
                 offer.round,
                 active.contains(&id),
                 self.compression,
-                &reference,
+                start.reference(),
                 &self.cfg.wire,
                 &mut stats,
                 &mut exchange.faults,
@@ -515,10 +524,9 @@ impl Transport for TcpTransport {
         let _span = span("net.finish");
         let mut events = std::mem::take(&mut self.pending_events);
         let mut stats = WireStats { round: usize::MAX, ..WireStats::default() };
-        let shutdown = encode(&Message::Shutdown);
         let sessions = std::mem::take(&mut self.sessions);
         for (id, mut stream) in sessions {
-            if tx_raw(&mut stream, &shutdown, 0, &mut stats).is_err() {
+            if tx_msg(&mut stream, &Message::Shutdown, &mut stats).is_err() {
                 events.push(SessionEvent::new(id, SessionEventKind::Drop));
                 continue;
             }
@@ -596,9 +604,8 @@ impl TcpClientChannel {
         stream.set_write_timeout(Some(cfg.write_timeout))?;
         stream.set_nodelay(true).ok();
         let mut stats = WireStats::default();
-        let join =
-            encode(&Message::Join { client_id: client_id as u64, protocol: PROTOCOL_VERSION });
-        tx_raw(&mut stream, &join, 0, &mut stats)?;
+        let join = Message::Join { client_id: client_id as u64, protocol: PROTOCOL_VERSION };
+        tx_msg(&mut stream, &join, &mut stats)?;
         match rx_frame(&mut stream, &cfg.wire, &mut stats)? {
             Message::Welcome { param_len, compression, blob } => Ok(TcpClientChannel {
                 stream,
@@ -635,8 +642,8 @@ impl TcpClientChannel {
         self.stats
     }
 
-    fn send(&mut self, frame: &[u8], model_bytes: u64) -> Result<(), WireError> {
-        tx_raw(&mut self.stream, frame, model_bytes, &mut self.stats)
+    fn send(&mut self, msg: &Message) -> Result<(), WireError> {
+        tx_msg(&mut self.stream, msg, &mut self.stats)
     }
 }
 
@@ -665,8 +672,8 @@ impl ClientChannel for TcpClientChannel {
                     if Instant::now() >= deadline {
                         break Err(WireError::Io(std::io::ErrorKind::TimedOut));
                     }
-                    let hb = encode(&Message::Heartbeat { client_id: self.client_id as u64 });
-                    if let Err(e) = self.send(&hb, 0) {
+                    let hb = Message::Heartbeat { client_id: self.client_id as u64 };
+                    if let Err(e) = self.send(&hb) {
                         break Err(e);
                     }
                 }
@@ -678,18 +685,20 @@ impl ClientChannel for TcpClientChannel {
     }
 
     fn upload_update(&mut self, round: usize, update: &ModelUpdate) -> Result<(), WireError> {
-        let frame = upload_frame(self.compression, round as u64, update, &self.reference);
-        self.send(&frame, update.wire_bytes())
+        // Streamed straight from the borrowed update (dense) or from its
+        // coded form.
+        let (mode, reference) = (self.compression, &self.reference);
+        tx_frame(&mut self.stream, update.wire_bytes(), &mut self.stats, |w| {
+            write_upload(w, mode, round as u64, update, reference)
+        })
     }
 
     fn decline_round(&mut self, round: usize) -> Result<(), WireError> {
-        let frame = encode(&Message::Decline { round: round as u64 });
-        self.send(&frame, 0)
+        self.send(&Message::Decline { round: round as u64 })
     }
 
     fn leave(&mut self) -> Result<(), WireError> {
-        let frame = encode(&Message::Leave { client_id: self.client_id as u64 });
-        self.send(&frame, 0)
+        self.send(&Message::Leave { client_id: self.client_id as u64 })
     }
 }
 
@@ -1120,5 +1129,62 @@ mod tests {
         let retired = concat!("{\"header", "_bytes_tx\":18,\"header", "_bytes_rx\":0,");
         let older = serde_json::to_string(&stats).unwrap().replacen('{', retired, 1);
         assert_eq!(serde_json::from_str::<WireStats>(&older).unwrap(), stats);
+    }
+
+    #[test]
+    fn a_client_cut_off_mid_upload_is_a_dropout_and_the_next_round_runs() {
+        let (mut server, addr) = bind_server(2);
+        let echo = |id: usize, params: Vec<f32>| ModelUpdate {
+            client_id: id,
+            params,
+            num_samples: 1,
+            decoder: None,
+            class_coverage: None,
+        };
+        // Client 0 answers every round with the global it received.
+        let steady = std::thread::spawn(move || {
+            let mut ch = TcpClientChannel::connect(addr, 0, fast_cfg()).expect("connect");
+            loop {
+                match ch.request_round().expect("directive") {
+                    Directive::Round { round, global, .. } => {
+                        ch.upload_update(round, &echo(0, global)).expect("upload");
+                    }
+                    Directive::Shutdown => return ch.leave().expect("leave"),
+                }
+            }
+        });
+        // Client 1 sends its first upload's header and half its payload,
+        // then hangs up.
+        let quitter = std::thread::spawn(move || {
+            let wire_cfg = fast_cfg().wire;
+            let mut s = TcpStream::connect(addr).unwrap();
+            let join = Message::Join { client_id: 1, protocol: PROTOCOL_VERSION };
+            write_frame(&mut s, Frame::Message(&join)).unwrap();
+            let _welcome = read_frame(&mut s, &wire_cfg).unwrap();
+            let (start, _) = read_frame(&mut s, &wire_cfg).unwrap();
+            let Message::RoundStart { global, .. } = start else { panic!("expected RoundStart") };
+            let frame = encode_upload(0, &echo(1, global.into_vec()));
+            s.write_all(&frame[..HEADER_BYTES + (frame.len() - HEADER_BYTES) / 2]).unwrap();
+        });
+        server.wait_for_clients().expect("both clients join");
+
+        let global: Vec<f32> = (0..100_000).map(|i| i as f32).collect();
+        let sampled = vec![0usize, 1];
+        let offer = RoundOffer { round: 0, global: &global, sampled: &sampled, active: &sampled };
+        let exchange = server.exchange_round(&offer);
+        quitter.join().expect("quitter thread");
+        let ids: Vec<usize> = exchange.updates.iter().map(|u| u.client_id).collect();
+        assert_eq!(ids, vec![0]);
+        assert_eq!(exchange.faults, vec![FaultEvent::new(1, FaultKind::Dropout)]);
+        assert!(exchange.sessions.contains(&SessionEvent::new(1, SessionEventKind::Drop)));
+        assert_eq!(server.joined(), vec![0]);
+
+        // The next round runs with the session gone.
+        let offer = RoundOffer { round: 1, ..offer };
+        let exchange = server.exchange_round(&offer);
+        assert_eq!(exchange.updates, vec![echo(0, global.clone())]);
+        assert_eq!(exchange.faults, vec![FaultEvent::new(1, FaultKind::Dropout)]);
+        server.finish();
+        steady.join().expect("client thread");
     }
 }

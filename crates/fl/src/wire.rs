@@ -8,6 +8,17 @@
 //! fails with a typed [`WireError`], never a panic (`tests/wire_fuzz.rs`
 //! fuzzes it; `tests/wire_frames.rs` pins every frame's bytes).
 //!
+//! ## Streaming
+//!
+//! Frames stream. [`write_frame`] sizes the payload, then writes the header
+//! and every field to any `io::Write` through one 64 KiB stack chunk,
+//! straight from the borrowed model vectors a [`Frame`] names.
+//! [`read_frame`] reads from any `io::Read` straight into each decoded
+//! vector, allocated at its exact length once the declared payload is known
+//! to hold it. No buffer the size of a frame exists on either side of a
+//! socket. [`encode`] and [`decode`] are the in-memory case: a `Vec`
+//! written by the same writer, a slice read by the same reader.
+//!
 //! ## Byte accounting
 //!
 //! The paper's communication figures (Table V) count model payloads at
@@ -28,7 +39,7 @@
 use crate::compress::{CompressedBlob, CompressedUpdate, Compression};
 use crate::fault::FaultKind;
 use crate::update::ModelUpdate;
-use std::io::Read;
+use std::io::{self, Read, Write};
 
 /// Frame magic: `FGW1` in little-endian byte order.
 pub const MAGIC: u32 = 0x3157_4746;
@@ -210,53 +221,202 @@ impl WireError {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, x: u32) {
-    buf.extend_from_slice(&x.to_le_bytes());
+/// Bytes the writer and the reader convert at a time: one stack buffer
+/// each, whatever the size of the frame.
+const CHUNK: usize = 64 << 10;
+
+/// A frame to write, its model vectors borrowed from wherever they live.
+#[derive(Clone, Copy, Debug)]
+pub enum Frame<'a> {
+    /// Any message.
+    Message(&'a Message),
+    /// A `RoundStart` of a borrowed global: the server writes every
+    /// session's work order from the one round model, dense or coded.
+    RoundStart { round: u64, participate: bool, global: BlobRef<'a> },
+    /// A dense `Upload` (kind 4) of a borrowed update: a client writes its
+    /// trained vectors as they are.
+    Upload { round: u64, update: &'a ModelUpdate },
 }
 
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
+/// A borrowed model vector: raw f32s (the dense kinds) or a blob.
+#[derive(Clone, Copy, Debug)]
+pub enum BlobRef<'a> {
+    Dense(&'a [f32]),
+    Coded(&'a CompressedBlob),
 }
 
-fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
-    put_u64(buf, xs.len() as u64);
-    buf.reserve(xs.len() * 4);
-    for x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
+impl<'a> From<&'a CompressedBlob> for BlobRef<'a> {
+    fn from(blob: &'a CompressedBlob) -> Self {
+        match blob {
+            CompressedBlob::Dense(values) => BlobRef::Dense(values),
+            coded => BlobRef::Coded(coded),
+        }
     }
 }
 
-fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
-    put_u64(buf, xs.len() as u64);
-    for x in xs {
-        put_u32(buf, *x);
+impl BlobRef<'_> {
+    fn is_dense(self) -> bool {
+        matches!(self, BlobRef::Dense(_) | BlobRef::Coded(CompressedBlob::Dense(_)))
+    }
+}
+
+impl Frame<'_> {
+    /// Wire kind tag, as [`Message::kind`].
+    fn kind(&self) -> u8 {
+        match self {
+            Frame::Message(msg) => msg.kind(),
+            Frame::RoundStart { global, .. } if global.is_dense() => 3,
+            Frame::RoundStart { .. } => 10,
+            Frame::Upload { .. } => 4,
+        }
+    }
+
+    /// Write the payload's fields to `p`. Sizing and sending walk this one
+    /// function, so the length a header declares is the length that follows.
+    fn put<P: Put>(&self, p: &mut P) -> io::Result<()> {
+        match *self {
+            Frame::Message(msg) => put_message(p, msg),
+            Frame::RoundStart { round, participate, global } => {
+                put_round_start(p, round, participate, global)
+            }
+            Frame::Upload { round, update } => put_upload(
+                p,
+                round,
+                (update.client_id, update.num_samples),
+                (BlobRef::Dense(&update.params), update.decoder.as_deref().map(BlobRef::Dense)),
+                update.class_coverage.as_deref(),
+            ),
+        }
+    }
+
+    /// Payload bytes, from a sizing pass.
+    fn payload_len(&self) -> u64 {
+        let mut count = Count(0);
+        self.put(&mut count).expect("sizing writes nothing");
+        count.0
+    }
+}
+
+/// Where a payload's fields go: [`Count`] sizes the payload, [`Chunked`]
+/// sends it.
+trait Put {
+    /// `count` consecutive `N`-byte words, which `fill` writes a run at a
+    /// time, in order. A sizing pass does not call `fill`.
+    fn words<const N: usize>(
+        &mut self,
+        count: usize,
+        fill: impl FnMut(&mut [[u8; N]]),
+    ) -> io::Result<()>;
+
+    fn u8(&mut self, x: u8) -> io::Result<()> {
+        self.words(1, |w| w[0] = [x])
+    }
+
+    fn u32(&mut self, x: u32) -> io::Result<()> {
+        self.words(1, |w| w[0] = x.to_le_bytes())
+    }
+
+    fn u64(&mut self, x: u64) -> io::Result<()> {
+        self.words(1, |w| w[0] = x.to_le_bytes())
+    }
+
+    /// `xs` as little-endian words, converted where they land.
+    fn slice<const N: usize, T: Copy>(
+        &mut self,
+        xs: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        let mut rest = xs;
+        self.words(xs.len(), |run| {
+            let (now, later) = rest.split_at(run.len());
+            run.iter_mut().zip(now).for_each(|(w, &x)| *w = le(x));
+            rest = later;
+        })
+    }
+
+    /// A `u64` count, then `xs`.
+    fn seq<const N: usize, T: Copy>(
+        &mut self,
+        xs: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        self.u64(xs.len() as u64)?;
+        self.slice(xs, le)
+    }
+}
+
+/// The sizing pass: adds up the bytes, converts nothing.
+struct Count(u64);
+
+impl Put for Count {
+    fn words<const N: usize>(
+        &mut self,
+        count: usize,
+        _: impl FnMut(&mut [[u8; N]]),
+    ) -> io::Result<()> {
+        self.0 += (count * N) as u64;
+        Ok(())
+    }
+}
+
+/// The sending pass: fields are converted into one stack chunk, which goes
+/// to `w` each time it fills.
+struct Chunked<'a, W> {
+    w: &'a mut W,
+    chunk: &'a mut [u8; CHUNK],
+    len: usize,
+    sent: u64,
+}
+
+impl<W: Write> Chunked<'_, W> {
+    fn send(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.chunk[..self.len])?;
+        self.sent += self.len as u64;
+        self.len = 0;
+        Ok(())
+    }
+}
+
+impl<W: Write> Put for Chunked<'_, W> {
+    fn words<const N: usize>(
+        &mut self,
+        mut count: usize,
+        mut fill: impl FnMut(&mut [[u8; N]]),
+    ) -> io::Result<()> {
+        while count > 0 {
+            if CHUNK - self.len < N {
+                self.send()?;
+            }
+            let n = count.min((CHUNK - self.len) / N);
+            fill(self.chunk[self.len..self.len + n * N].as_chunks_mut().0);
+            self.len += n * N;
+            count -= n;
+        }
+        Ok(())
     }
 }
 
 /// An optional field: a flag byte, then the value when present.
-fn put_opt<T>(buf: &mut Vec<u8>, x: Option<T>, put: fn(&mut Vec<u8>, T)) {
-    buf.push(u8::from(x.is_some()));
-    if let Some(x) = x {
-        put(buf, x);
-    }
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
+fn put_opt<P: Put, T>(
+    p: &mut P,
+    x: Option<T>,
+    put: impl FnOnce(&mut P, T) -> io::Result<()>,
+) -> io::Result<()> {
+    p.u8(u8::from(x.is_some()))?;
+    x.map_or(Ok(()), |x| put(p, x))
 }
 
 /// Compression travels as `[tag u8][aux u64]`: tag 0 = none, 1 = bf16,
 /// 2 = int8 (aux = block size), 3 = top-k (aux = `f64::to_bits(frac)`).
-fn put_compression(buf: &mut Vec<u8>, c: Compression) {
+fn put_compression<P: Put>(p: &mut P, c: Compression) -> io::Result<()> {
     let (tag, aux): (u8, u64) = match c {
         Compression::None => (0, 0),
         Compression::Bf16 => (1, 0),
         Compression::Int8 { block } => (2, block as u64),
         Compression::TopK { frac } => (3, frac.to_bits()),
     };
-    buf.push(tag);
-    put_u64(buf, aux);
+    p.u8(tag)?;
+    p.u64(aux)
 }
 
 /// A dense blob is written untagged, `[count u64][count × f32]` — the
@@ -272,66 +432,173 @@ fn put_compression(buf: &mut Vec<u8>, c: Compression) {
 ///   `ceil(raw_len/8)` bytes (bit `i & 7` of byte `i >> 3` set ⇔ index `i`
 ///   selected; pad bits must be zero), `k × u16` bf16 values in ascending
 ///   index order.
-fn put_blob(buf: &mut Vec<u8>, blob: &CompressedBlob) {
-    match blob {
-        CompressedBlob::Dense(xs) => put_f32s(buf, xs),
+fn put_blob<P: Put>(p: &mut P, blob: BlobRef<'_>) -> io::Result<()> {
+    let coded = match blob {
+        BlobRef::Dense(xs) => return p.seq(xs, f32::to_le_bytes),
+        BlobRef::Coded(coded) => coded,
+    };
+    match coded {
+        CompressedBlob::Dense(xs) => p.seq(xs, f32::to_le_bytes),
         CompressedBlob::Bf16 { raw_len, data } => {
-            buf.push(1);
-            put_u32(buf, *raw_len);
-            buf.reserve(data.len() * 2);
-            for h in data {
-                buf.extend_from_slice(&h.to_le_bytes());
-            }
+            p.u8(1)?;
+            p.u32(*raw_len)?;
+            p.slice(data, u16::to_le_bytes)
         }
         CompressedBlob::Int8 { raw_len, block, scales, q } => {
-            buf.push(2);
-            put_u32(buf, *raw_len);
-            put_u32(buf, *block);
-            buf.reserve(scales.len() * 4 + q.len());
-            for s in scales {
-                buf.extend_from_slice(&s.to_le_bytes());
-            }
-            buf.extend(q.iter().map(|&b| b as u8));
+            p.u8(2)?;
+            p.u32(*raw_len)?;
+            p.u32(*block)?;
+            p.slice(scales, f32::to_le_bytes)?;
+            p.slice(q, |b| [b as u8])
         }
         CompressedBlob::TopK { raw_len, idx, val } => {
-            buf.push(3);
-            put_u32(buf, *raw_len);
-            put_u32(buf, val.len() as u32);
-            let mut bitmap = vec![0u8; (*raw_len as usize).div_ceil(8)];
-            for &i in idx {
-                bitmap[(i >> 3) as usize] |= 1 << (i & 7);
-            }
-            buf.extend_from_slice(&bitmap);
-            buf.reserve(val.len() * 2);
-            for v in val {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+            p.u8(3)?;
+            p.u32(*raw_len)?;
+            p.u32(val.len() as u32)?;
+            debug_assert!(
+                idx.windows(2).all(|w| w[0] < w[1]) && idx.last().is_none_or(|&i| i < *raw_len),
+                "top-k indices ascend below raw_len"
+            );
+            // The bitmap is built a run at a time from the ascending indices.
+            let mut selected = idx.iter().copied().peekable();
+            let mut byte = 0u32;
+            p.words((*raw_len as usize).div_ceil(8), |run| {
+                for w in run {
+                    let mut bits = 0u8;
+                    while let Some(i) = selected.next_if(|&i| i >> 3 == byte) {
+                        bits |= 1 << (i & 7);
+                    }
+                    *w = [bits];
+                    byte += 1;
+                }
+            })?;
+            p.slice(val, u16::to_le_bytes)
         }
     }
 }
 
-/// `Upload` payload: `round u64`, `client_id u64`, `num_samples u64`, the
-/// params vector, then the decoder vector and the class-coverage histogram,
-/// each behind a flag byte. `put` writes both vectors, so one frame holds
-/// one payload family.
-fn put_upload<V>(
-    buf: &mut Vec<u8>,
+fn put_round_start<P: Put>(
+    p: &mut P,
     round: u64,
-    (client_id, num_samples): (usize, usize),
-    (params, decoder): (V, Option<V>),
-    coverage: Option<&[u32]>,
-    put: fn(&mut Vec<u8>, V),
-) {
-    put_u64(buf, round);
-    put_u64(buf, client_id as u64);
-    put_u64(buf, num_samples as u64);
-    put(buf, params);
-    put_opt(buf, decoder, put);
-    put_opt(buf, coverage, put_u32s);
+    participate: bool,
+    global: BlobRef<'_>,
+) -> io::Result<()> {
+    p.u64(round)?;
+    p.u8(u8::from(participate))?;
+    put_blob(p, global)
 }
 
-/// One frame: the header, the payload `body` writes straight after it, and
-/// the payload length patched in — the payload is written once, in place.
+/// `Upload` payload: `round u64`, `client_id u64`, `num_samples u64`, the
+/// params vector, then the decoder vector and the class-coverage histogram,
+/// each behind a flag byte.
+fn put_upload<P: Put>(
+    p: &mut P,
+    round: u64,
+    (client_id, num_samples): (usize, usize),
+    (params, decoder): (BlobRef<'_>, Option<BlobRef<'_>>),
+    coverage: Option<&[u32]>,
+) -> io::Result<()> {
+    p.u64(round)?;
+    p.u64(client_id as u64)?;
+    p.u64(num_samples as u64)?;
+    put_blob(p, params)?;
+    put_opt(p, decoder, put_blob)?;
+    put_opt(p, coverage, |p, coverage| p.seq(coverage, u32::to_le_bytes))
+}
+
+fn put_message<P: Put>(p: &mut P, msg: &Message) -> io::Result<()> {
+    match msg {
+        Message::Join { client_id, protocol } => {
+            p.u64(*client_id)?;
+            p.u32(*protocol)
+        }
+        Message::Welcome { param_len, compression, blob } => {
+            p.u64(*param_len)?;
+            put_compression(p, *compression)?;
+            p.seq(blob.as_bytes(), |b| [b])
+        }
+        Message::RoundStart { round, participate, global } => {
+            put_round_start(p, *round, *participate, global.into())
+        }
+        Message::Upload { round, update } => {
+            let dense = update.params.is_dense();
+            assert!(
+                update.decoder.as_ref().is_none_or(|d| d.is_dense() == dense),
+                "an upload's decoder must share its params' payload family"
+            );
+            put_upload(
+                p,
+                *round,
+                (update.client_id, update.num_samples),
+                ((&update.params).into(), update.decoder.as_ref().map(BlobRef::from)),
+                update.class_coverage.as_deref(),
+            )
+        }
+        Message::Decline { round } => p.u64(*round),
+        Message::Heartbeat { client_id } | Message::Leave { client_id } => p.u64(*client_id),
+        Message::Shutdown => Ok(()),
+    }
+}
+
+/// Stream one frame to `w`. The payload is sized first; the header and
+/// every field then go out through one stack chunk, the header in the first
+/// write. Returns the frame bytes written. Panics, before writing, on an
+/// `Upload` whose decoder is of another payload family than its params.
+pub fn write_frame<W: Write>(w: &mut W, frame: Frame<'_>) -> io::Result<u64> {
+    let payload = frame.payload_len();
+    let declared = u32::try_from(payload).expect("a frame payload fits its u32 length field");
+    let mut chunk = [0u8; CHUNK];
+    let mut out = Chunked { w, chunk: &mut chunk, len: 0, sent: 0 };
+    out.u32(MAGIC)?;
+    out.u8(frame.kind())?;
+    out.u32(declared)?;
+    frame.put(&mut out)?;
+    out.send()?;
+    out.w.flush()?;
+    assert_eq!(out.sent, HEADER_BYTES as u64 + payload, "a frame is as long as its header says");
+    Ok(out.sent)
+}
+
+/// A frame in memory: [`write_frame`] into a `Vec` of its exact length.
+fn to_vec(frame: Frame<'_>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + frame.payload_len() as usize);
+    write_frame(&mut out, frame).expect("a Vec takes every write");
+    out
+}
+
+/// Encode `msg` as one complete frame (header + payload). Panics on an
+/// `Upload` whose decoder is of another payload family than its params.
+pub fn encode(msg: &Message) -> Vec<u8> {
+    to_vec(Frame::Message(msg))
+}
+
+/// Encode a dense `RoundStart` frame (kind 3) straight from a borrowed
+/// parameter slice. Byte-identical to [`encode`] of the same global as a
+/// [`CompressedBlob::Dense`].
+pub fn encode_round_start(round: u64, participate: bool, global: &[f32]) -> Vec<u8> {
+    to_vec(Frame::RoundStart { round, participate, global: BlobRef::Dense(global) })
+}
+
+/// Encode a dense `Upload` frame (kind 4) from a borrowed update (no copy
+/// of the parameter vectors). Byte-identical to [`encode`] of the same
+/// update with [`CompressedBlob::Dense`] params and decoder.
+pub fn encode_upload(round: u64, update: &ModelUpdate) -> Vec<u8> {
+    to_vec(Frame::Upload { round, update })
+}
+
+/// Hand-built frames for the tests below.
+#[cfg(test)]
+fn put_u32(buf: &mut Vec<u8>, x: u32) {
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+#[cfg(test)]
+fn put_u64(buf: &mut Vec<u8>, x: u64) {
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+/// The header, the payload `body` writes, and the payload length patched in.
+#[cfg(test)]
 fn framed(kind: u8, payload_hint: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + payload_hint);
     put_u32(&mut out, MAGIC);
@@ -343,136 +610,97 @@ fn framed(kind: u8, payload_hint: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec
     out
 }
 
-/// Encode `msg` as one complete frame (header + payload). Panics on an
-/// `Upload` whose decoder is of another payload family than its params.
-pub fn encode(msg: &Message) -> Vec<u8> {
-    let model_hint = match msg {
-        Message::RoundStart { global, .. } => global.encoded_bytes(),
-        Message::Upload { update, .. } => update.encoded_model_bytes(),
-        _ => 0,
-    };
-    framed(msg.kind(), 64 + model_hint as usize, |buf| match msg {
-        Message::Join { client_id, protocol } => {
-            put_u64(buf, *client_id);
-            put_u32(buf, *protocol);
-        }
-        Message::Welcome { param_len, compression, blob } => {
-            put_u64(buf, *param_len);
-            put_compression(buf, *compression);
-            put_str(buf, blob);
-        }
-        Message::RoundStart { round, participate, global } => {
-            put_u64(buf, *round);
-            buf.push(u8::from(*participate));
-            put_blob(buf, global);
-        }
-        Message::Upload { round, update } => {
-            let dense = update.params.is_dense();
-            assert!(
-                update.decoder.as_ref().is_none_or(|d| d.is_dense() == dense),
-                "an upload's decoder must share its params' payload family"
-            );
-            put_upload(
-                buf,
-                *round,
-                (update.client_id, update.num_samples),
-                (&update.params, update.decoder.as_ref()),
-                update.class_coverage.as_deref(),
-                put_blob,
-            );
-        }
-        Message::Decline { round } => put_u64(buf, *round),
-        Message::Heartbeat { client_id } | Message::Leave { client_id } => put_u64(buf, *client_id),
-        Message::Shutdown => {}
-    })
-}
-
-/// Encode a dense `RoundStart` frame (kind 3) straight from a borrowed
-/// parameter slice — the server fans one global model out to `m` sessions
-/// without copying it into an owned [`Message`]. Byte-identical to
-/// [`encode`] of the same global as a [`CompressedBlob::Dense`].
-pub fn encode_round_start(round: u64, participate: bool, global: &[f32]) -> Vec<u8> {
-    framed(3, 17 + global.len() * 4, |buf| {
-        put_u64(buf, round);
-        buf.push(u8::from(participate));
-        put_f32s(buf, global);
-    })
-}
-
-/// Encode a dense `Upload` frame (kind 4) from a borrowed update (no copy
-/// of the parameter vectors). Byte-identical to [`encode`] of the same
-/// update with [`CompressedBlob::Dense`] params and decoder.
-pub fn encode_upload(round: u64, update: &ModelUpdate) -> Vec<u8> {
-    framed(4, 64 + update.wire_bytes() as usize, |buf| {
-        put_upload(
-            buf,
-            round,
-            (update.client_id, update.num_samples),
-            (update.params.as_slice(), update.decoder.as_deref()),
-            update.class_coverage.as_deref(),
-            put_f32s,
-        )
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Bounded cursor over a payload slice; every take is length-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// One frame's payload as it streams in from `r`: every read is checked
+/// against the bytes the header declared still to come.
+struct Payload<'a, R> {
+    r: &'a mut R,
+    left: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+impl<R: Read> Payload<'_, R> {
+    /// Fails unless `n` more bytes fit the declared payload.
+    fn need(&self, n: usize) -> Result<(), WireError> {
+        if self.left < n {
+            return Err(WireError::Truncated { needed: n, got: self.left });
+        }
+        Ok(())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let remaining = self.buf.len() - self.pos;
-        if remaining < n {
-            return Err(WireError::Truncated { needed: n, got: remaining });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), WireError> {
+        self.need(buf.len())?;
+        self.r.read_exact(buf)?;
+        self.left -= buf.len();
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut bytes = [0; N];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4-byte slice")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// A `u64` that must fit the remaining payload when multiplied by
     /// `elem_bytes` — guards `Vec` preallocation against corrupt lengths.
     fn seq_len(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
         let declared = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if declared.saturating_mul(elem_bytes as u64) > remaining {
+        if declared.saturating_mul(elem_bytes as u64) > self.left as u64 {
             return Err(WireError::Malformed("inner length overruns payload"));
         }
         Ok(declared as usize)
     }
 
+    /// `n` payload bytes, handed to `f` a chunk at a time.
+    fn chunks(&mut self, n: usize, mut f: impl FnMut(&[u8])) -> Result<(), WireError> {
+        self.need(n)?;
+        let mut chunk = [0u8; CHUNK];
+        let mut rest = n;
+        while rest > 0 {
+            let part = &mut chunk[..rest.min(CHUNK)];
+            self.fill(part)?;
+            f(part);
+            rest -= part.len();
+        }
+        Ok(())
+    }
+
+    /// `count` little-endian `N`-byte words, read into a vector allocated at
+    /// its exact length once the payload is known to hold them.
+    fn words<const N: usize, T>(
+        &mut self,
+        count: usize,
+        from: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, WireError> {
+        self.need(count * N)?;
+        let mut out = Vec::with_capacity(count);
+        self.chunks(count * N, |bytes| out.extend(bytes.as_chunks().0.iter().map(|&w| from(w))))?;
+        Ok(out)
+    }
+
     /// A `u64` count, then that many `N`-byte little-endian words.
     fn seq<const N: usize, T>(&mut self, from: impl Fn([u8; N]) -> T) -> Result<Vec<T>, WireError> {
         let len = self.seq_len(N)?;
-        Ok(le_words(self.take(len * N)?, from))
+        self.words(len, from)
     }
 
     fn string(&mut self) -> Result<String, WireError> {
-        let len = self.seq_len(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
+        let bytes = self.seq(|[b]: [u8; 1]| b)?;
+        String::from_utf8(bytes).map_err(|_| WireError::Malformed("non-UTF-8 string"))
     }
 
     fn flag(&mut self) -> Result<bool, WireError> {
@@ -483,23 +711,29 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
+    fn finish(&self) -> Result<(), WireError> {
+        if self.left == 0 {
             Ok(())
         } else {
             Err(WireError::Malformed("trailing bytes after payload"))
         }
     }
+
+    /// Read past the rest of the payload, leaving the stream at the next
+    /// frame.
+    fn skip(&mut self) -> Result<(), WireError> {
+        let left = self.left as u64;
+        if io::copy(&mut self.r.by_ref().take(left), &mut io::sink())? < left {
+            return Err(WireError::Io(io::ErrorKind::UnexpectedEof));
+        }
+        self.left = 0;
+        Ok(())
+    }
 }
 
-/// `bytes` as consecutive `N`-byte little-endian words.
-fn le_words<const N: usize, T>(bytes: &[u8], from: impl Fn([u8; N]) -> T) -> Vec<T> {
-    bytes.chunks_exact(N).map(|c| from(c.try_into().expect("N-byte chunk"))).collect()
-}
-
-fn read_compression(r: &mut Reader<'_>) -> Result<Compression, WireError> {
-    let tag = r.u8()?;
-    let aux = r.u64()?;
+fn read_compression<R: Read>(p: &mut Payload<'_, R>) -> Result<Compression, WireError> {
+    let tag = p.u8()?;
+    let aux = p.u64()?;
     match tag {
         0 => Ok(Compression::None),
         1 => Ok(Compression::Bf16),
@@ -523,58 +757,65 @@ fn read_compression(r: &mut Reader<'_>) -> Result<Compression, WireError> {
 /// Decode one vector (layouts documented on `put_blob`): raw f32s in a
 /// dense-kind frame, a tagged blob in a coded-kind one — so a decoded frame
 /// holds one family. Every field's byte count derives from a leading length
-/// field, and each is `take`n from the bounded payload before any `Vec` is
-/// built — allocation is capped by bytes actually received, never by a
-/// declared count.
-fn read_blob(r: &mut Reader<'_>, dense: bool) -> Result<CompressedBlob, WireError> {
+/// field and is checked against the declared payload before any `Vec` is
+/// built — allocation is capped by the payload's declared (and capped)
+/// length, never by a count inside it.
+fn read_blob<R: Read>(p: &mut Payload<'_, R>, dense: bool) -> Result<CompressedBlob, WireError> {
     if dense {
-        return Ok(CompressedBlob::Dense(r.seq(f32::from_le_bytes)?));
+        return Ok(CompressedBlob::Dense(p.seq(f32::from_le_bytes)?));
     }
-    match r.u8()? {
+    match p.u8()? {
         1 => {
-            let raw_len = r.u32()?;
-            let data = le_words(r.take(raw_len as usize * 2)?, u16::from_le_bytes);
+            let raw_len = p.u32()?;
+            let data = p.words(raw_len as usize, u16::from_le_bytes)?;
             Ok(CompressedBlob::Bf16 { raw_len, data })
         }
         2 => {
-            let raw_len = r.u32()?;
-            let block = r.u32()?;
+            let raw_len = p.u32()?;
+            let block = p.u32()?;
             if block == 0 {
                 return Err(WireError::Malformed("int8 block size out of range"));
             }
             let n_blocks = (raw_len as usize).div_ceil(block as usize);
-            let scales = le_words(r.take(n_blocks * 4)?, f32::from_le_bytes);
-            let q = r.take(raw_len as usize)?.iter().map(|&b| b as i8).collect();
+            let scales = p.words(n_blocks, f32::from_le_bytes)?;
+            let q = p.words(raw_len as usize, |[b]: [u8; 1]| b as i8)?;
             Ok(CompressedBlob::Int8 { raw_len, block, scales, q })
         }
         3 => {
-            let raw_len = r.u32()?;
-            let k = r.u32()?;
+            let raw_len = p.u32()?;
+            let k = p.u32()?;
             if k > raw_len {
                 return Err(WireError::Malformed("top-k count exceeds raw length"));
             }
-            let bitmap = r.take((raw_len as usize).div_ceil(8))?;
-            let val_bytes = r.take(k as usize * 2)?;
-            let ones: u32 = bitmap.iter().map(|b| b.count_ones()).sum();
-            if ones != k {
-                return Err(WireError::Malformed("top-k bitmap popcount mismatch"));
-            }
-            if raw_len % 8 != 0 {
-                let pad_mask = !0u8 << (raw_len % 8);
-                if bitmap.last().is_some_and(|b| b & pad_mask != 0) {
-                    return Err(WireError::Malformed("top-k bitmap pad bits set"));
-                }
+            // Both fields must fit before the bitmap is checked.
+            let bitmap_len = (raw_len as usize).div_ceil(8);
+            p.need(bitmap_len)?;
+            let after_bitmap = p.left - bitmap_len;
+            if after_bitmap < k as usize * 2 {
+                return Err(WireError::Truncated { needed: k as usize * 2, got: after_bitmap });
             }
             let mut idx = Vec::with_capacity(k as usize);
-            for (byte_i, &b) in bitmap.iter().enumerate() {
-                let mut bits = b;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros();
-                    idx.push(byte_i as u32 * 8 + bit);
-                    bits &= bits - 1;
+            let (mut ones, mut at, mut last) = (0u64, 0u64, 0u8);
+            p.chunks(bitmap_len, |bytes| {
+                for &b in bytes {
+                    ones += b.count_ones() as u64;
+                    if ones <= k as u64 {
+                        let mut bits = b;
+                        while bits != 0 {
+                            idx.push((at + bits.trailing_zeros() as u64) as u32);
+                            bits &= bits - 1;
+                        }
+                    }
+                    (at, last) = (at + 8, b);
                 }
+            })?;
+            if ones != k as u64 {
+                return Err(WireError::Malformed("top-k bitmap popcount mismatch"));
             }
-            let val = le_words(val_bytes, u16::from_le_bytes);
+            if raw_len % 8 != 0 && last & (!0u8 << (raw_len % 8)) != 0 {
+                return Err(WireError::Malformed("top-k bitmap pad bits set"));
+            }
+            let val = p.words(k as usize, u16::from_le_bytes)?;
             Ok(CompressedBlob::TopK { raw_len, idx, val })
         }
         _ => Err(WireError::Malformed("unknown blob tag")),
@@ -582,37 +823,39 @@ fn read_blob(r: &mut Reader<'_>, dense: bool) -> Result<CompressedBlob, WireErro
 }
 
 /// The `Upload` body after `round` (layout on `put_upload`).
-fn read_update(r: &mut Reader<'_>, dense: bool) -> Result<CompressedUpdate, WireError> {
-    let client_id = r.u64()? as usize;
-    let num_samples = r.u64()? as usize;
-    let params = read_blob(r, dense)?;
-    let decoder = if r.flag()? { Some(read_blob(r, dense)?) } else { None };
-    let class_coverage = if r.flag()? { Some(r.seq(u32::from_le_bytes)?) } else { None };
+fn read_update<R: Read>(
+    p: &mut Payload<'_, R>,
+    dense: bool,
+) -> Result<CompressedUpdate, WireError> {
+    let client_id = p.u64()? as usize;
+    let num_samples = p.u64()? as usize;
+    let params = read_blob(p, dense)?;
+    let decoder = if p.flag()? { Some(read_blob(p, dense)?) } else { None };
+    let class_coverage = if p.flag()? { Some(p.seq(u32::from_le_bytes)?) } else { None };
     Ok(CompressedUpdate { client_id, num_samples, params, decoder, class_coverage })
 }
 
-fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
-    let mut r = Reader::new(payload);
+fn read_payload<R: Read>(kind: u8, p: &mut Payload<'_, R>) -> Result<Message, WireError> {
     let msg = match kind {
-        1 => Message::Join { client_id: r.u64()?, protocol: r.u32()? },
+        1 => Message::Join { client_id: p.u64()?, protocol: p.u32()? },
         2 => Message::Welcome {
-            param_len: r.u64()?,
-            compression: read_compression(&mut r)?,
-            blob: r.string()?,
+            param_len: p.u64()?,
+            compression: read_compression(p)?,
+            blob: p.string()?,
         },
         3 | 10 => Message::RoundStart {
-            round: r.u64()?,
-            participate: r.flag()?,
-            global: read_blob(&mut r, kind == 3)?,
+            round: p.u64()?,
+            participate: p.flag()?,
+            global: read_blob(p, kind == 3)?,
         },
-        4 | 9 => Message::Upload { round: r.u64()?, update: read_update(&mut r, kind == 4)? },
-        5 => Message::Decline { round: r.u64()? },
-        6 => Message::Heartbeat { client_id: r.u64()? },
-        7 => Message::Leave { client_id: r.u64()? },
+        4 | 9 => Message::Upload { round: p.u64()?, update: read_update(p, kind == 4)? },
+        5 => Message::Decline { round: p.u64()? },
+        6 => Message::Heartbeat { client_id: p.u64()? },
+        7 => Message::Leave { client_id: p.u64()? },
         8 => Message::Shutdown,
         other => return Err(WireError::UnknownKind(other)),
     };
-    r.finish()?;
+    p.finish()?;
     Ok(msg)
 }
 
@@ -646,22 +889,30 @@ pub fn decode(buf: &[u8], cfg: &WireConfig) -> Result<(Message, usize), WireErro
     if buf.len() < total {
         return Err(WireError::Truncated { needed: total, got: buf.len() });
     }
-    let msg = decode_payload(kind, &buf[HEADER_BYTES..total])?;
+    let mut payload = &buf[HEADER_BYTES..total];
+    let msg = read_payload(kind, &mut Payload { r: &mut payload, left: declared })?;
     Ok((msg, total))
 }
 
-/// Read exactly one frame from `r`. Returns the message and its total frame
-/// bytes. A peer that closes the connection cleanly between frames surfaces
-/// as `Io(UnexpectedEof)`; a close mid-frame the same way (the transport maps
-/// both onto the fault taxonomy).
+/// Read exactly one frame from `r`, each model vector straight into its
+/// decoded `Vec`. Returns the message and its total frame bytes. A payload
+/// that fails to decode is first read to its declared end, so the stream
+/// stays at a frame boundary. A peer that closes the connection cleanly
+/// between frames surfaces as `Io(UnexpectedEof)`; a close mid-frame the
+/// same way (the transport maps both onto the fault taxonomy).
 pub fn read_frame<R: Read>(r: &mut R, cfg: &WireConfig) -> Result<(Message, u64), WireError> {
     let mut header = [0u8; HEADER_BYTES];
     r.read_exact(&mut header)?;
     let (kind, declared) = read_header(&header, cfg)?;
-    let mut payload = vec![0u8; declared];
-    r.read_exact(&mut payload)?;
-    let msg = decode_payload(kind, &payload)?;
-    Ok((msg, (HEADER_BYTES + declared) as u64))
+    let mut payload = Payload { r, left: declared };
+    match read_payload(kind, &mut payload) {
+        Ok(msg) => Ok((msg, (HEADER_BYTES + declared) as u64)),
+        Err(e @ WireError::Io(_)) => Err(e),
+        Err(e) => {
+            payload.skip()?;
+            Err(e)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1057,5 +1308,232 @@ mod tests {
         );
         assert!(WireError::Io(std::io::ErrorKind::WouldBlock).is_timeout());
         assert!(!WireError::BadMagic(0).is_timeout());
+    }
+
+    /// Hands out 1–7 bytes per `read`, cycling: every field and chunk of a
+    /// frame straddles reads.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.step = self.step % 7 + 1;
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Messages whose vectors span several writer and reader chunks, at
+    /// lengths that put words across chunk boundaries.
+    fn large_messages() -> Vec<Message> {
+        let data: Vec<f32> =
+            (0..150_001).map(|i| ((i * 7919) % 1013) as f32 * 0.01 - 5.0).collect();
+        let update = ModelUpdate {
+            client_id: 2,
+            params: data[..70_001].to_vec(),
+            num_samples: 9,
+            decoder: Some(data[..20_003].to_vec()),
+            class_coverage: Some(vec![7; 10]),
+        };
+        let mut msgs = vec![
+            Message::Upload { round: 4, update: dense(&update) },
+            Message::Upload {
+                round: 4,
+                update: compress_update(
+                    Compression::Int8 { block: 4_099 },
+                    &update,
+                    &data[1..70_002],
+                ),
+            },
+            Message::Welcome {
+                param_len: 1,
+                compression: Compression::None,
+                blob: "x".repeat(70_000),
+            },
+        ];
+        for mode in [
+            Compression::None,
+            Compression::Bf16,
+            Compression::Int8 { block: 1_000 },
+            Compression::TopK { frac: 0.3 },
+        ] {
+            let global = compress_vec(mode, &data);
+            msgs.push(Message::RoundStart { round: 8, participate: true, global });
+        }
+        msgs
+    }
+
+    /// The frame bytes laid out field by field — the layout `put_blob` and
+    /// `put_upload` document, the top-k bitmap set by random access.
+    fn oracle(msg: &Message) -> Vec<u8> {
+        fn blob(buf: &mut Vec<u8>, blob: &CompressedBlob) {
+            match blob {
+                CompressedBlob::Dense(xs) => {
+                    put_u64(buf, xs.len() as u64);
+                    xs.iter().for_each(|x| buf.extend_from_slice(&x.to_le_bytes()));
+                }
+                CompressedBlob::Bf16 { raw_len, data } => {
+                    buf.push(1);
+                    put_u32(buf, *raw_len);
+                    data.iter().for_each(|h| buf.extend_from_slice(&h.to_le_bytes()));
+                }
+                CompressedBlob::Int8 { raw_len, block, scales, q } => {
+                    buf.push(2);
+                    put_u32(buf, *raw_len);
+                    put_u32(buf, *block);
+                    scales.iter().for_each(|s| buf.extend_from_slice(&s.to_le_bytes()));
+                    buf.extend(q.iter().map(|&b| b as u8));
+                }
+                CompressedBlob::TopK { raw_len, idx, val } => {
+                    buf.push(3);
+                    put_u32(buf, *raw_len);
+                    put_u32(buf, val.len() as u32);
+                    let mut bitmap = vec![0u8; (*raw_len as usize).div_ceil(8)];
+                    idx.iter().for_each(|&i| bitmap[(i >> 3) as usize] |= 1 << (i & 7));
+                    buf.extend_from_slice(&bitmap);
+                    val.iter().for_each(|v| buf.extend_from_slice(&v.to_le_bytes()));
+                }
+            }
+        }
+        framed(msg.kind(), 0, |buf| match msg {
+            Message::Welcome { param_len, compression: Compression::None, blob: text } => {
+                put_u64(buf, *param_len);
+                buf.push(0);
+                put_u64(buf, 0);
+                put_u64(buf, text.len() as u64);
+                buf.extend_from_slice(text.as_bytes());
+            }
+            Message::RoundStart { round, participate, global } => {
+                put_u64(buf, *round);
+                buf.push(u8::from(*participate));
+                blob(buf, global);
+            }
+            Message::Upload { round, update } => {
+                put_u64(buf, *round);
+                put_u64(buf, update.client_id as u64);
+                put_u64(buf, update.num_samples as u64);
+                blob(buf, &update.params);
+                buf.push(u8::from(update.decoder.is_some()));
+                update.decoder.iter().for_each(|d| blob(buf, d));
+                buf.push(u8::from(update.class_coverage.is_some()));
+                if let Some(coverage) = &update.class_coverage {
+                    put_u64(buf, coverage.len() as u64);
+                    coverage.iter().for_each(|&c| put_u32(buf, c));
+                }
+            }
+            other => panic!("no oracle for {}", other.name()),
+        })
+    }
+
+    #[test]
+    fn frames_across_chunk_boundaries_match_the_field_layout() {
+        let cfg = WireConfig::default();
+        for msg in large_messages() {
+            let frame = encode(&msg);
+            assert!(frame.len() > CHUNK, "{}: {} bytes", msg.name(), frame.len());
+            assert!(frame == oracle(&msg), "{} (kind {}) left its layout", msg.name(), msg.kind());
+            assert_eq!(decode(&frame, &cfg).unwrap(), (msg.clone(), frame.len()));
+            let mut trickle = Trickle { bytes: &frame, step: 0 };
+            assert_eq!(read_frame(&mut trickle, &cfg).unwrap(), (msg, frame.len() as u64));
+        }
+    }
+
+    #[test]
+    fn write_frame_returns_the_frame_length_for_every_kind_and_codec() {
+        let mut messages = all_messages();
+        messages.extend(large_messages());
+        for msg in &messages {
+            let sent = write_frame(&mut io::sink(), Frame::Message(msg)).unwrap();
+            assert_eq!(sent, encode(msg).len() as u64, "{} (kind {})", msg.name(), msg.kind());
+        }
+        // The borrowed frames: a dense upload and dense or coded broadcasts.
+        for decoder in [true, false] {
+            let update = sample_update(decoder);
+            let frame = Frame::Upload { round: 3, update: &update };
+            let mut out = Vec::new();
+            assert_eq!(write_frame(&mut out, frame).unwrap(), out.len() as u64);
+            assert_eq!(out, encode(&Message::Upload { round: 3, update: dense(&update) }));
+        }
+        let blobs = sample_blobs().into_iter().chain([CompressedBlob::Dense(vec![1.0, -0.5])]);
+        for global in blobs {
+            let frame =
+                Frame::RoundStart { round: 2, participate: false, global: (&global).into() };
+            let mut out = Vec::new();
+            assert_eq!(write_frame(&mut out, frame).unwrap(), out.len() as u64);
+            assert_eq!(frame.kind(), out[4]);
+            assert_eq!(out, encode(&Message::RoundStart { round: 2, participate: false, global }));
+        }
+    }
+
+    #[test]
+    fn frames_read_through_short_reads_decode_as_from_a_slice() {
+        let cfg = WireConfig::default();
+        let frames: Vec<Vec<u8>> = all_messages().iter().map(encode).collect();
+        let stream = frames.concat();
+        let mut trickle = Trickle { bytes: &stream, step: 0 };
+        for frame in &frames {
+            let (want, len) = decode(frame, &cfg).unwrap();
+            assert_eq!(read_frame(&mut trickle, &cfg).unwrap(), (want, len as u64));
+        }
+        assert!(trickle.bytes.is_empty(), "every frame was read to its end");
+    }
+
+    #[test]
+    fn every_prefix_of_a_streamed_frame_is_a_typed_error() {
+        let cfg = WireConfig::default();
+        for msg in all_messages() {
+            let frame = encode(&msg);
+            for cut in 0..frame.len() {
+                let mut trickle = Trickle { bytes: &frame[..cut], step: cut };
+                assert_eq!(
+                    read_frame(&mut trickle, &cfg),
+                    Err(WireError::Io(io::ErrorKind::UnexpectedEof)),
+                    "{} cut at {cut} of {}",
+                    msg.name(),
+                    frame.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_inner_count_past_the_payload_fails_before_allocating() {
+        // Dense RoundStarts whose f32 count overruns the declared payload:
+        // by one value, and by far more than memory holds.
+        let cfg = WireConfig::default();
+        for (count, values) in [(4u64, 3usize), (u64::MAX / 4, 3)] {
+            let frame = framed(3, 0, |buf| {
+                put_u64(buf, 0);
+                buf.push(1);
+                put_u64(buf, count);
+                buf.extend(std::iter::repeat_n(0, values * 4));
+            });
+            let next = encode(&Message::Shutdown);
+            let stream = [frame, next].concat();
+            let mut trickle = Trickle { bytes: &stream, step: 0 };
+            assert_eq!(
+                read_frame(&mut trickle, &cfg),
+                Err(WireError::Malformed("inner length overruns payload"))
+            );
+            // The rest of the payload was read past: the stream is in step.
+            assert_eq!(read_frame(&mut trickle, &cfg).unwrap().0, Message::Shutdown);
+        }
+    }
+
+    #[test]
+    fn a_payload_that_fails_to_decode_keeps_the_stream_in_step() {
+        let cfg = WireConfig::default();
+        let mut bad = encode_round_start(1, true, &[1.0; 5]);
+        bad[HEADER_BYTES + 8] = 7; // the participate flag
+        let truncated = framed(4, 0, |buf| put_u64(buf, 5)); // an Upload with no ids
+        let stream = [bad, truncated, encode(&Message::Decline { round: 2 })].concat();
+        let mut trickle = Trickle { bytes: &stream, step: 0 };
+        assert_eq!(read_frame(&mut trickle, &cfg), Err(WireError::Malformed("flag byte not 0/1")));
+        assert_eq!(read_frame(&mut trickle, &cfg), Err(WireError::Truncated { needed: 8, got: 0 }));
+        assert_eq!(read_frame(&mut trickle, &cfg).unwrap().0, Message::Decline { round: 2 });
     }
 }

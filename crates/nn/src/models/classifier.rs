@@ -124,6 +124,11 @@ impl Classifier {
         params::flatten(self)
     }
 
+    /// `ψ` by value: the parameter buffer is moved out, not copied.
+    pub fn into_params(self) -> Vec<f32> {
+        self.param.value.into_vec()
+    }
+
     /// Raw class logits `(rows, classes)` for flattened images `(rows, 784)`;
     /// a training pass keeps what [`Self::backward`] reads.
     fn logits(&mut self, x: &Tensor, train: bool) -> Tensor {
