@@ -14,6 +14,10 @@
 //!            [--out results/bench_net.json]
 //! ```
 //!
+//! With `--telemetry <dir>` the run writes its one trail to
+//! `<dir>/<cell_stem>.jsonl`: strategy, attack, seed and the config digest
+//! (`ExperimentConfig::cell_stem`), the name every trail carries.
+//!
 //! With `--check-oracle` the server additionally replays the identical
 //! config through the in-process `LocalTransport` oracle and asserts the
 //! two deployments are bit-identical (accuracy series, audit scores, the

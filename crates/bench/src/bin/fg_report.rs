@@ -2,9 +2,12 @@
 //! defense report.
 //!
 //! ```text
-//! fg_report --telemetry results/telemetry/fedguard-sign-flipping-s42.jsonl \
+//! fg_report --telemetry results/telemetry_ops/fedguard-sign-flipping-s42-<digest>.jsonl \
 //!           [--out results/ops_report.json]
 //! ```
+//!
+//! Any trail will do: a bin's under `results/telemetry/` or a served run's
+//! (`fed_server --telemetry`), each named `<cell_stem>.jsonl`.
 //!
 //! The trail is the only input: the forensics ledger is derived from it
 //! (`fg_fl::forensics::ledger`), so a trail written before a ledger field

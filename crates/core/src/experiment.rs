@@ -169,8 +169,9 @@ pub struct ExperimentConfig {
     #[serde(default)]
     pub fedguard_audit: crate::strategy::AuditMode,
     /// When set, the run writes one JSONL telemetry trail (one
-    /// `RoundTelemetry` per line) into this directory, named after the
-    /// strategy, attack and seed. `None` = no telemetry file.
+    /// `RoundTelemetry` per line) into this directory, named
+    /// `<cell_stem>.jsonl`. `None` = no telemetry file. A destination, not
+    /// part of the run's shape: [`ExperimentConfig::digest`] ignores it.
     pub telemetry_dir: Option<String>,
     /// Fault injection (dropouts, stragglers, corruption...; see
     /// `fg_fl::fault`). `None` = the paper's ideal network. The plan's seed
@@ -334,18 +335,43 @@ impl ExperimentConfig {
         format!("{}/{}", self.strategy.name(), self.attack.name())
     }
 
-    /// File-name stem identifying this (strategy × attack × seed) cell,
-    /// e.g. `fedguard-sign-flipping-s7`. The run's one trail is
-    /// `<stem>.jsonl`; the forensics ledger is derived from it
-    /// (`fg_fl::forensics::ledger`).
+    /// File-name stem identifying this run: strategy, attack, seed and the
+    /// config [`digest`](Self::digest), e.g.
+    /// `fedguard-sign-flipping-s7-0123456789abcdef`. The run's one trail is
+    /// `<stem>.jsonl`; the forensics ledger and the
+    /// [`ExperimentResult`] are folds of it. Two configs that differ in
+    /// any field but `telemetry_dir` never share a stem.
     pub fn cell_stem(&self) -> String {
-        format!("{}-{}-s{}", self.strategy.name().to_lowercase(), self.attack.name(), self.fed.seed)
+        format!(
+            "{}-{}-s{}-{:016x}",
+            self.strategy.name().to_lowercase(),
+            self.attack.name(),
+            self.fed.seed,
+            self.digest()
+        )
+    }
+
+    /// FNV-1a of the serialized config with `telemetry_dir` cleared (it
+    /// names where a trail goes, not what ran), so any parameter change —
+    /// attack σ, budget, server lr, round count, faults — gives a new
+    /// digest.
+    pub fn digest(&self) -> u64 {
+        let shape = ExperimentConfig { telemetry_dir: None, ..self.clone() };
+        let json = serde_json::to_string(&shape).expect("config serializes");
+        json.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// The ground-truth malicious roster (derived seed stream 4).
+    pub fn malicious_roster(&self) -> Vec<usize> {
+        choose_malicious(self.fed.n_clients, self.attack.fraction(), derive_seed(self.fed.seed, 4))
     }
 }
 
 /// The outcome of one experiment run — enough to regenerate the paper's
-/// figures and tables for this (strategy × attack) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// figures and tables for this (strategy × attack) cell. Everything but the
+/// history is a function of the config ([`ExperimentResult::new`]).
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentResult {
     pub strategy: String,
     pub attack: String,
@@ -355,6 +381,18 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
+    /// The result of running `cfg`, from its round history: a fresh run
+    /// and a stored trail of it build the same value.
+    pub fn new(cfg: &ExperimentConfig, history: Vec<RoundTelemetry>) -> Self {
+        ExperimentResult {
+            strategy: cfg.strategy.name().to_string(),
+            attack: cfg.attack.name().to_string(),
+            malicious_clients: cfg.malicious_roster(),
+            history,
+            tail_fraction: cfg.tail_fraction,
+        }
+    }
+
     /// Accuracy after the final round.
     pub fn final_accuracy(&self) -> f32 {
         self.history.last().map_or(0.0, |r| r.accuracy)
@@ -384,11 +422,6 @@ impl ExperimentResult {
     /// Mean wall-clock seconds per round (Table V timing column).
     pub fn mean_round_secs(&self) -> f64 {
         mean_round_secs(&self.history)
-    }
-
-    /// Serialize to pretty JSON (for EXPERIMENTS.md regeneration).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("result serialization")
     }
 }
 
@@ -483,8 +516,7 @@ impl ShardPlan {
             10,
             &mut part_rng,
         );
-        let malicious =
-            choose_malicious(cfg.fed.n_clients, cfg.attack.fraction(), derive_seed(seed, 4));
+        let malicious = cfg.malicious_roster();
         let label_flip = matches!(cfg.attack, AttackScenario::LabelFlip { .. });
         ShardPlan { train, parts, malicious, label_flip }
     }
@@ -589,17 +621,9 @@ fn run_with(
     }
     let mut federation = builder.build();
     let history = federation.run();
-    let final_global = federation.global_params().to_vec();
-
     RunArtifacts {
-        result: ExperimentResult {
-            strategy: cfg.strategy.name().to_string(),
-            attack: cfg.attack.name().to_string(),
-            malicious_clients: setup.malicious,
-            history,
-            tail_fraction: cfg.tail_fraction,
-        },
-        final_global,
+        result: ExperimentResult::new(cfg, history),
+        final_global: federation.global_params().to_vec(),
     }
 }
 
@@ -694,34 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn results_serialize_to_json() {
-        let cfg =
-            ExperimentConfig::preset(Preset::Smoke, StrategyKind::FedAvg, AttackScenario::None, 3);
-        let result = run_experiment(&cfg);
-        let json = result.to_json();
-        let back: ExperimentResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.strategy, "FedAvg");
-        assert_eq!(back.history.len(), result.history.len());
-    }
-
-    #[test]
-    fn round_record_shaped_results_fail_to_parse() {
-        // `fg_bench::run_cached` keeps results as JSON. One cached before the
-        // history became `RoundTelemetry` has rounds without `strategy` or
-        // `stages`; it must fail to parse, so the cache recomputes it instead
-        // of misreading it.
-        let old_round = r#"{"round":0,"accuracy":0.5,"sampled":[0,1],"selected":[0],"malicious_sampled":[1],"wall_secs":0.1,"comm":{"upload_bytes":8,"download_bytes":8}}"#;
-        let blob = |history: &str| {
-            format!(
-                r#"{{"strategy":"FedAvg","attack":"no-attack","malicious_clients":[1],"history":[{history}],"tail_fraction":0.8}}"#
-            )
-        };
-        assert!(serde_json::from_str::<ExperimentResult>(&blob(old_round)).is_err());
-        // Only the round shape is stale: the same blob without rounds parses.
-        assert!(serde_json::from_str::<ExperimentResult>(&blob("")).is_ok());
-    }
-
-    #[test]
     fn detection_agrees_with_the_forensics_ledger() {
         // One exclusion tally: the run's detection, the ledger's running
         // totals and the per-round confusions are the same counts.
@@ -773,7 +769,7 @@ mod tests {
             ExperimentConfig::preset(Preset::Smoke, StrategyKind::FedAvg, AttackScenario::None, 6);
         cfg.telemetry_dir = Some(dir.to_string_lossy().into_owned());
         let result = run_experiment(&cfg);
-        let path = dir.join("fedavg-no-attack-s6.jsonl");
+        let path = dir.join(format!("{}.jsonl", cfg.cell_stem()));
         let events = fg_fl::read_jsonl(&path).expect("telemetry trail written");
         assert_eq!(events.len(), result.history.len());
         for (e, r) in events.iter().zip(&result.history) {
@@ -893,6 +889,58 @@ mod tests {
             let back: ExperimentConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back.compression, mode);
         }
+    }
+
+    #[test]
+    fn stem_names_the_whole_shape_and_no_destination() {
+        let base = ExperimentConfig::preset(
+            Preset::Smoke,
+            StrategyKind::FedGuard,
+            AttackScenario::None,
+            3,
+        );
+        let mut elsewhere = base.clone();
+        elsewhere.telemetry_dir = Some("/some/other/store".into());
+        assert_eq!(elsewhere.cell_stem(), base.cell_stem());
+        assert!(base.cell_stem().starts_with("fedguard-no-attack-s3-"), "{}", base.cell_stem());
+
+        let stem_with = |change: fn(&mut ExperimentConfig)| {
+            let mut cfg = base.clone();
+            change(&mut cfg);
+            cfg.cell_stem()
+        };
+        let variants = [
+            ("budget", stem_with(|c| c.budget = SynthesisBudget::PerDecoder(10))),
+            ("fed.server_lr", stem_with(|c| c.fed.server_lr = 0.3)),
+            ("fed.rounds", stem_with(|c| c.fed.rounds = 6)),
+            ("faults", stem_with(|c| c.faults = Some(FaultConfig::chaotic()))),
+            (
+                "fedguard_inner",
+                stem_with(|c| c.fedguard_inner = crate::strategy::InnerAggregator::Median),
+            ),
+            ("dirichlet_alpha", stem_with(|c| c.dirichlet_alpha = 0.1)),
+            ("compression", stem_with(|c| c.compression = Compression::Int8 { block: 4096 })),
+        ];
+        let mut stems = vec![base.cell_stem()];
+        for (field, stem) in variants {
+            assert!(!stems.contains(&stem), "changing {field} kept the stem {stem}");
+            stems.push(stem);
+        }
+    }
+
+    #[test]
+    fn result_is_a_function_of_config_and_history() {
+        let cfg = ExperimentConfig::preset(
+            Preset::Smoke,
+            StrategyKind::FedAvg,
+            AttackScenario::SignFlip { fraction: 0.4 },
+            12,
+        );
+        let setup = prepare_setup(&cfg);
+        let result = ExperimentResult::new(&cfg, Vec::new());
+        assert_eq!(result.malicious_clients, setup.malicious);
+        assert_eq!((result.strategy.as_str(), result.attack.as_str()), ("FedAvg", "sign-flipping"));
+        assert_eq!(result.tail_fraction, cfg.tail_fraction);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!
 //! Three sinks cover the common cases:
 //! * [`MemoryCollector`] — in-process capture for tests and summaries;
-//! * [`JsonlSink`] — one JSON object per line, the replayable trail under
-//!   `results/telemetry/` that the bench binaries leave behind;
+//! * [`JsonlSink`] — one JSON object per line, the replayable trail. The
+//!   bench binaries keep their results as these trails, one per run under
+//!   `results/telemetry/`, named by the run's config digest, and fold a
+//!   stored trail back into the run's result instead of re-running it;
 //! * [`StderrProgress`] — a human-readable per-round progress line.
 
 use crate::comm::CommStats;
